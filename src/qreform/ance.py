@@ -4,27 +4,28 @@ Each round retrieves every anchor's nearest candidates with the current
 bi-encoder and keeps those that share no co-purchase with the anchor (and
 are not the anchor or one of its normalization duplicates): textually
 close, behaviorally unrelated queries.  The retriever fine-tunes on its
-own mined negatives (self-learning); after the final round the
-cross-encoder fine-tunes once on the same sets (learn-from-teacher).  The
-cross-encoder never retrieves; every record carries the bi-encoder
-checkpoint checksum it was mined with.
+own mined negatives (self-learning).  The learn-from-teacher step, in
+which the cross-encoder fine-tunes once on the final round's sets, runs
+in the pipeline's train-reranker stage from the persisted files, using
+``build_rerank_batches``.  The cross-encoder never retrieves; every
+record carries the bi-encoder checkpoint checksum it was mined with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .encoders import params_checksum
 from .files import read_tsv, write_tsv
 from .knn import build_index
 from .training import (
-    OBJECTIVE_CIRCLE,
     OBJECTIVE_RETRIEVAL,
     RerankBatch,
     RetrievalExample,
     TrainConfig,
     TrainResult,
+    canonical_pair,
     train,
 )
 
@@ -41,10 +42,6 @@ class HardNegativeRecord:
     def __post_init__(self) -> None:
         if self.anchor in self.negatives:
             raise ValueError(f"anchor {self.anchor!r} listed as its own negative")
-
-
-def _canonical(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def mine_hard_negatives(
@@ -78,7 +75,7 @@ def mine_hard_negatives(
         for candidate, _ in hits:
             if candidate == anchor:
                 continue
-            if _canonical(anchor, candidate) in copurchased:
+            if canonical_pair(anchor, candidate) in copurchased:
                 continue
             if (
                 anchor_norm is not None
@@ -100,21 +97,16 @@ def negatives_by_anchor(
 
 @dataclass
 class AnceData:
-    """Everything the loop needs beyond the two models.
+    """Everything the loop needs beyond the bi-encoder.
 
     ``candidates`` is the rich-query pool (id to raw text).  Retrieval
-    examples are reused across rounds; ``rerank_positives`` maps each
-    anchor to its (positive text, directed target) set for the teacher
-    step.
+    examples are reused across rounds.
     """
 
     candidates: Mapping[str, str]
     copurchased: frozenset[tuple[str, str]]
     retrieval_train: Sequence[RetrievalExample]
     retrieval_val: Sequence[RetrievalExample]
-    rerank_positives: Mapping[str, tuple[tuple[str, float], ...]] = field(
-        default_factory=dict
-    )
     normalized: Mapping[str, str] | None = None
     top_k: int = 100
 
@@ -126,45 +118,30 @@ class AnceData:
 class AnceRound:
     round_index: int
     records: list[HardNegativeRecord]
-    retriever_trace: TrainResult | None = None
-
-
-@dataclass
-class AnceOutcome:
-    rounds: list[AnceRound]
-    reranker_trace: TrainResult | None = None
-
-    def final_records(self) -> list[HardNegativeRecord]:
-        return self.rounds[-1].records if self.rounds else []
+    retriever_trace: TrainResult
 
 
 def run_ance_loop(
     bi_encoder,
-    cross_encoder,
     data: AnceData,
     rounds: int,
     retriever_config: TrainConfig,
-    reranker_config: TrainConfig | None = None,
     on_round=None,
-) -> AnceOutcome:
-    """Self-learning rounds for the retriever, one teacher step for the
-    re-ranker.
+) -> list[AnceRound]:
+    """Self-learning rounds for the retriever.
 
     Round r mines with the round-(r-1) bi-encoder, then fine-tunes it with
     the contrastive objective whose in-batch pool is augmented by each
-    anchor's mined negatives.  With rounds=0 both models are returned
-    untouched.  If ``cross_encoder`` is None the teacher step is skipped
-    (the pipeline runs it in a later stage from the persisted sets).
-    ``on_round(round_index, records, bi_encoder)`` fires after each
+    anchor's mined negatives.  With rounds=0 the model is returned
+    untouched.  The re-ranker's teacher step is not run here: the
+    pipeline's train-reranker stage runs it from the persisted final-round
+    sets.  ``on_round(round_index, records, bi_encoder)`` fires after each
     round's fine-tuning, e.g. to persist per-round checkpoints.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    outcome = AnceOutcome(rounds=[])
-    if rounds == 0:
-        return outcome
-
     anchors = data.anchor_texts()
+    ance_rounds = []
     for round_index in range(1, rounds + 1):
         records = mine_hard_negatives(
             bi_encoder,
@@ -188,20 +165,10 @@ def run_ance_loop(
             excluded_pairs=data.copurchased,
             hard_negatives=negatives_by_anchor(records),
         )
-        outcome.rounds.append(AnceRound(round_index, records, trace))
+        ance_rounds.append(AnceRound(round_index, records, trace))
         if on_round is not None:
             on_round(round_index, records, bi_encoder)
-
-    if cross_encoder is not None and data.rerank_positives:
-        batches = build_rerank_batches(
-            data.rerank_positives,
-            outcome.final_records(),
-            reranker_config.hard_negative_cap if reranker_config else 8,
-        )
-        config = reranker_config or TrainConfig(objective=OBJECTIVE_CIRCLE)
-        config = replace(config, objective=OBJECTIVE_CIRCLE)
-        outcome.reranker_trace = train(cross_encoder, batches, [], config)
-    return outcome
+    return ance_rounds
 
 
 def build_rerank_batches(

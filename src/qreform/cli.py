@@ -11,35 +11,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
-from . import knn as knn_mod
-from .encoders import load_checkpoint
 from .pipeline import (
     EVAL_MODE_AUDIT,
     EVAL_MODE_RERANK,
     EVAL_MODE_RETRIEVAL,
+    STAGE_ORDER,
     AugmentationParams,
     PipelineConfig,
-    PipelinePaths,
     StageFailure,
     augment_for_tier,
     evaluate_model,
-    load_threshold,
+    load_serving_state,
     reformulate,
     run_pipeline,
 )
 
-STAGE_COMMANDS = (
-    "synth-gen",
-    "ingest",
-    "normalize",
-    "mine",
-    "train-retriever",
-    "ance",
-    "train-reranker",
-    "index",
-)
+# The evaluate stage has no subcommand of its own: ``evaluate`` scores
+# one model on demand, and ``pipeline`` runs the whole stage.
+STAGE_COMMANDS = tuple(name for name in STAGE_ORDER if name != "evaluate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,18 +130,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_reformulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    paths = PipelinePaths(Path(config.out_dir))
-    bi_encoder = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-    cross_encoder = load_checkpoint(paths.reranker_circle)
-    index = knn_mod.load_index(paths.index_file)
-    threshold = (
-        args.threshold if args.threshold is not None else load_threshold(paths)
-    )
+    state = load_serving_state(config)
+    threshold = args.threshold if args.threshold is not None else state.threshold
     result = reformulate(
         args.query,
-        bi_encoder,
-        index,
-        cross_encoder,
+        state.bi_encoder,
+        state.index,
+        state.cross_encoder,
         top_k=args.top_k or config.top_k,
         threshold=threshold,
         n_max=args.n_max or config.n_max,

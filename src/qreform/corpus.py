@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .files import FileFormatError, iter_log_lines, read_tsv, write_tsv
+from .training import canonical_pair
 
 TIER_RICH = "rich"
 TIER_IMPOVERISHED = "impoverished"
@@ -183,7 +184,7 @@ def copurchase_from_product_sets(
     for keys in by_product.values():
         for i, key_a in enumerate(keys):
             for key_b in keys[i + 1:]:
-                pair = (key_a, key_b) if key_a < key_b else (key_b, key_a)
+                pair = canonical_pair(key_a, key_b)
                 shared[pair] = shared.get(pair, 0) + 1
     return [
         CoPurchaseRecord(a, b, count) for (a, b), count in sorted(shared.items())
@@ -214,14 +215,30 @@ def make_split(pairs: Sequence, n_test_queries: int, seed: int) -> DatasetSplit:
     rng = random.Random(seed)
     test_ids = frozenset(rng.sample(universe, n_test_queries))
 
-    ordered = sorted(pairs, key=lambda p: (p.source, p.target))
+    ordered = sorted(pairs, key=_pair_order)
     test = [p for p in ordered if p.source in test_ids or p.target in test_ids]
     rest = [p for p in ordered if p.source not in test_ids and p.target not in test_ids]
+    train, validation = split_validation(rest, rng)
+    return DatasetSplit(tuple(train), tuple(validation), tuple(test), test_ids)
+
+
+def _pair_order(pair) -> tuple[str, str]:
+    return (pair.source, pair.target)
+
+
+def split_validation(pairs: Sequence, rng: random.Random) -> tuple[list, list]:
+    """Shuffle pairs with ``rng`` and cut a tenth off as validation.
+
+    Returns (train, validation), each sorted by (source, target).  The
+    input order does not matter; empty input gives two empty shards.
+    """
+    rest = sorted(pairs, key=_pair_order)
     rng.shuffle(rest)
     n_validation = round(len(rest) / 10)
-    validation = sorted(rest[:n_validation], key=lambda p: (p.source, p.target))
-    train = sorted(rest[n_validation:], key=lambda p: (p.source, p.target))
-    return DatasetSplit(tuple(train), tuple(validation), tuple(test), test_ids)
+    return (
+        sorted(rest[n_validation:], key=_pair_order),
+        sorted(rest[:n_validation], key=_pair_order),
+    )
 
 
 QUERIES_KIND = "queries"

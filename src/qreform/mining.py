@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .files import read_tsv, write_tsv
 from .normalize import QueryGroup
+from .training import canonical_pair
 
 _NORM_TOL = 1e-9
 
@@ -186,7 +187,7 @@ def mine_pairs(
             for member_b in by_key[key_b].member_query_ids:
                 if member_a == member_b:
                     continue
-                src, tgt = sorted((member_a, member_b))
+                src, tgt = canonical_pair(member_a, member_b)
                 if (src, tgt) == (member_a, member_b):
                     pair_fwd, pair_rev = fwd, rev
                 else:
@@ -238,7 +239,7 @@ def kin_pairs(
             continue
         adjacent.setdefault(key_a, set()).add(key_b)
         adjacent.setdefault(key_b, set()).add(key_a)
-        direct.add((key_a, key_b) if key_a <= key_b else (key_b, key_a))
+        direct.add(canonical_pair(key_a, key_b))
 
     two_hop: set[tuple[str, str]] = set()
     for neighbors in adjacent.values():
@@ -255,7 +256,7 @@ def kin_pairs(
             for member_b in by_key[key_b].member_query_ids:
                 if member_a == member_b:
                     continue
-                src, tgt = sorted((member_a, member_b))
+                src, tgt = canonical_pair(member_a, member_b)
                 pairs.append(QueryPair(src, tgt, 0.0, 0.0, 0.0, 0))
     pairs.sort(key=lambda p: (p.source, p.target))
     return pairs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,13 @@ from . import mining as mining_mod
 from . import normalize as norm_mod
 from . import synthgen as synth_mod
 from . import training as train_mod
-from .encoders import BiEncoderModel, CrossEncoderModel, load_checkpoint, save_checkpoint
+from .encoders import (
+    BiEncoderModel,
+    CrossEncoderModel,
+    load_checkpoint,
+    params_checksum,
+    save_checkpoint,
+)
 from .files import read_tsv, sha256_bytes, sha256_file, write_tsv
 
 MODEL_RETRIEVER_BASELINE = "retriever_top30_baseline"
@@ -39,6 +46,18 @@ MODEL_RETRIEVER_WEIGHTED = "retriever_weighted"
 MODEL_RETRIEVER_ANCE = "retriever_ance_r{round}"
 MODEL_RERANKER_POINTWISE = "reranker_pointwise"
 MODEL_RERANKER_CIRCLE = "reranker_circle_ance"
+RERANKER_IDS = (MODEL_RERANKER_POINTWISE, MODEL_RERANKER_CIRCLE)
+
+
+def model_ids(rounds: int) -> list[str]:
+    """Every model a run trains and reports on, retrievers first."""
+    return [
+        MODEL_RETRIEVER_BASELINE,
+        MODEL_RETRIEVER_WEIGHTED,
+        *(MODEL_RETRIEVER_ANCE.format(round=r) for r in range(1, rounds + 1)),
+        *RERANKER_IDS,
+    ]
+
 
 STAGE_ORDER = (
     "synth-gen",
@@ -242,9 +261,14 @@ class PipelineConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def config_hash(self) -> str:
-        return sha256_bytes(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        )
+        """Hash of every setting that shapes the artifacts.
+
+        ``out_dir`` is left out: it says where a run lives, not what it
+        holds, so a copied or moved run resumes instead of rerunning.
+        """
+        data = self.to_dict()
+        del data["out_dir"]
+        return sha256_bytes(json.dumps(data, sort_keys=True).encode("utf-8"))
 
 
 @dataclass
@@ -309,10 +333,6 @@ class PipelinePaths:
 
 TESTQ_KIND = "test-queries"
 THRESHOLD_KIND = "rerank-threshold"
-
-
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _stage_synth(config: PipelineConfig, paths: PipelinePaths) -> None:
@@ -426,12 +446,9 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
         if p.source not in split.test_query_ids
         and p.target not in split.test_query_ids
     ]
-    rng = random.Random(config.seed)
-    base_rest.sort(key=lambda p: (p.source, p.target))
-    rng.shuffle(base_rest)
-    n_validation = round(len(base_rest) / 10)
-    base_val = sorted(base_rest[:n_validation], key=lambda p: (p.source, p.target))
-    base_train = sorted(base_rest[n_validation:], key=lambda p: (p.source, p.target))
+    base_train, base_val = corpus_mod.split_validation(
+        base_rest, random.Random(config.seed)
+    )
     mining_mod.save_pairs(paths.pairs_baseline_train, base_train, shard="train")
     mining_mod.save_pairs(paths.pairs_baseline_val, base_val, shard="validation")
 
@@ -450,7 +467,7 @@ def _retrieval_examples(pairs) -> list[train_mod.RetrievalExample]:
 
 def _exclusion_set(paths: PipelinePaths) -> frozenset[tuple[str, str]]:
     pairs = mining_mod.load_pairs(paths.pairs_exclusion)
-    return frozenset(_pair_key(p.source, p.target) for p in pairs)
+    return frozenset(train_mod.canonical_pair(p.source, p.target) for p in pairs)
 
 
 def _trained_pairs(path, floor: float):
@@ -513,14 +530,17 @@ def _rich_pool(corpus: corpus_mod.Corpus) -> dict[str, str]:
     }
 
 
+def _normalized_texts(corpus: corpus_mod.Corpus) -> dict[str, str]:
+    return {
+        qid: record.normalized_text or record.raw_text
+        for qid, record in corpus.queries.items()
+    }
+
+
 def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     bi_encoder = load_checkpoint(paths.retriever_weighted)
     excluded = _exclusion_set(paths)
-    normalized = {
-        qid: record.normalized_text or record.raw_text
-        for qid, record in corpus.queries.items()
-    }
     data = ance_mod.AnceData(
         candidates=_rich_pool(corpus),
         copurchased=excluded,
@@ -530,7 +550,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
         retrieval_val=_retrieval_examples(
             _trained_pairs(paths.pairs_val, config.train_floor)
         ),
-        normalized=normalized,
+        normalized=_normalized_texts(corpus),
         top_k=config.top_k,
     )
     retriever_config = train_mod.TrainConfig(
@@ -547,15 +567,10 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
         ance_mod.save_hard_negatives(paths.negatives(round_index), records)
         save_checkpoint(model, paths.retriever_ance(round_index))
 
-    outcome = ance_mod.run_ance_loop(
-        bi_encoder,
-        None,
-        data,
-        config.ance_rounds,
-        retriever_config,
-        on_round=on_round,
+    rounds = ance_mod.run_ance_loop(
+        bi_encoder, data, config.ance_rounds, retriever_config, on_round=on_round
     )
-    for ance_round in outcome.rounds:
+    for ance_round in rounds:
         model_id = MODEL_RETRIEVER_ANCE.format(round=ance_round.round_index)
         train_mod.save_trace(
             paths.trace(model_id), ance_round.retriever_trace, model=model_id
@@ -637,15 +652,15 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     if not positives:
         positives = _directed_examples(mining_mod.load_pairs(paths.pairs_train))
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    pool = _rich_pool(corpus)
-    normalized = {
-        qid: record.normalized_text or record.raw_text
-        for qid, record in corpus.queries.items()
-    }
     final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
     anchors = sorted({source for source, _, _ in positives})
     mined = ance_mod.mine_hard_negatives(
-        final, anchors, pool, excluded, config.top_k, normalized
+        final,
+        anchors,
+        _rich_pool(corpus),
+        excluded,
+        config.top_k,
+        _normalized_texts(corpus),
     )
     candidates = [
         (record.anchor, negative)
@@ -708,6 +723,19 @@ def _retrieved_lists(
     return out
 
 
+def _audit_metrics(model, audit: Sequence[eval_mod.AuditLabel]) -> dict[str, float]:
+    """How well the bi-encoder's similarity orders the graded audit pairs."""
+    sources = model.embed_many([label.source for label in audit])
+    targets = model.embed_many([label.target for label in audit])
+    scores = np.sum(sources * targets, axis=1)
+    labels = [label.label for label in audit]
+    return {
+        "auroc_strict": eval_mod.auroc_strict(scores, labels),
+        "auroc_notrel": eval_mod.auroc_notrel(scores, labels),
+        "spearman": eval_mod.spearman(scores, labels),
+    }
+
+
 def _evaluate_retriever(
     model_id: str,
     model,
@@ -715,7 +743,8 @@ def _evaluate_retriever(
     pool: Mapping[str, str],
     audit: Sequence[eval_mod.AuditLabel],
     k: int,
-) -> eval_mod.EvalReport:
+) -> tuple[eval_mod.EvalReport, dict[str, list[str]]]:
+    """The retriever's report, plus its top-k lists for the re-rankers."""
     queries = sorted(q for q in truth if truth[q])
     retrieved = _retrieved_lists(model, queries, pool, k)
     metrics: dict[str, float | int | None] = {"n_eval_queries": len(queries)}
@@ -724,14 +753,8 @@ def _evaluate_retriever(
             metrics[f"recall{k}_{scope}_{average}"] = eval_mod.recall_at_k(
                 retrieved, truth, k, scope, average
             )
-    sources = model.embed_many([label.source for label in audit])
-    targets = model.embed_many([label.target for label in audit])
-    scores = np.sum(sources * targets, axis=1)
-    labels = [label.label for label in audit]
-    metrics["auroc_strict"] = eval_mod.auroc_strict(scores, labels)
-    metrics["auroc_notrel"] = eval_mod.auroc_notrel(scores, labels)
-    metrics["spearman"] = eval_mod.spearman(scores, labels)
-    return eval_mod.EvalReport(model_id, metrics)
+    metrics.update(_audit_metrics(model, audit))
+    return eval_mod.EvalReport(model_id, metrics), retrieved
 
 
 def _evaluate_reranker(
@@ -766,30 +789,17 @@ def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
     truth = _ground_truth(paths, set(pool))
     audit = eval_mod.load_audit_labels(paths.audit)
 
-    retrievers = {
-        MODEL_RETRIEVER_BASELINE: paths.retriever_baseline,
-        MODEL_RETRIEVER_WEIGHTED: paths.retriever_weighted,
-    }
-    for round_index in range(1, config.ance_rounds + 1):
-        retrievers[MODEL_RETRIEVER_ANCE.format(round=round_index)] = (
-            paths.retriever_ance(round_index)
-        )
-    for model_id, ckpt in retrievers.items():
-        model = load_checkpoint(ckpt)
-        report = _evaluate_retriever(
-            model_id, model, truth, pool, audit, config.eval_k
-        )
-        eval_mod.save_report(report, paths.report(model_id))
-
-    final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-    queries = sorted(q for q in truth if truth[q])
-    retrieved = _retrieved_lists(final, queries, pool, config.eval_k)
-    for model_id, ckpt in (
-        (MODEL_RERANKER_POINTWISE, paths.reranker_pointwise),
-        (MODEL_RERANKER_CIRCLE, paths.reranker_circle),
-    ):
-        model = load_checkpoint(ckpt)
-        report = _evaluate_reranker(model_id, model, truth, retrieved)
+    final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
+    retrieved: dict[str, dict[str, list[str]]] = {}
+    for model_id in model_ids(config.ance_rounds):
+        model = load_checkpoint(checkpoint_for(paths, model_id, config.ance_rounds))
+        if model_id in RERANKER_IDS:
+            # The re-rankers score what the final ANCE retriever surfaces.
+            report = _evaluate_reranker(model_id, model, truth, retrieved[final_id])
+        else:
+            report, retrieved[model_id] = _evaluate_retriever(
+                model_id, model, truth, pool, audit, config.eval_k
+            )
         eval_mod.save_report(report, paths.report(model_id))
 
 
@@ -811,16 +821,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     ]
     ance_out = [paths.retriever_ance(r) for r in range(1, config.ance_rounds + 1)]
     ance_out += [paths.negatives(r) for r in range(1, config.ance_rounds + 1)]
-    report_ids = [
-        MODEL_RETRIEVER_BASELINE,
-        MODEL_RETRIEVER_WEIGHTED,
-        *(
-            MODEL_RETRIEVER_ANCE.format(round=r)
-            for r in range(1, config.ance_rounds + 1)
-        ),
-        MODEL_RERANKER_POINTWISE,
-        MODEL_RERANKER_CIRCLE,
-    ]
+    report_ids = model_ids(config.ance_rounds)
     return [
         ("synth-gen", [], synth_out, _stage_synth),
         ("ingest", [paths.log], [paths.corpus_queries, paths.corpus_events], _stage_ingest),
@@ -893,11 +894,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.test_queries,
                 paths.pairs_test,
                 paths.audit,
-                paths.retriever_baseline,
-                paths.retriever_weighted,
-                *[paths.retriever_ance(r) for r in range(1, config.ance_rounds + 1)],
-                paths.reranker_pointwise,
-                paths.reranker_circle,
+                *(checkpoint_for(paths, m, config.ance_rounds) for m in report_ids),
             ],
             [paths.report(model_id) for model_id in report_ids],
             _stage_evaluate,
@@ -906,16 +903,27 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
 
 
 def _load_manifest(paths: PipelinePaths) -> dict:
-    if paths.manifest.exists():
-        return json.loads(paths.manifest.read_text(encoding="utf-8"))
-    return {}
+    """The recorded manifest; a missing or malformed one counts as empty."""
+    try:
+        manifest = json.loads(paths.manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+        return {}
+    return manifest
 
 
 def _save_manifest(paths: PipelinePaths, manifest: dict) -> None:
+    """Write through a sibling temp file and a rename.
+
+    A run killed mid-write leaves the previous manifest whole.
+    """
     paths.manifest.parent.mkdir(parents=True, exist_ok=True)
-    paths.manifest.write_text(
+    tmp = paths.manifest.with_name(paths.manifest.name + ".tmp")
+    tmp.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    os.replace(tmp, paths.manifest)
 
 
 def _digests(files: Sequence[Path]) -> dict[str, str]:
@@ -923,7 +931,7 @@ def _digests(files: Sequence[Path]) -> dict[str, str]:
 
 
 def _stage_fresh(entry: dict | None, inputs: Sequence[Path], outputs: Sequence[Path]) -> bool:
-    if entry is None:
+    if not isinstance(entry, dict):
         return False
     if any(not path.exists() for path in outputs):
         return False
@@ -960,7 +968,6 @@ def run_pipeline(
     config_hash = config.config_hash()
     if manifest.get("config_hash") != config_hash:
         manifest = {"config_hash": config_hash, "seed": config.seed, "stages": {}}
-    manifest.setdefault("stages", {})
     config.save_json(paths.root / "config.json")
 
     executed: list[str] = []
@@ -999,18 +1006,10 @@ def run_pipeline(
 
 
 def checkpoint_for(paths: PipelinePaths, model_id: str, rounds: int) -> Path:
-    fixed = {
-        MODEL_RETRIEVER_BASELINE: paths.retriever_baseline,
-        MODEL_RETRIEVER_WEIGHTED: paths.retriever_weighted,
-        MODEL_RERANKER_POINTWISE: paths.reranker_pointwise,
-        MODEL_RERANKER_CIRCLE: paths.reranker_circle,
-    }
-    if model_id in fixed:
-        return fixed[model_id]
-    for round_index in range(1, rounds + 1):
-        if model_id == MODEL_RETRIEVER_ANCE.format(round=round_index):
-            return paths.retriever_ance(round_index)
-    raise ValueError(f"unknown model id: {model_id!r}")
+    """Every model's checkpoint is ``<model id>.npz`` in the run directory."""
+    if model_id not in model_ids(rounds):
+        raise ValueError(f"unknown model id: {model_id!r}")
+    return paths.root / f"{model_id}.npz"
 
 
 EVAL_MODE_RETRIEVAL = "retrieval"
@@ -1028,22 +1027,14 @@ def evaluate_model(
     pool = _rich_pool(corpus)
     if mode == EVAL_MODE_AUDIT:
         audit = eval_mod.load_audit_labels(paths.audit)
-        sources = model.embed_many([label.source for label in audit])
-        targets = model.embed_many([label.target for label in audit])
-        scores = np.sum(sources * targets, axis=1)
-        labels = [label.label for label in audit]
-        return eval_mod.EvalReport(
-            model_id,
-            {
-                "auroc_strict": eval_mod.auroc_strict(scores, labels),
-                "auroc_notrel": eval_mod.auroc_notrel(scores, labels),
-                "spearman": eval_mod.spearman(scores, labels),
-            },
-        )
+        return eval_mod.EvalReport(model_id, _audit_metrics(model, audit))
     truth = _ground_truth(paths, set(pool))
     if mode == EVAL_MODE_RETRIEVAL:
         audit = eval_mod.load_audit_labels(paths.audit)
-        return _evaluate_retriever(model_id, model, truth, pool, audit, config.eval_k)
+        report, _ = _evaluate_retriever(
+            model_id, model, truth, pool, audit, config.eval_k
+        )
+        return report
     if mode == EVAL_MODE_RERANK:
         final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
         queries = sorted(q for q in truth if truth[q])
@@ -1070,6 +1061,35 @@ def tail_queries(corpus: corpus_mod.Corpus, fraction: float = 1 / 3) -> list[str
     return ordered[:n_tail]
 
 
+@dataclass(frozen=True)
+class ServingState:
+    """What ``reformulate`` needs from a finished run."""
+
+    bi_encoder: BiEncoderModel
+    index: knn_mod.KnnIndex
+    cross_encoder: CrossEncoderModel
+    threshold: float
+
+
+def load_serving_state(config: PipelineConfig) -> ServingState:
+    """Load the final retriever, its index, the re-ranker and the threshold.
+
+    The index must have been built from the final retriever; an index
+    from any other checkpoint is rejected with the index file named.
+    """
+    paths = PipelinePaths(Path(config.out_dir))
+    bi_encoder = load_checkpoint(paths.retriever_ance(config.ance_rounds))
+    index = knn_mod.load_index(
+        paths.index_file, expected_model_checksum=params_checksum(bi_encoder)
+    )
+    return ServingState(
+        bi_encoder,
+        index,
+        load_checkpoint(paths.reranker_circle),
+        load_threshold(paths),
+    )
+
+
 def tail_reformulation_rate(
     config: PipelineConfig, fraction: float = 1 / 3
 ) -> float:
@@ -1077,21 +1097,18 @@ def tail_reformulation_rate(
     paths = PipelinePaths(Path(config.out_dir))
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     truth = synth_mod.load_ground_truth(paths.intents, paths.relations)
-    bi_encoder = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-    cross_encoder = load_checkpoint(paths.reranker_circle)
-    index = knn_mod.load_index(paths.index_file)
-    threshold = load_threshold(paths)
+    state = load_serving_state(config)
 
     tail = tail_queries(corpus, fraction)
     hits = 0
     for query in tail:
         result = reformulate(
             query,
-            bi_encoder,
-            index,
-            cross_encoder,
+            state.bi_encoder,
+            state.index,
+            state.cross_encoder,
             top_k=config.top_k,
-            threshold=threshold,
+            threshold=state.threshold,
             n_max=config.n_max,
         )
         intent = truth.query_intent.get(query)

@@ -304,7 +304,8 @@ class TrainResult:
         return self.trace[-1][1]
 
 
-def _canonical(a: str, b: str) -> tuple[str, str]:
+def canonical_pair(a: str, b: str) -> tuple[str, str]:
+    """The order-free key of a query pair: its two texts, smaller first."""
     return (a, b) if a <= b else (b, a)
 
 
@@ -336,7 +337,7 @@ def build_retrieval_batches(
             for j, positive in enumerate(positives):
                 if j == k:
                     continue
-                if positive == anchor or _canonical(anchor, positive) in excluded_pairs:
+                if positive == anchor or canonical_pair(anchor, positive) in excluded_pairs:
                     excluded.add((k, j))
         negs: tuple[tuple[str, ...], ...] = ()
         if hard_negatives is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -49,6 +50,14 @@ def tiny_run(tmp_path_factory):
 @pytest.fixture
 def fresh_tiny_config(tmp_path):
     return tiny_config(tmp_path / "run")
+
+
+def copied_run(tiny_run, tmp_path) -> PipelineConfig:
+    """A copy of the shared tiny run that a test may damage freely."""
+    config, run = tiny_run
+    out_dir = tmp_path / "copied"
+    shutil.copytree(run.out_dir, out_dir)
+    return dataclasses.replace(config, out_dir=str(out_dir))
 
 
 def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:

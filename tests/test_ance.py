@@ -14,7 +14,12 @@ from qreform.ance import (
     save_hard_negatives,
 )
 from qreform.encoders import BiEncoderModel, params_checksum
-from qreform.training import OBJECTIVE_RETRIEVAL, RetrievalExample, TrainConfig
+from qreform.training import (
+    OBJECTIVE_RETRIEVAL,
+    RetrievalExample,
+    TrainConfig,
+    canonical_pair as canon,
+)
 
 
 def model(seed=0):
@@ -28,10 +33,6 @@ CANDIDATES = {
     "blue towel": "blue towel",
     "red towel": "red towel",
 }
-
-
-def canon(a, b):
-    return (a, b) if a <= b else (b, a)
 
 
 def test_mining_excludes_self_and_copurchased():
@@ -113,17 +114,15 @@ def ance_data():
 def test_run_ance_loop_zero_rounds_is_identity():
     m = model(3)
     before = params_checksum(m)
-    outcome = run_ance_loop(
-        m, None, ance_data(), 0, TrainConfig(objective=OBJECTIVE_RETRIEVAL)
-    )
-    assert outcome.rounds == []
+    rounds = run_ance_loop(m, ance_data(), 0, TrainConfig(objective=OBJECTIVE_RETRIEVAL))
+    assert rounds == []
     assert params_checksum(m) == before
 
 
 def test_run_ance_loop_rejects_negative_rounds():
     with pytest.raises(ValueError):
         run_ance_loop(
-            model(), None, ance_data(), -1, TrainConfig(objective=OBJECTIVE_RETRIEVAL)
+            model(), ance_data(), -1, TrainConfig(objective=OBJECTIVE_RETRIEVAL)
         )
 
 
@@ -131,21 +130,20 @@ def test_run_ance_loop_trains_and_mines_per_round():
     m = model(4)
     before = params_checksum(m)
     calls = []
-    outcome = run_ance_loop(
+    rounds = run_ance_loop(
         m,
-        None,
         ance_data(),
         2,
         TrainConfig(objective=OBJECTIVE_RETRIEVAL, epochs=1, learning_rate=1e-3),
         on_round=lambda r, records, mm: calls.append((r, len(records))),
     )
     assert params_checksum(m) != before
-    assert [r.round_index for r in outcome.rounds] == [1, 2]
+    assert [r.round_index for r in rounds] == [1, 2]
     assert [c[0] for c in calls] == [1, 2]
     # Round 2 was mined with the round-1 model, not the initial one.
     assert (
-        outcome.rounds[0].records[0].source_checkpoint
-        != outcome.rounds[1].records[0].source_checkpoint
+        rounds[0].records[0].source_checkpoint
+        != rounds[1].records[0].source_checkpoint
     )
 
 

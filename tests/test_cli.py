@@ -5,7 +5,10 @@ import json
 import pytest
 
 from qreform.cli import STAGE_COMMANDS, main
-from tests.conftest import tiny_config
+from qreform.encoders import load_checkpoint
+from qreform.knn import build_index, load_index, save_index
+from qreform.pipeline import PipelinePaths
+from tests.conftest import copied_run, tiny_config
 
 
 def _config_args(config, tmp_path):
@@ -90,6 +93,19 @@ def test_reformulate_command_can_return_nothing(tiny_run, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no reformulations" in captured.err
+
+
+def test_reformulate_command_rejects_index_of_another_model(tiny_run, tmp_path, capsys):
+    config = copied_run(tiny_run, tmp_path)
+    paths = PipelinePaths(config.out_dir)
+    pool = load_index(paths.index_file).query_ids
+    weighted = load_checkpoint(paths.retriever_weighted)
+    save_index(build_index(weighted, pool), paths.index_file)
+    code = main(["reformulate", *_config_args(config, tmp_path), "--query", "mask"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reformulate:")
+    assert str(paths.index_file) in err
 
 
 def test_augment_command_worked_example(capsys):

@@ -1,5 +1,7 @@
 """Log ingestion, tiers, co-purchase graph, splits."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from qreform.corpus import (
     make_split,
     save_corpus,
     split_rich_impoverished,
+    split_validation,
 )
 from qreform.mining import QueryPair
 from tests.conftest import build_corpus
@@ -200,6 +203,18 @@ def test_make_split_too_many_test_queries():
     pairs = make_pairs(10)
     with pytest.raises(ValueError):
         make_split(pairs, 100, seed=0)
+
+
+def test_split_validation_empty_input():
+    assert split_validation([], random.Random(0)) == ([], [])
+
+
+def test_split_validation_ignores_input_order():
+    pairs = make_pairs(40)
+    train, validation = split_validation(pairs, random.Random(2))
+    assert (train, validation) == split_validation(pairs[::-1], random.Random(2))
+    assert len(validation) == round(len(pairs) / 10)
+    assert sorted(train + validation, key=lambda p: (p.source, p.target)) == pairs
 
 
 # --- persistence ---

@@ -7,7 +7,7 @@ import pytest
 
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
 from qreform.encoders import load_checkpoint
-from qreform.evaluation import load_report
+from qreform.evaluation import EvalReport, load_report
 from qreform.files import read_tsv
 from qreform.knn import load_index
 from qreform.mining import load_pairs
@@ -27,7 +27,7 @@ from qreform.pipeline import (
     select_threshold,
     tail_reformulation_rate,
 )
-from tests.conftest import tiny_config
+from tests.conftest import copied_run, tiny_config
 
 
 # --- augmentation ---
@@ -241,14 +241,27 @@ def test_tail_reformulation_rate_computable(tiny_run):
     assert 0.0 <= rate <= 1.0
 
 
-def test_evaluate_model_modes(tiny_run):
-    config, _ = tiny_run
+def test_evaluate_model_modes(tiny_run, tmp_path):
+    config, run = tiny_run
+    paths = PipelinePaths(run.out_dir)
     retrieval = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "retrieval")
     assert "recall100_top3_micro" in retrieval.metrics
+    saved = load_report(paths.report(MODEL_RETRIEVER_BASELINE))
+    assert retrieval.metric_rows() == saved.metric_rows()
     audit = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "audit")
     assert set(audit.metrics) == {"auroc_strict", "auroc_notrel", "spearman"}
+    saved_audit = {name: saved.metrics[name] for name in audit.metrics}
+    assert audit.metric_rows() == EvalReport("", saved_audit).metric_rows()
     rerank = evaluate_model(config, MODEL_RERANKER_CIRCLE, "rerank")
     assert "ndcg3_hard" in rerank.metrics
+    # The stage must re-rank the final round's candidates, as this call
+    # does.  At eval_k=100 every retriever returns the whole tiny pool, so
+    # only a short list tells the rounds apart.
+    short = dataclasses.replace(copied_run(tiny_run, tmp_path), eval_k=5)
+    run_pipeline(short, stages=["evaluate"])
+    rerank = evaluate_model(short, MODEL_RERANKER_CIRCLE, "rerank")
+    saved = load_report(PipelinePaths(short.out_dir).report(MODEL_RERANKER_CIRCLE))
+    assert rerank.metric_rows() == saved.metric_rows()
     with pytest.raises(ValueError):
         evaluate_model(config, MODEL_RETRIEVER_BASELINE, "bogus")
     with pytest.raises(ValueError):
@@ -265,3 +278,44 @@ def test_mined_pair_files_expose_split(tiny_run):
     test_ids = {row[0] for row in rows}
     for pair in train:
         assert pair.source not in test_ids and pair.target not in test_ids
+    base_train = load_pairs(paths.pairs_baseline_train)
+    base_val = load_pairs(paths.pairs_baseline_val)
+    assert base_train and base_val
+    for pair in base_train + base_val:
+        assert pair.source not in test_ids and pair.target not in test_ids
+    assert len(base_val) == round((len(base_train) + len(base_val)) / 10)
+
+
+def test_copied_run_resumes_under_new_out_dir(tiny_run, tmp_path):
+    copy = copied_run(tiny_run, tmp_path)
+    assert copy.config_hash() == tiny_run[0].config_hash()
+    resumed = run_pipeline(copy)
+    assert resumed.executed == []
+    assert len(resumed.skipped) == 9
+
+
+@pytest.mark.parametrize(
+    "damage, n_rerun",
+    [
+        (lambda text, manifest: text[: len(text) // 2], 9),
+        (lambda text, manifest: json.dumps({**manifest, "stages": []}), 9),
+        (
+            lambda text, manifest: json.dumps(
+                {**manifest, "stages": {**manifest["stages"], "mine": []}}
+            ),
+            1,
+        ),
+    ],
+    ids=["truncated", "stages-not-a-dict", "entry-not-a-dict"],
+)
+def test_corrupt_manifest_reruns_exactly(tiny_run, tmp_path, damage, n_rerun):
+    copy = copied_run(tiny_run, tmp_path)
+    manifest_path = PipelinePaths(copy.out_dir).manifest
+    text = manifest_path.read_text(encoding="utf-8")
+    original = json.loads(text)
+    manifest_path.write_text(damage(text, original), encoding="utf-8")
+    rerun = run_pipeline(copy)
+    assert len(rerun.executed) == n_rerun
+    for stage, entry in original["stages"].items():
+        assert rerun.manifest["stages"][stage]["outputs"] == entry["outputs"], stage
+    assert json.loads(manifest_path.read_text(encoding="utf-8")) == rerun.manifest
