@@ -130,14 +130,6 @@ MODE_BASELINE_TOP30 = "baseline_top30"
 _BASELINE_KEEP_FRACTION = 0.3
 
 
-def _group_surviving_counts(group: QueryGroup, min_purchase: int) -> dict[str, int]:
-    return {
-        product: count
-        for product, count in group.aggregated_counts.items()
-        if count >= min_purchase
-    }
-
-
 def mine_pairs(
     groups: Sequence[QueryGroup],
     copurchase: Iterable,
@@ -166,7 +158,7 @@ def mine_pairs(
     dists: dict[str, BehaviorDistribution] = {}
     survivors: dict[str, dict[str, int]] = {}
     for key, group in by_key.items():
-        counts = _group_surviving_counts(group, min_purchase)
+        counts = group.surviving_counts(min_purchase)
         if counts:
             survivors[key] = counts
             dists[key] = BehaviorDistribution.from_counts(counts)
@@ -229,7 +221,7 @@ def kin_pairs(
     alive = {
         key
         for key, group in by_key.items()
-        if _group_surviving_counts(group, min_purchase)
+        if group.surviving_counts(min_purchase)
     }
     adjacent: dict[str, set[str]] = {}
     direct: set[tuple[str, str]] = set()

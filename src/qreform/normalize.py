@@ -5,6 +5,10 @@ mapping, tokenization, stop-word removal, suffix stemming, token sorting,
 and joining with "_".  Script mapping and stemming iterate to a fixed
 point, and the whole pipeline is itself iterated to a fixed point (with a
 cycle guard), so normalization is idempotent for any configuration.
+Entity masking and script mapping rewrite the longest key that matches at
+each position, scanning left to right; each runs as one compiled regular
+expression built once per config, and empty keys are rejected because
+they would match everywhere.
 Queries sharing a normalized form are grouped and their purchase counts
 summed, which lets product counts that are individually below the noise
 filter survive at the group level.
@@ -12,6 +16,7 @@ filter survive at the group level.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +34,18 @@ _MASK_OPEN = "\ue000"
 _MASK_CLOSE = "\ue001"
 
 
+def _longest_first(keys: Iterable[str]) -> re.Pattern[str]:
+    """One alternation over the literal ``keys``, longest first.
+
+    ``re`` takes the first alternative that matches at a position, so the
+    ``(-len(key), key)`` order is what makes it pick the longest key there;
+    the rewriter depends on that order and on no key being empty.  With no
+    keys the pattern never matches.
+    """
+    ordered = sorted(keys, key=lambda key: (-len(key), key))
+    return re.compile("|".join(map(re.escape, ordered)) or "(?!)")
+
+
 @dataclass(frozen=True)
 class NormalizationConfig:
     """Declarative resources for the normalization pipeline.
@@ -37,46 +54,62 @@ class NormalizationConfig:
     validated to be idempotent (every value is a fixed point of the map).
     ``stemmer_rules`` are (suffix, replacement) pairs tried
     longest-suffix-first.  ``protected_entities`` pass through every stage
-    verbatim.  All resources are lowercased on construction because they
-    apply after the lowercase stage.
+    verbatim.  Script-map keys and entities are matched longest key first
+    at each position; an empty key or entity raises ``ValueError``.  All
+    resources are lowercased on construction because they apply after the
+    lowercase stage, and the matchers are compiled once here.
     """
 
     stopwords: frozenset[str] = frozenset()
     script_map: Mapping[str, str] = None  # type: ignore[assignment]
     protected_entities: frozenset[str] = frozenset()
     stemmer_rules: tuple[tuple[str, str], ...] = ()
-    sort_tokens: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stopwords", frozenset(w.lower() for w in self.stopwords))
         script_map = {k.lower(): v.lower() for k, v in (self.script_map or {}).items()}
+        if "" in script_map:
+            raise ValueError(
+                f"script map has an empty key (mapped to {script_map['']!r})"
+            )
         object.__setattr__(self, "script_map", script_map)
-        object.__setattr__(
-            self,
-            "protected_entities",
-            frozenset(e.lower() for e in self.protected_entities),
+        entities = frozenset(e.lower() for e in self.protected_entities)
+        if "" in entities:
+            raise ValueError("protected entities contain an empty entry ''")
+        object.__setattr__(self, "protected_entities", entities)
+        rules = tuple((s.lower(), r.lower()) for s, r in self.stemmer_rules)
+        object.__setattr__(self, "stemmer_rules", rules)
+        object.__setattr__(self, "_script_pattern", _longest_first(script_map))
+        object.__setattr__(self, "_entity_pattern", _longest_first(entities))
+        # An empty suffix would strip every token to its replacement, so
+        # such a rule is ignored.
+        suffix_rules = sorted(
+            (kv for kv in rules if kv[0]), key=lambda kv: (-len(kv[0]), kv[0])
         )
-        object.__setattr__(
-            self,
-            "stemmer_rules",
-            tuple((s.lower(), r.lower()) for s, r in self.stemmer_rules),
-        )
-        ordered = self._ordered_map()
+        object.__setattr__(self, "_suffix_rules", tuple(suffix_rules))
         for source, target in script_map.items():
-            mapped = _apply_script_map_once(target, ordered)
+            mapped = self._map_script_once(target)
             if mapped != target:
                 raise ValueError(
                     f"script map is not idempotent: {source!r} -> {target!r} -> {mapped!r}"
                 )
 
-    def _ordered_map(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.script_map.items(), key=lambda kv: (-len(kv[0]), kv[0])))
+    def _map_script_once(self, text: str) -> str:
+        """Replace the longest script-map key at each position, left to right."""
+        return self._script_pattern.sub(lambda m: self.script_map[m.group()], text)
 
-    def _ordered_entities(self) -> tuple[str, ...]:
-        return tuple(sorted(self.protected_entities, key=lambda e: (-len(e), e)))
+    def _mask_entities(self, text: str) -> tuple[str, list[str]]:
+        """Replace each protected entity, longest first, by an indexed mask.
 
-    def _ordered_rules(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.stemmer_rules, key=lambda kv: (-len(kv[0]), kv[0])))
+        Returns the masked text and the entities in mask-index order.
+        """
+        masked: list[str] = []
+
+        def mask(match: re.Match[str]) -> str:
+            masked.append(match.group())
+            return f"{_MASK_OPEN}{len(masked) - 1}{_MASK_CLOSE}"
+
+        return self._entity_pattern.sub(mask, text), masked
 
 
 def load_config(
@@ -84,7 +117,6 @@ def load_config(
     script_map_path: str | Path | None = None,
     entities_path: str | Path | None = None,
     stemmer_path: str | Path | None = None,
-    sort_tokens: bool = True,
 ) -> NormalizationConfig:
     """Assemble a config from the four flat resource files (each optional)."""
     stopwords: frozenset[str] = frozenset()
@@ -96,7 +128,9 @@ def load_config(
         _, rows = read_tsv(script_map_path, "script-map")
         for row in rows:
             if len(row) != 2:
-                raise ValueError(f"script map rows need 'from<TAB>to', got {row!r}")
+                raise ValueError(
+                    f"{script_map_path}: script map rows need 'from<TAB>to', got {row!r}"
+                )
             script_map[row[0]] = row[1]
     entities: frozenset[str] = frozenset()
     if entities_path is not None:
@@ -116,7 +150,6 @@ def load_config(
         script_map=script_map,
         protected_entities=entities,
         stemmer_rules=rules,
-        sort_tokens=sort_tokens,
     )
 
 
@@ -138,23 +171,6 @@ def save_config(config: NormalizationConfig, out_dir: str | Path) -> dict[str, P
     write_tsv(paths["entities"], "entities", ((e,) for e in sorted(config.protected_entities)))
     write_tsv(paths["stemmer"], "stemmer-rules", config.stemmer_rules)
     return paths
-
-
-def _apply_script_map_once(text: str, ordered_map: Sequence[tuple[str, str]]) -> str:
-    if not ordered_map:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        for source, target in ordered_map:
-            if text.startswith(source, i):
-                out.append(target)
-                i += len(source)
-                break
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
 
 
 def _fixed_point(value: str, step: Callable[[str], str]) -> str:
@@ -238,7 +254,7 @@ def _tokenize(text: str) -> list[str]:
 def _stem(token: str, ordered_rules: Sequence[tuple[str, str]]) -> str:
     def step(value: str) -> str:
         for suffix, replacement in ordered_rules:
-            if suffix and value.endswith(suffix) and len(value) > len(suffix):
+            if value.endswith(suffix) and len(value) > len(suffix):
                 return value[: -len(suffix)] + replacement
         return value
 
@@ -248,42 +264,22 @@ def _stem(token: str, ordered_rules: Sequence[tuple[str, str]]) -> str:
 def _pipeline_pass(raw: str, config: NormalizationConfig) -> tuple[str, bool]:
     text = raw.lower().replace(_MASK_OPEN, "").replace(_MASK_CLOSE, "")
 
-    masked: list[str] = []
-    entities = config._ordered_entities()
-    if entities:
-        buf = []
-        i = 0
-        while i < len(text):
-            for entity in entities:
-                if text.startswith(entity, i):
-                    buf.append(f"{_MASK_OPEN}{len(masked)}{_MASK_CLOSE}")
-                    masked.append(entity)
-                    i += len(entity)
-                    break
-            else:
-                buf.append(text[i])
-                i += 1
-        text = "".join(buf)
-
-    ordered_map = config._ordered_map()
-    text = _fixed_point(text, lambda value: _apply_script_map_once(value, ordered_map))
+    text, masked = config._mask_entities(text)
+    text = _fixed_point(text, config._map_script_once)
 
     tokens = _tokenize(text)
     had_tokens = bool(tokens)
     tokens = [t for t in tokens if t not in config.stopwords]
     emptied = had_tokens and not tokens
 
-    ordered_rules = config._ordered_rules()
     processed: list[str] = []
     for token in tokens:
         if token.startswith(_MASK_OPEN) and token.endswith(_MASK_CLOSE):
             processed.append(masked[int(token[1:-1])])
         else:
-            processed.append(_stem(token, ordered_rules))
+            processed.append(_stem(token, config._suffix_rules))
 
-    if config.sort_tokens:
-        processed.sort()
-    return SEPARATOR.join(processed), emptied
+    return SEPARATOR.join(sorted(processed)), emptied
 
 
 @dataclass(frozen=True)

@@ -363,16 +363,23 @@ def _stage_normalize(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus_mod.save_corpus(corpus, paths.norm_queries, paths.corpus_events)
 
 
+def _group_copurchase(
+    groups: Sequence[norm_mod.QueryGroup], min_purchase: int
+) -> list[corpus_mod.CoPurchaseRecord]:
+    """Co-purchase records over group keys, from the products each group
+    bought at least ``min_purchase`` times; groups with none are left out."""
+    product_sets = {
+        g.normalized_text: frozenset(g.surviving_counts(min_purchase)) for g in groups
+    }
+    return corpus_mod.copurchase_from_product_sets(
+        {key: products for key, products in product_sets.items() if products}
+    )
+
+
 def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     groups = norm_mod.load_groups(paths.groups)
-    group_products = {
-        g.normalized_text: frozenset(g.surviving_counts(config.min_purchase))
-        for g in groups
-    }
-    copurchase = corpus_mod.copurchase_from_product_sets(
-        {k: v for k, v in group_products.items() if v}
-    )
+    copurchase = _group_copurchase(groups, config.min_purchase)
     proposed = mining_mod.mine_pairs(
         groups,
         copurchase,
@@ -392,12 +399,7 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
     # estimate: it keeps every raw co-purchase link (min_purchase 1) and
     # closes the graph one hop so kin with no directly sampled overlap
     # are shielded too.
-    raw_products = {
-        g.normalized_text: frozenset(g.surviving_counts(1)) for g in groups
-    }
-    raw_copurchase = corpus_mod.copurchase_from_product_sets(
-        {k: v for k, v in raw_products.items() if v}
-    )
+    raw_copurchase = _group_copurchase(groups, 1)
     exclusion = sorted(
         mining_mod.mine_pairs(
             groups,
@@ -410,15 +412,9 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
         key=lambda p: (p.source, p.target),
     )
     singles = norm_mod.singleton_groups(corpus)
-    single_products = {
-        g.normalized_text: frozenset(g.surviving_counts(config.min_purchase))
-        for g in singles
-    }
     ungrouped = mining_mod.mine_pairs(
         singles,
-        corpus_mod.copurchase_from_product_sets(
-            {k: v for k, v in single_products.items() if v}
-        ),
+        _group_copurchase(singles, config.min_purchase),
         floor=config.mining_floor,
         mode=mining_mod.MODE_PROPOSED,
         min_purchase=config.min_purchase,
@@ -821,6 +817,10 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     ]
     ance_out = [paths.retriever_ance(r) for r in range(1, config.ance_rounds + 1)]
     ance_out += [paths.negatives(r) for r in range(1, config.ance_rounds + 1)]
+    ance_out += [
+        paths.trace(MODEL_RETRIEVER_ANCE.format(round=r))
+        for r in range(1, config.ance_rounds + 1)
+    ]
     report_ids = model_ids(config.ance_rounds)
     return [
         ("synth-gen", [], synth_out, _stage_synth),
@@ -846,7 +846,12 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.pairs_baseline_val,
                 paths.pairs_exclusion,
             ],
-            [paths.retriever_baseline, paths.retriever_weighted],
+            [
+                paths.retriever_baseline,
+                paths.retriever_weighted,
+                paths.trace(MODEL_RETRIEVER_BASELINE),
+                paths.trace(MODEL_RETRIEVER_WEIGHTED),
+            ],
             _stage_train_retriever,
         ),
         (
@@ -873,7 +878,12 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.norm_queries,
                 paths.corpus_events,
             ],
-            [paths.reranker_pointwise, paths.reranker_circle, paths.threshold],
+            [
+                paths.reranker_pointwise,
+                paths.reranker_circle,
+                paths.threshold,
+                *(paths.trace(model_id) for model_id in RERANKER_IDS),
+            ],
             _stage_train_reranker,
         ),
         (

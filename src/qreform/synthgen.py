@@ -42,6 +42,7 @@ from .evaluation import (
 )
 from .files import write_tsv
 from .normalize import NormalizationConfig, save_config
+from .training import canonical_pair
 
 _CONSONANTS = "bcdfghjklmnprstvwy"
 _VOWELS = "aeiou"
@@ -121,8 +122,7 @@ class SynthGroundTruth:
     def intent_relation(self, intent_a: str, intent_b: str) -> str:
         if intent_a == intent_b:
             return RELATION_SAME
-        pair = (intent_a, intent_b) if intent_a <= intent_b else (intent_b, intent_a)
-        if pair in self.confusable_intents:
+        if canonical_pair(intent_a, intent_b) in self.confusable_intents:
             return RELATION_CONFUSABLE
         return RELATION_UNRELATED
 
@@ -511,12 +511,12 @@ def load_ground_truth(intents_path, relations_path) -> SynthGroundTruth:
     return SynthGroundTruth(
         {query: intent for query, intent in intent_rows},
         frozenset(
-            (a, b) if a <= b else (b, a)
+            canonical_pair(a, b)
             for a, b, rel in relation_rows
             if rel == RELATION_CONFUSABLE
         ),
         frozenset(
-            (a, b) if a <= b else (b, a)
+            canonical_pair(a, b)
             for a, b, rel in relation_rows
             if rel == RELATION_DOPPEL
         ),

@@ -1,11 +1,15 @@
 """Normalization pipeline: canonical forms, idempotence, grouping."""
 
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreform.corpus import Corpus
 from qreform.normalize import (
+    _MASK_CLOSE,
+    _MASK_OPEN,
     NormalizationConfig,
     group_queries,
     load_config,
@@ -132,6 +136,110 @@ def test_config_round_trip(tmp_path):
     assert loaded.stemmer_rules == PLAIN.stemmer_rules
     for sample in ("MASK Sheet", "sonax wipes", "colours na"):
         assert normalize(sample, loaded) == normalize(sample, PLAIN)
+
+
+def test_config_rejects_empty_script_map_key():
+    with pytest.raises(ValueError, match="empty key .*'x'"):
+        NormalizationConfig(script_map={"": "x"})
+
+
+def test_config_rejects_empty_protected_entity():
+    with pytest.raises(ValueError, match="empty entry ''"):
+        NormalizationConfig(protected_entities=frozenset({"sonax", ""}))
+
+
+def test_load_config_rejects_empty_script_map_key(tmp_path):
+    path = tmp_path / "script_map.tsv"
+    path.write_text("#qreform-script-map v1\n\tx\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty key .*'x'"):
+        load_config(script_map_path=path)
+
+
+def test_load_config_names_file_of_malformed_script_map_row(tmp_path):
+    path = tmp_path / "script_map.tsv"
+    path.write_text("#qreform-script-map v1\ncolour\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"script_map\.tsv: script map rows need"):
+        load_config(script_map_path=path)
+
+
+# --- compiled rewriter against the per-character scanners it replaced ---
+
+
+def _apply_script_map_once(text: str, ordered_map: Sequence[tuple[str, str]]) -> str:
+    if not ordered_map:
+        return text
+    out = []
+    i = 0
+    while i < len(text):
+        for source, target in ordered_map:
+            if text.startswith(source, i):
+                out.append(target)
+                i += len(source)
+                break
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def _mask_entities_by_scan(text: str, entities: Sequence[str]) -> tuple[str, list[str]]:
+    masked: list[str] = []
+    if entities:
+        buf = []
+        i = 0
+        while i < len(text):
+            for entity in entities:
+                if text.startswith(entity, i):
+                    buf.append(f"{_MASK_OPEN}{len(masked)}{_MASK_CLOSE}")
+                    masked.append(entity)
+                    i += len(entity)
+                    break
+            else:
+                buf.append(text[i])
+                i += 1
+        text = "".join(buf)
+    return text, masked
+
+
+def _longest_first(keys):
+    return sorted(keys, key=lambda key: (-len(key), key))
+
+
+# Keys drawn from a small alphabet are often prefixes of one another, and
+# the alphabet holds the regex metacharacters an unescaped pattern would
+# misread.
+_REWRITE_ALPHABET = "ab.*([\\|"
+_rewrite_keys = st.text(alphabet=_REWRITE_ALPHABET, min_size=1, max_size=4)
+_rewrite_texts = st.text(alphabet=_REWRITE_ALPHABET + "xy ", max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_rewrite_keys, max_size=8), _rewrite_texts)
+def test_entity_masking_matches_scanner(entities, text):
+    config = NormalizationConfig(protected_entities=frozenset(entities))
+    assert config._mask_entities(text) == _mask_entities_by_scan(
+        text, _longest_first(entities)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_rewrite_keys, st.sampled_from(["", "x", "y", "xy"]), max_size=8),
+    _rewrite_texts,
+)
+def test_script_mapping_matches_scanner(script_map, text):
+    # Targets outside the key alphabet keep every generated map idempotent.
+    config = NormalizationConfig(script_map=script_map)
+    ordered = [(key, script_map[key]) for key in _longest_first(script_map)]
+    assert config._map_script_once(text) == _apply_script_map_once(text, ordered)
+
+
+def test_protected_entity_containing_script_map_key_passes_unmapped():
+    config = NormalizationConfig(
+        script_map={"colour": "color"},
+        protected_entities=frozenset({"colourfix"}),
+    )
+    assert normalize("Colourfix colour", config) == "color_colourfix"
 
 
 # --- grouping ---

@@ -157,16 +157,24 @@ def test_pipeline_rerun_skips_everything(tiny_run):
     assert len(second.skipped) == 9
 
 
-def test_pipeline_reruns_only_producer_after_deleting_intermediate(tiny_run):
+@pytest.mark.parametrize(
+    "deleted, producer, consumer",
+    [
+        ("groups.tsv", "normalize", "mine"),
+        ("trace_retriever_weighted.tsv", "train-retriever", "ance"),
+    ],
+)
+def test_pipeline_reruns_only_producer_after_deleting_intermediate(
+    tiny_run, deleted, producer, consumer
+):
     config, run = tiny_run
-    paths = PipelinePaths(run.out_dir)
-    paths.groups.unlink()
+    (run.out_dir / deleted).unlink()
     third = run_pipeline(config)
-    assert third.executed == ["normalize"]
+    assert third.executed == [producer]
     assert "synth-gen" in third.skipped
-    # Downstream stages stayed fresh because the regenerated file is
-    # byte-identical to the recorded checksum.
-    assert "mine" in third.skipped
+    # Downstream stages stayed fresh because the regenerated files are
+    # byte-identical to the recorded checksums.
+    assert consumer in third.skipped
 
 
 def test_pipeline_input_change_cascades(tiny_run):
