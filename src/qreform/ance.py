@@ -1,33 +1,26 @@
-"""Iterative hard-negative mining and fine-tuning.
+"""Hard-negative mining for the ANCE rounds and the re-ranker's batches.
 
-Each round retrieves every anchor's nearest candidates with the current
+A mining pass retrieves every anchor's nearest candidates with a
 bi-encoder and keeps those that share no co-purchase with the anchor (and
 are not the anchor or one of its normalization duplicates): textually
-close, behaviorally unrelated queries.  The retriever fine-tunes on its
-own mined negatives (self-learning).  The learn-from-teacher step, in
-which the cross-encoder fine-tunes once on the final round's sets, runs
-in the pipeline's train-reranker stage from the persisted files, using
-``build_rerank_batches``.  The cross-encoder never retrieves; every
-record carries the bi-encoder checkpoint checksum it was mined with.
+close, behaviorally unrelated queries.  The rounds themselves run in the
+pipeline's ance stage, which mines with the current retriever and then
+fine-tunes it on its own mined negatives (self-learning).  The
+learn-from-teacher step, in which the cross-encoder fine-tunes once on the
+final round's sets, runs in the train-reranker stage from the persisted
+files, using ``build_rerank_batches``.  The cross-encoder never retrieves;
+every record carries the bi-encoder checkpoint checksum it was mined with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .encoders import params_checksum
 from .files import read_tsv, write_tsv
 from .knn import build_index
-from .training import (
-    OBJECTIVE_RETRIEVAL,
-    RerankBatch,
-    RetrievalExample,
-    TrainConfig,
-    TrainResult,
-    canonical_pair,
-    train,
-)
+from .training import RerankBatch, canonical_pair
 
 
 @dataclass(frozen=True)
@@ -93,82 +86,6 @@ def negatives_by_anchor(
     records: Sequence[HardNegativeRecord],
 ) -> dict[str, tuple[str, ...]]:
     return {record.anchor: record.negatives for record in records}
-
-
-@dataclass
-class AnceData:
-    """Everything the loop needs beyond the bi-encoder.
-
-    ``candidates`` is the rich-query pool (id to raw text).  Retrieval
-    examples are reused across rounds.
-    """
-
-    candidates: Mapping[str, str]
-    copurchased: frozenset[tuple[str, str]]
-    retrieval_train: Sequence[RetrievalExample]
-    retrieval_val: Sequence[RetrievalExample]
-    normalized: Mapping[str, str] | None = None
-    top_k: int = 100
-
-    def anchor_texts(self) -> list[str]:
-        return sorted({example.anchor for example in self.retrieval_train})
-
-
-@dataclass
-class AnceRound:
-    round_index: int
-    records: list[HardNegativeRecord]
-    retriever_trace: TrainResult
-
-
-def run_ance_loop(
-    bi_encoder,
-    data: AnceData,
-    rounds: int,
-    retriever_config: TrainConfig,
-    on_round=None,
-) -> list[AnceRound]:
-    """Self-learning rounds for the retriever.
-
-    Round r mines with the round-(r-1) bi-encoder, then fine-tunes it with
-    the contrastive objective whose in-batch pool is augmented by each
-    anchor's mined negatives.  With rounds=0 the model is returned
-    untouched.  The re-ranker's teacher step is not run here: the
-    pipeline's train-reranker stage runs it from the persisted final-round
-    sets.  ``on_round(round_index, records, bi_encoder)`` fires after each
-    round's fine-tuning, e.g. to persist per-round checkpoints.
-    """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    anchors = data.anchor_texts()
-    ance_rounds = []
-    for round_index in range(1, rounds + 1):
-        records = mine_hard_negatives(
-            bi_encoder,
-            anchors,
-            data.candidates,
-            data.copurchased,
-            data.top_k,
-            data.normalized,
-            round_index,
-        )
-        round_config = replace(
-            retriever_config,
-            objective=OBJECTIVE_RETRIEVAL,
-            seed=retriever_config.seed + round_index,
-        )
-        trace = train(
-            bi_encoder,
-            data.retrieval_train,
-            data.retrieval_val,
-            round_config,
-            excluded_pairs=data.copurchased,
-            hard_negatives=negatives_by_anchor(records),
-        )
-        ance_rounds.append(AnceRound(round_index, records, trace))
-        if on_round is not None:
-            on_round(round_index, records, bi_encoder)
-    return ance_rounds
 
 
 def build_rerank_batches(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .files import FileFormatError, iter_log_lines, read_tsv, write_tsv
 from .training import canonical_pair
@@ -35,13 +35,6 @@ class QueryRecord:
     total_purchases: int = 0
     normalized_text: str | None = None
     traffic_tier: str | None = None
-
-
-@dataclass(frozen=True)
-class PurchaseEvent:
-    query_id: str
-    product_id: str
-    purchase_count: int
 
 
 @dataclass(frozen=True)
@@ -105,11 +98,6 @@ class Corpus:
 
     def products(self, query_id: str) -> frozenset[str]:
         return frozenset(self.events(query_id))
-
-    def surviving_events(self) -> Iterator[PurchaseEvent]:
-        for query_id in sorted(self.queries):
-            for product, count in sorted(self.events(query_id).items()):
-                yield PurchaseEvent(query_id, product, count)
 
 
 def ingest_log(path, min_purchase: int = 2) -> Corpus:

@@ -32,6 +32,8 @@ SEPARATOR = "_"
 # touch them; any pre-existing occurrence in raw text is stripped first.
 _MASK_OPEN = "\ue000"
 _MASK_CLOSE = "\ue001"
+# Splits a masked text into its masks (odd items) and the text between.
+_MASK_SPLIT = re.compile(f"({_MASK_OPEN}[0-9]+{_MASK_CLOSE})")
 
 
 def _longest_first(keys: Iterable[str]) -> re.Pattern[str]:
@@ -265,7 +267,11 @@ def _pipeline_pass(raw: str, config: NormalizationConfig) -> tuple[str, bool]:
     text = raw.lower().replace(_MASK_OPEN, "").replace(_MASK_CLOSE, "")
 
     text, masked = config._mask_entities(text)
-    text = _fixed_point(text, config._map_script_once)
+    # The script map must not reach a mask's index: a digit key would
+    # rewrite it.
+    parts = _MASK_SPLIT.split(text)
+    parts[::2] = [_fixed_point(part, config._map_script_once) for part in parts[::2]]
+    text = "".join(parts)
 
     tokens = _tokenize(text)
     had_tokens = bool(tokens)

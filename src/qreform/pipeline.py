@@ -8,7 +8,8 @@ file reruns only that file's producer and whatever actually changes
 downstream.  Every model the trend tables compare is trained and
 evaluated here: the unweighted top-30% baseline retriever, the
 importance-weighted retriever, its hard-negative fine-tuning rounds, and
-the two re-rankers.
+the two re-rankers.  Stage runners call the library modules directly, and
+each model's checkpoint, trace and report are named by its model id.
 """
 
 from __future__ import annotations
@@ -233,6 +234,10 @@ class PipelineConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        # The re-ranker trains on the final round's negatives and serving
+        # uses the final round's retriever, so a run needs one round.
+        if self.ance_rounds < 1:
+            raise ValueError(f"ance_rounds must be >= 1, got {self.ance_rounds}")
         self.synth = replace(self.synth, seed=self.seed)
 
     def to_dict(self) -> dict:
@@ -271,64 +276,54 @@ class PipelineConfig:
         return sha256_bytes(json.dumps(data, sort_keys=True).encode("utf-8"))
 
 
-@dataclass
 class PipelinePaths:
-    root: Path
+    """Where a run keeps its files: fixed files are attributes, and each
+    model's checkpoint, trace and report are named by its model id."""
 
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
+    def __init__(self, root) -> None:
+        self.root = root = Path(root)
+        self.manifest = root / "manifest.json"
+        self.log = root / "behavior_log.tsv"
+        self.intents = root / "intents.tsv"
+        self.relations = root / "intent_relations.tsv"
+        self.audit = root / "audit_labels.tsv"
+        self.stopwords = root / "stopwords.tsv"
+        self.script_map = root / "script_map.tsv"
+        self.entities = root / "entities.tsv"
+        self.stemmer = root / "stemmer_rules.tsv"
+        self.corpus_queries = root / "corpus_queries.tsv"
+        self.corpus_events = root / "corpus_events.tsv"
+        self.norm_queries = root / "corpus_queries_normalized.tsv"
+        self.groups = root / "groups.tsv"
+        self.pairs_proposed = root / "pairs_proposed.tsv"
+        self.pairs_baseline = root / "pairs_baseline.tsv"
+        self.pairs_ungrouped = root / "pairs_ungrouped.tsv"
+        self.pairs_exclusion = root / "pairs_exclusion.tsv"
+        self.test_queries = root / "test_queries.tsv"
+        self.pairs_train = root / "pairs_train.tsv"
+        self.pairs_val = root / "pairs_val.tsv"
+        self.pairs_test = root / "pairs_test.tsv"
+        self.pairs_baseline_train = root / "pairs_baseline_train.tsv"
+        self.pairs_baseline_val = root / "pairs_baseline_val.tsv"
+        self.reranker_circle = self.checkpoint(MODEL_RERANKER_CIRCLE)
+        self.threshold = root / "rerank_threshold.tsv"
+        self.index_file = root / "index.npz"
+        self.reports_dir = root / "reports"
 
-    @property
-    def manifest(self) -> Path:
-        return self.root / "manifest.json"
-
-    def __getattr__(self, name: str) -> Path:
-        mapping = {
-            "log": "behavior_log.tsv",
-            "intents": "intents.tsv",
-            "relations": "intent_relations.tsv",
-            "audit": "audit_labels.tsv",
-            "stopwords": "stopwords.tsv",
-            "script_map": "script_map.tsv",
-            "entities": "entities.tsv",
-            "stemmer": "stemmer_rules.tsv",
-            "corpus_queries": "corpus_queries.tsv",
-            "corpus_events": "corpus_events.tsv",
-            "norm_queries": "corpus_queries_normalized.tsv",
-            "groups": "groups.tsv",
-            "pairs_proposed": "pairs_proposed.tsv",
-            "pairs_baseline": "pairs_baseline.tsv",
-            "pairs_ungrouped": "pairs_ungrouped.tsv",
-            "pairs_exclusion": "pairs_exclusion.tsv",
-            "test_queries": "test_queries.tsv",
-            "pairs_train": "pairs_train.tsv",
-            "pairs_val": "pairs_val.tsv",
-            "pairs_test": "pairs_test.tsv",
-            "pairs_baseline_train": "pairs_baseline_train.tsv",
-            "pairs_baseline_val": "pairs_baseline_val.tsv",
-            "retriever_baseline": "retriever_top30_baseline.npz",
-            "retriever_weighted": "retriever_weighted.npz",
-            "reranker_pointwise": "reranker_pointwise.npz",
-            "reranker_circle": "reranker_circle_ance.npz",
-            "threshold": "rerank_threshold.tsv",
-            "index_file": "index.npz",
-            "reports_dir": "reports",
-        }
-        if name in mapping:
-            return self.root / mapping[name]
-        raise AttributeError(name)
-
-    def negatives(self, round_index: int) -> Path:
-        return self.root / f"hard_negatives_round{round_index}.tsv"
-
-    def retriever_ance(self, round_index: int) -> Path:
-        return self.root / f"retriever_ance_r{round_index}.npz"
+    def checkpoint(self, model_id: str) -> Path:
+        return self.root / f"{model_id}.npz"
 
     def trace(self, model_id: str) -> Path:
         return self.root / f"trace_{model_id}.tsv"
 
     def report(self, model_id: str) -> Path:
         return self.reports_dir / f"report_{model_id}.tsv"
+
+    def negatives(self, round_index: int) -> Path:
+        return self.root / f"hard_negatives_round{round_index}.tsv"
+
+    def retriever_ance(self, round_index: int) -> Path:
+        return self.checkpoint(MODEL_RETRIEVER_ANCE.format(round=round_index))
 
 
 TESTQ_KIND = "test-queries"
@@ -490,20 +485,10 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
         seed=config.seed,
     )
     runs = (
-        (
-            MODEL_RETRIEVER_BASELINE,
-            paths.pairs_baseline_train,
-            paths.pairs_baseline_val,
-            paths.retriever_baseline,
-        ),
-        (
-            MODEL_RETRIEVER_WEIGHTED,
-            paths.pairs_train,
-            paths.pairs_val,
-            paths.retriever_weighted,
-        ),
+        (MODEL_RETRIEVER_BASELINE, paths.pairs_baseline_train, paths.pairs_baseline_val),
+        (MODEL_RETRIEVER_WEIGHTED, paths.pairs_train, paths.pairs_val),
     )
-    for model_id, train_path, val_path, out_path in runs:
+    for model_id, train_path, val_path in runs:
         model = BiEncoderModel.initialize(
             config.bi_feature_dim, config.embed_dim, seed=config.seed
         )
@@ -514,7 +499,7 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
             train_config,
             excluded_pairs=excluded,
         )
-        save_checkpoint(model, out_path)
+        save_checkpoint(model, paths.checkpoint(model_id))
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
 
 
@@ -534,43 +519,51 @@ def _normalized_texts(corpus: corpus_mod.Corpus) -> dict[str, str]:
 
 
 def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
+    """Hard-negative rounds on the weighted retriever.
+
+    Round r mines with the round r−1 model (round 1 with the weighted
+    retriever), then fine-tunes it with the contrastive objective, whose
+    in-batch pool each anchor's mined negatives augment, under seed
+    ``config.seed + r``.  Each round saves its negatives, checkpoint and
+    trace before the next begins.
+    """
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    bi_encoder = load_checkpoint(paths.retriever_weighted)
+    model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
     excluded = _exclusion_set(paths)
-    data = ance_mod.AnceData(
-        candidates=_rich_pool(corpus),
-        copurchased=excluded,
-        retrieval_train=_retrieval_examples(
-            _trained_pairs(paths.pairs_train, config.train_floor)
-        ),
-        retrieval_val=_retrieval_examples(
-            _trained_pairs(paths.pairs_val, config.train_floor)
-        ),
-        normalized=_normalized_texts(corpus),
-        top_k=config.top_k,
+    pool = _rich_pool(corpus)
+    normalized = _normalized_texts(corpus)
+    train_examples = _retrieval_examples(
+        _trained_pairs(paths.pairs_train, config.train_floor)
     )
-    retriever_config = train_mod.TrainConfig(
-        objective=train_mod.OBJECTIVE_RETRIEVAL,
-        epochs=config.ance_epochs_per_round,
-        batch_size=config.batch_size,
-        learning_rate=config.retriever_lr,
-        temperature=config.temperature,
-        hard_negative_cap=config.hard_negative_cap,
-        seed=config.seed,
+    val_examples = _retrieval_examples(
+        _trained_pairs(paths.pairs_val, config.train_floor)
     )
-
-    def on_round(round_index: int, records, model) -> None:
-        ance_mod.save_hard_negatives(paths.negatives(round_index), records)
-        save_checkpoint(model, paths.retriever_ance(round_index))
-
-    rounds = ance_mod.run_ance_loop(
-        bi_encoder, data, config.ance_rounds, retriever_config, on_round=on_round
-    )
-    for ance_round in rounds:
-        model_id = MODEL_RETRIEVER_ANCE.format(round=ance_round.round_index)
-        train_mod.save_trace(
-            paths.trace(model_id), ance_round.retriever_trace, model=model_id
+    anchors = {example.anchor for example in train_examples}
+    for round_index in range(1, config.ance_rounds + 1):
+        records = ance_mod.mine_hard_negatives(
+            model, anchors, pool, excluded, config.top_k, normalized, round_index
         )
+        round_config = train_mod.TrainConfig(
+            objective=train_mod.OBJECTIVE_RETRIEVAL,
+            epochs=config.ance_epochs_per_round,
+            batch_size=config.batch_size,
+            learning_rate=config.retriever_lr,
+            temperature=config.temperature,
+            hard_negative_cap=config.hard_negative_cap,
+            seed=config.seed + round_index,
+        )
+        result = train_mod.train(
+            model,
+            train_examples,
+            val_examples,
+            round_config,
+            excluded_pairs=excluded,
+            hard_negatives=ance_mod.negatives_by_anchor(records),
+        )
+        model_id = MODEL_RETRIEVER_ANCE.format(round=round_index)
+        ance_mod.save_hard_negatives(paths.negatives(round_index), records)
+        save_checkpoint(model, paths.checkpoint(model_id))
+        train_mod.save_trace(paths.trace(model_id), result, model=model_id)
 
 
 def _directed_examples(pairs) -> list[tuple[str, str, float]]:
@@ -610,14 +603,14 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
         _directed_examples(val_pairs),
         pointwise_config,
     )
-    save_checkpoint(pointwise, paths.reranker_pointwise)
+    save_checkpoint(pointwise, paths.checkpoint(MODEL_RERANKER_POINTWISE))
     train_mod.save_trace(
         paths.trace(MODEL_RERANKER_POINTWISE), result, model=MODEL_RERANKER_POINTWISE
     )
 
     # Learn-from-teacher: fine-tune a copy of the pointwise model with
     # circle loss on the final ANCE round's hard-negative sets.
-    circle = load_checkpoint(paths.reranker_pointwise)
+    circle = load_checkpoint(paths.checkpoint(MODEL_RERANKER_POINTWISE))
     records = ance_mod.load_hard_negatives(paths.negatives(config.ance_rounds))
     # The cross-encoder sees each anchor once per epoch, so it can afford
     # a much deeper slice of the mined sets than the retriever; the extra
@@ -788,7 +781,7 @@ def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
     final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
     retrieved: dict[str, dict[str, list[str]]] = {}
     for model_id in model_ids(config.ance_rounds):
-        model = load_checkpoint(checkpoint_for(paths, model_id, config.ance_rounds))
+        model = load_checkpoint(paths.checkpoint(model_id))
         if model_id in RERANKER_IDS:
             # The re-rankers score what the final ANCE retriever surfaces.
             report = _evaluate_reranker(model_id, model, truth, retrieved[final_id])
@@ -815,12 +808,14 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
         paths.pairs_baseline_train,
         paths.pairs_baseline_val,
     ]
-    ance_out = [paths.retriever_ance(r) for r in range(1, config.ance_rounds + 1)]
-    ance_out += [paths.negatives(r) for r in range(1, config.ance_rounds + 1)]
-    ance_out += [
-        paths.trace(MODEL_RETRIEVER_ANCE.format(round=r))
-        for r in range(1, config.ance_rounds + 1)
+    rounds = range(1, config.ance_rounds + 1)
+    ance_ids = [MODEL_RETRIEVER_ANCE.format(round=r) for r in rounds]
+    ance_out = [
+        *(paths.checkpoint(m) for m in ance_ids),
+        *(paths.negatives(r) for r in rounds),
+        *(paths.trace(m) for m in ance_ids),
     ]
+    retriever_ids = (MODEL_RETRIEVER_BASELINE, MODEL_RETRIEVER_WEIGHTED)
     report_ids = model_ids(config.ance_rounds)
     return [
         ("synth-gen", [], synth_out, _stage_synth),
@@ -847,17 +842,15 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.pairs_exclusion,
             ],
             [
-                paths.retriever_baseline,
-                paths.retriever_weighted,
-                paths.trace(MODEL_RETRIEVER_BASELINE),
-                paths.trace(MODEL_RETRIEVER_WEIGHTED),
+                *(paths.checkpoint(m) for m in retriever_ids),
+                *(paths.trace(m) for m in retriever_ids),
             ],
             _stage_train_retriever,
         ),
         (
             "ance",
             [
-                paths.retriever_weighted,
+                paths.checkpoint(MODEL_RETRIEVER_WEIGHTED),
                 paths.pairs_train,
                 paths.pairs_val,
                 paths.pairs_exclusion,
@@ -879,10 +872,9 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.corpus_events,
             ],
             [
-                paths.reranker_pointwise,
-                paths.reranker_circle,
+                *(paths.checkpoint(m) for m in RERANKER_IDS),
                 paths.threshold,
-                *(paths.trace(model_id) for model_id in RERANKER_IDS),
+                *(paths.trace(m) for m in RERANKER_IDS),
             ],
             _stage_train_reranker,
         ),
@@ -904,7 +896,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.test_queries,
                 paths.pairs_test,
                 paths.audit,
-                *(checkpoint_for(paths, m, config.ance_rounds) for m in report_ids),
+                *(paths.checkpoint(m) for m in report_ids),
             ],
             [paths.report(model_id) for model_id in report_ids],
             _stage_evaluate,
@@ -1015,13 +1007,6 @@ def run_pipeline(
     return PipelineRun(paths.root, manifest, executed, skipped)
 
 
-def checkpoint_for(paths: PipelinePaths, model_id: str, rounds: int) -> Path:
-    """Every model's checkpoint is ``<model id>.npz`` in the run directory."""
-    if model_id not in model_ids(rounds):
-        raise ValueError(f"unknown model id: {model_id!r}")
-    return paths.root / f"{model_id}.npz"
-
-
 EVAL_MODE_RETRIEVAL = "retrieval"
 EVAL_MODE_RERANK = "rerank"
 EVAL_MODE_AUDIT = "audit"
@@ -1030,9 +1015,24 @@ EVAL_MODE_AUDIT = "audit"
 def evaluate_model(
     config: PipelineConfig, model_id: str, mode: str
 ) -> eval_mod.EvalReport:
-    """Metrics for one model/mode from an existing run's artifacts."""
+    """Metrics for one model/mode from an existing run's artifacts.
+
+    Retrievers take the retrieval and audit modes, re-rankers the rerank
+    mode; any other model id or mode raises before anything is loaded.
+    """
+    if model_id not in model_ids(config.ance_rounds):
+        raise ValueError(f"unknown model id: {model_id!r}")
+    if model_id in RERANKER_IDS:
+        modes = (EVAL_MODE_RERANK,)
+    else:
+        modes = (EVAL_MODE_RETRIEVAL, EVAL_MODE_AUDIT)
+    if mode not in modes:
+        raise ValueError(
+            f"model {model_id!r} cannot be evaluated in mode {mode!r}"
+            f" (its modes: {', '.join(modes)})"
+        )
     paths = PipelinePaths(Path(config.out_dir))
-    model = load_checkpoint(checkpoint_for(paths, model_id, config.ance_rounds))
+    model = load_checkpoint(paths.checkpoint(model_id))
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     pool = _rich_pool(corpus)
     if mode == EVAL_MODE_AUDIT:
@@ -1045,12 +1045,10 @@ def evaluate_model(
             model_id, model, truth, pool, audit, config.eval_k
         )
         return report
-    if mode == EVAL_MODE_RERANK:
-        final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-        queries = sorted(q for q in truth if truth[q])
-        retrieved = _retrieved_lists(final, queries, pool, config.eval_k)
-        return _evaluate_reranker(model_id, model, truth, retrieved)
-    raise ValueError(f"unknown evaluation mode: {mode!r}")
+    final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
+    queries = sorted(q for q in truth if truth[q])
+    retrieved = _retrieved_lists(final, queries, pool, config.eval_k)
+    return _evaluate_reranker(model_id, model, truth, retrieved)
 
 
 def load_reports(config: PipelineConfig) -> dict[str, eval_mod.EvalReport]:

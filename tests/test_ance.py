@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from qreform.ance import (
-    AnceData,
     HardNegativeRecord,
     build_rerank_batches,
     load_hard_negatives,
     mine_hard_negatives,
     negatives_by_anchor,
-    run_ance_loop,
     save_hard_negatives,
 )
 from qreform.encoders import BiEncoderModel, params_checksum
-from qreform.training import (
-    OBJECTIVE_RETRIEVAL,
-    RetrievalExample,
-    TrainConfig,
-    canonical_pair as canon,
-)
+from qreform.training import canonical_pair as canon
 
 
 def model(seed=0):
@@ -95,56 +88,6 @@ def test_mining_orders_anchors_and_ranks():
 def test_record_rejects_anchor_in_negatives():
     with pytest.raises(ValueError):
         HardNegativeRecord("a", ("a", "b"), 1, "c0ffee")
-
-
-def ance_data():
-    examples = [
-        RetrievalExample("red mask", "red masks", 1.0),
-        RetrievalExample("blue towel", "red towel", 0.8),
-    ]
-    return AnceData(
-        candidates=CANDIDATES,
-        copurchased=frozenset({canon("red mask", "red masks")}),
-        retrieval_train=examples,
-        retrieval_val=[],
-        top_k=4,
-    )
-
-
-def test_run_ance_loop_zero_rounds_is_identity():
-    m = model(3)
-    before = params_checksum(m)
-    rounds = run_ance_loop(m, ance_data(), 0, TrainConfig(objective=OBJECTIVE_RETRIEVAL))
-    assert rounds == []
-    assert params_checksum(m) == before
-
-
-def test_run_ance_loop_rejects_negative_rounds():
-    with pytest.raises(ValueError):
-        run_ance_loop(
-            model(), ance_data(), -1, TrainConfig(objective=OBJECTIVE_RETRIEVAL)
-        )
-
-
-def test_run_ance_loop_trains_and_mines_per_round():
-    m = model(4)
-    before = params_checksum(m)
-    calls = []
-    rounds = run_ance_loop(
-        m,
-        ance_data(),
-        2,
-        TrainConfig(objective=OBJECTIVE_RETRIEVAL, epochs=1, learning_rate=1e-3),
-        on_round=lambda r, records, mm: calls.append((r, len(records))),
-    )
-    assert params_checksum(m) != before
-    assert [r.round_index for r in rounds] == [1, 2]
-    assert [c[0] for c in calls] == [1, 2]
-    # Round 2 was mined with the round-1 model, not the initial one.
-    assert (
-        rounds[0].records[0].source_checkpoint
-        != rounds[1].records[0].source_checkpoint
-    )
 
 
 def test_negatives_file_round_trip(tmp_path):

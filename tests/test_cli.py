@@ -7,7 +7,7 @@ import pytest
 from qreform.cli import STAGE_COMMANDS, main
 from qreform.encoders import load_checkpoint
 from qreform.knn import build_index, load_index, save_index
-from qreform.pipeline import PipelinePaths
+from qreform.pipeline import MODEL_RETRIEVER_WEIGHTED, PipelinePaths
 from tests.conftest import copied_run, tiny_config
 
 
@@ -60,6 +60,26 @@ def test_evaluate_command_rerank_mode(tiny_run, tmp_path, capsys):
     assert "ndcg3_hard\t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "model, mode",
+    [
+        ("retriever_weighted", "rerank"),
+        ("reranker_circle_ance", "retrieval"),
+        ("reranker_circle_ance", "audit"),
+    ],
+)
+def test_evaluate_command_rejects_mode_of_other_model_kind(
+    tiny_run, tmp_path, capsys, model, mode
+):
+    config, _ = tiny_run
+    args = _config_args(config, tmp_path)
+    code = main(["evaluate", *args, "--model", model, "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluate:")
+    assert repr(model) in err and repr(mode) in err
+
+
 def test_reformulate_command_output_format(tiny_run, tmp_path, capsys):
     config, _ = tiny_run
     args = _config_args(config, tmp_path)
@@ -99,7 +119,7 @@ def test_reformulate_command_rejects_index_of_another_model(tiny_run, tmp_path, 
     config = copied_run(tiny_run, tmp_path)
     paths = PipelinePaths(config.out_dir)
     pool = load_index(paths.index_file).query_ids
-    weighted = load_checkpoint(paths.retriever_weighted)
+    weighted = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
     save_index(build_index(weighted, pool), paths.index_file)
     code = main(["reformulate", *_config_args(config, tmp_path), "--query", "mask"])
     assert code == 1
@@ -147,6 +167,15 @@ def test_stage_failure_is_stage_qualified(tmp_path, capsys):
     code = main(["ingest", *args])
     assert code == 1
     assert "stage 'ingest' failed" in capsys.readouterr().err
+
+
+def test_ance_command_rejects_zero_rounds(tmp_path, capsys):
+    config = tiny_config(tmp_path / "run")
+    code = main(["ance", *_config_args(config, tmp_path), "--rounds", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ance:")
+    assert "ance_rounds" in err
 
 
 def test_evaluate_unknown_model_fails_cleanly(tiny_run, tmp_path, capsys):

@@ -242,6 +242,19 @@ def test_protected_entity_containing_script_map_key_passes_unmapped():
     assert normalize("Colourfix colour", config) == "color_colourfix"
 
 
+def test_digit_script_map_key_leaves_entity_masks_alone():
+    # Each mask holds its entity's index in digits, which a digit key
+    # must not rewrite.
+    config = NormalizationConfig(
+        script_map={"0": "o"}, protected_entities=frozenset({"sonax"})
+    )
+    assert normalize("sonax 0", config) == "o_sonax"
+    config = NormalizationConfig(
+        script_map={"1": "2"}, protected_entities=frozenset({"acme", "sonax"})
+    )
+    assert normalize("acme sonax 1", config) == "2_acme_sonax"
+
+
 # --- grouping ---
 
 

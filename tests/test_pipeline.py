@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
-from qreform.encoders import load_checkpoint
+from qreform.encoders import load_checkpoint, params_checksum
 from qreform.evaluation import EvalReport, load_report
 from qreform.files import read_tsv
 from qreform.knn import load_index
@@ -14,6 +15,7 @@ from qreform.mining import load_pairs
 from qreform.pipeline import (
     MODEL_RERANKER_CIRCLE,
     MODEL_RETRIEVER_BASELINE,
+    MODEL_RETRIEVER_WEIGHTED,
     AugmentationParams,
     PipelineConfig,
     PipelinePaths,
@@ -115,6 +117,12 @@ def test_config_hash_tracks_changes(tmp_path):
 def test_config_seed_propagates_to_synth(tmp_path):
     config = tiny_config(tmp_path / "run", seed=9)
     assert config.synth.seed == 9
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
+    with pytest.raises(ValueError, match="ance_rounds"):
+        dataclasses.replace(tiny_config(tmp_path / "run"), ance_rounds=rounds)
 
 
 # --- the tiny end-to-end run ---
@@ -249,31 +257,42 @@ def test_tail_reformulation_rate_computable(tiny_run):
     assert 0.0 <= rate <= 1.0
 
 
-def test_evaluate_model_modes(tiny_run, tmp_path):
+def test_evaluate_model_modes(tiny_run):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
     retrieval = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "retrieval")
-    assert "recall100_top3_micro" in retrieval.metrics
+    assert f"recall{config.eval_k}_top3_micro" in retrieval.metrics
     saved = load_report(paths.report(MODEL_RETRIEVER_BASELINE))
     assert retrieval.metric_rows() == saved.metric_rows()
     audit = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "audit")
     assert set(audit.metrics) == {"auroc_strict", "auroc_notrel", "spearman"}
     saved_audit = {name: saved.metrics[name] for name in audit.metrics}
     assert audit.metric_rows() == EvalReport("", saved_audit).metric_rows()
+    # The stage must re-rank the final round's candidates, as this call
+    # does; the tiny run's eval_k is short enough to tell the rounds apart.
     rerank = evaluate_model(config, MODEL_RERANKER_CIRCLE, "rerank")
     assert "ndcg3_hard" in rerank.metrics
-    # The stage must re-rank the final round's candidates, as this call
-    # does.  At eval_k=100 every retriever returns the whole tiny pool, so
-    # only a short list tells the rounds apart.
-    short = dataclasses.replace(copied_run(tiny_run, tmp_path), eval_k=5)
-    run_pipeline(short, stages=["evaluate"])
-    rerank = evaluate_model(short, MODEL_RERANKER_CIRCLE, "rerank")
-    saved = load_report(PipelinePaths(short.out_dir).report(MODEL_RERANKER_CIRCLE))
+    saved = load_report(paths.report(MODEL_RERANKER_CIRCLE))
     assert rerank.metric_rows() == saved.metric_rows()
     with pytest.raises(ValueError):
         evaluate_model(config, MODEL_RETRIEVER_BASELINE, "bogus")
     with pytest.raises(ValueError):
         evaluate_model(config, "no_such_model", "retrieval")
+
+
+def test_each_ance_round_mines_with_the_previous_round_model(tiny_run):
+    config, run = tiny_run
+    paths = PipelinePaths(run.out_dir)
+    previous = params_checksum(load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED)))
+    for round_index in range(1, config.ance_rounds + 1):
+        records = load_hard_negatives(paths.negatives(round_index))
+        assert records
+        for record in records:
+            assert record.round_index == round_index
+            assert record.source_checkpoint == previous
+        current = params_checksum(load_checkpoint(paths.retriever_ance(round_index)))
+        assert current != previous
+        previous = current
 
 
 def test_mined_pair_files_expose_split(tiny_run):
