@@ -1,8 +1,8 @@
 """Hard-negative mining for the ANCE rounds and the re-ranker's batches.
 
 A mining pass retrieves every anchor's nearest candidates with a
-bi-encoder and keeps those that share no co-purchase with the anchor (and
-are not the anchor or one of its normalization duplicates): textually
+bi-encoder and keeps those that are not the anchor's co-purchase kin (nor
+the anchor or one of its normalization duplicates): textually
 close, behaviorally unrelated queries.  The rounds themselves run in the
 pipeline's ance stage, which mines with the current retriever and then
 fine-tunes it on its own mined negatives (self-learning).  The
@@ -15,12 +15,12 @@ every record carries the bi-encoder checkpoint checksum it was mined with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .encoders import params_checksum
 from .files import read_tsv, write_tsv
 from .knn import build_index
-from .training import RerankBatch, canonical_pair
+from .training import RerankBatch
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def mine_hard_negatives(
     model,
     anchors: Sequence[str],
     candidates: Mapping[str, str],
-    copurchased: frozenset[tuple[str, str]],
+    kin: Mapping[str, AbstractSet[str]],
     top_k: int = 100,
     normalized: Mapping[str, str] | None = None,
     round_index: int = 1,
@@ -49,7 +49,7 @@ def mine_hard_negatives(
     """Retrieve top_k per anchor, subtract co-purchase partners and twins.
 
     ``candidates`` maps candidate query_id to raw text (the rich pool);
-    ``copurchased`` holds canonically ordered co-purchased id pairs;
+    ``kin`` maps each query id to its co-purchase partners (symmetric);
     ``normalized`` (id to normalized form) enables duplicate exclusion.
     Negatives keep retrieval rank order.  Records with empty negative
     lists are kept; training simply skips them.
@@ -64,11 +64,10 @@ def mine_hard_negatives(
     records = []
     for anchor, hits in zip(anchor_list, ranked):
         anchor_norm = normalized.get(anchor) if normalized is not None else None
+        partners = kin.get(anchor, ())
         kept = []
         for candidate, _ in hits:
-            if candidate == anchor:
-                continue
-            if canonical_pair(anchor, candidate) in copurchased:
+            if candidate == anchor or candidate in partners:
                 continue
             if (
                 anchor_norm is not None

@@ -16,10 +16,14 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .files import FileFormatError, iter_log_lines, read_tsv, write_tsv
-from .training import canonical_pair
 
 TIER_RICH = "rich"
 TIER_IMPOVERISHED = "impoverished"
+
+
+def canonical_pair(a: str, b: str) -> tuple[str, str]:
+    """The order-free key of a query pair: its two texts, smaller first."""
+    return (a, b) if a <= b else (b, a)
 
 
 @dataclass
@@ -179,13 +183,6 @@ def copurchase_from_product_sets(
     ]
 
 
-def build_copurchase_pairs(corpus: Corpus) -> list[CoPurchaseRecord]:
-    """Co-purchase pairs over individual queries (post-filter behavior)."""
-    return copurchase_from_product_sets(
-        {query_id: corpus.products(query_id) for query_id in corpus.queries}
-    )
-
-
 def make_split(pairs: Sequence, n_test_queries: int, seed: int) -> DatasetSplit:
     """Carve test queries out of mined pairs, then split the rest 90/10.
 
@@ -234,11 +231,16 @@ EVENTS_KIND = "events"
 _TIER_NONE = "none"
 
 
-def save_corpus(corpus: Corpus, queries_path, events_path) -> None:
-    """Persist as two versioned TSVs; events hold raw pre-filter counts."""
+def _corpus_attrs(corpus: Corpus) -> dict:
     attrs = {"min_purchase": corpus.min_purchase}
     if corpus.rich_threshold is not None:
         attrs["rich_threshold"] = corpus.rich_threshold
+    return attrs
+
+
+def save_queries(corpus: Corpus, path) -> None:
+    """Persist the query table as a versioned TSV (``load_corpus`` pairs it
+    with an events file written by ``save_events``)."""
     query_rows = []
     for query_id in sorted(corpus.queries):
         record = corpus.queries[query_id]
@@ -252,22 +254,26 @@ def save_corpus(corpus: Corpus, queries_path, events_path) -> None:
             )
         )
     write_tsv(
-        queries_path,
+        path,
         QUERIES_KIND,
         query_rows,
         columns=("query_id", "raw_text", "normalized_text", "norm_set", "tier"),
-        **attrs,
+        **_corpus_attrs(corpus),
     )
+
+
+def save_events(corpus: Corpus, path) -> None:
+    """Persist the events as a versioned TSV of raw pre-filter counts."""
     event_rows = []
     for query_id in sorted(corpus.queries):
         for product, count in sorted(corpus.raw_events(query_id).items()):
             event_rows.append((query_id, product, count))
     write_tsv(
-        events_path,
+        path,
         EVENTS_KIND,
         event_rows,
         columns=("query_id", "product_id", "purchases"),
-        **attrs,
+        **_corpus_attrs(corpus),
     )
 
 

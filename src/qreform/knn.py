@@ -78,14 +78,10 @@ class KnnIndex:
         return results
 
 
-def build_index(model, queries: Mapping[str, str] | Sequence[str]) -> KnnIndex:
+def build_index(model, queries: Mapping[str, str]) -> KnnIndex:
     """Embed the candidate pool (query_id -> raw text) into an index."""
-    if isinstance(queries, Mapping):
-        ids = sorted(queries)
-        texts = [queries[i] for i in ids]
-    else:
-        ids = sorted(queries)
-        texts = list(ids)
+    ids = sorted(queries)
+    texts = [queries[i] for i in ids]
     if not ids:
         raise ValueError("cannot build an empty index: no rich queries")
     from .encoders import params_checksum

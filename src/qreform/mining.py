@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import canonical_pair
 from .files import read_tsv, write_tsv
 from .normalize import QueryGroup
-from .training import canonical_pair
 
 _NORM_TOL = 1e-9
 
@@ -125,8 +125,6 @@ class QueryPair:
     co_purchases: int
 
 
-MODE_PROPOSED = "proposed"
-MODE_BASELINE_TOP30 = "baseline_top30"
 _BASELINE_KEEP_FRACTION = 0.3
 
 
@@ -134,7 +132,6 @@ def mine_pairs(
     groups: Sequence[QueryGroup],
     copurchase: Iterable,
     floor: float = 0.01,
-    mode: str = MODE_PROPOSED,
     min_purchase: int = 2,
 ) -> list[QueryPair]:
     """Score co-purchase pairs of query groups and expand to member queries.
@@ -143,16 +140,10 @@ def mine_pairs(
     Each surviving group pair is scored once on the groups' filtered
     behavior and then expanded to every cross pair of member queries, so
     the encoders see surface variation while sharing one behavioral score.
-
-    ``proposed`` keeps every pair with importance >= floor.
-    ``baseline_top30`` ranks each query's pairs by importance, keeps a
-    pair only when both endpoints rank it inside their own top 30%, and
-    forces importance to 1 for unweighted training.
+    Every pair with importance >= floor is kept.
     """
     if not 0.0 <= floor < 1.0:
         raise ValueError(f"floor must be in [0, 1), got {floor}")
-    if mode not in (MODE_PROPOSED, MODE_BASELINE_TOP30):
-        raise ValueError(f"unknown mining mode {mode!r}")
 
     by_key = {group.normalized_text: group for group in groups}
     dists: dict[str, BehaviorDistribution] = {}
@@ -170,7 +161,7 @@ def mine_pairs(
             continue
         da, db = dists[key_a], dists[key_b]
         weight = importance(da, db)
-        if mode == MODE_PROPOSED and weight < floor:
+        if weight < floor:
             continue
         shared = len(survivors[key_a].keys() & survivors[key_b].keys())
         fwd = rerank_target(da, db)
@@ -199,8 +190,6 @@ def mine_pairs(
                 pairs.append(QueryPair(member_a, member_b, 1.0, 1.0, 1.0, shared))
 
     pairs.sort(key=lambda p: (p.source, p.target))
-    if mode == MODE_BASELINE_TOP30:
-        pairs = _keep_top_fraction(pairs, _BASELINE_KEEP_FRACTION)
     return pairs
 
 
@@ -254,13 +243,14 @@ def kin_pairs(
     return pairs
 
 
-def _keep_top_fraction(pairs: list[QueryPair], fraction: float) -> list[QueryPair]:
-    """Per-query top-fraction selection.
+def baseline_top30(pairs: Sequence[QueryPair]) -> list[QueryPair]:
+    """The unweighted baseline's pairs: per-query top-30% selection.
 
     Every query ranks its incident pairs by importance (ties broken by
-    pair key) and keeps the top ceil(fraction * n); a pair survives only
-    if both endpoints keep it, so a query with 10 pairs contributes
-    exactly 3 under the default fraction.
+    pair key) and keeps the top ceil(0.3 * n); a pair survives only if
+    both endpoints keep it, so a query with 10 pairs contributes exactly
+    3.  Survivors get importance 1 for unweighted training.  Pass it the
+    pairs ``mine_pairs`` scores with no floor.
     """
     incident: dict[str, list[int]] = {}
     for idx, pair in enumerate(pairs):
@@ -272,7 +262,7 @@ def _keep_top_fraction(pairs: list[QueryPair], fraction: float) -> list[QueryPai
             indices,
             key=lambda i: (-pairs[i].importance, pairs[i].source, pairs[i].target),
         )
-        n_keep = math.ceil(fraction * len(ranked))
+        n_keep = math.ceil(_BASELINE_KEEP_FRACTION * len(ranked))
         for i in ranked[:n_keep]:
             kept_count[i] = kept_count.get(i, 0) + 1
     return [

@@ -201,6 +201,12 @@ def select_threshold(
     return float(best_threshold)
 
 
+def _reject_unknown_keys(cls, data: Mapping, section: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
+
+
 @dataclass
 class PipelineConfig:
     """Everything a full run needs; serializes to JSON for the CLI."""
@@ -247,8 +253,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
+        """Rejects keys that name no field with a ValueError naming them."""
         data = dict(data)
+        _reject_unknown_keys(cls, data, "top-level")
         if "synth" in data:
+            _reject_unknown_keys(synth_mod.SynthConfig, data["synth"], "synth")
             data["synth"] = synth_mod.SynthConfig(**data["synth"])
         if "hidden_dims" in data:
             data["hidden_dims"] = tuple(data["hidden_dims"])
@@ -263,7 +272,10 @@ class PipelineConfig:
 
     @classmethod
     def load_json(cls, path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
         """Hash of every setting that shapes the artifacts.
@@ -338,7 +350,8 @@ def _stage_synth(config: PipelineConfig, paths: PipelinePaths) -> None:
 def _stage_ingest(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.ingest_log(paths.log, config.min_purchase)
     corpus_mod.split_rich_impoverished(corpus, config.rich_threshold)
-    corpus_mod.save_corpus(corpus, paths.corpus_queries, paths.corpus_events)
+    corpus_mod.save_queries(corpus, paths.corpus_queries)
+    corpus_mod.save_events(corpus, paths.corpus_events)
 
 
 def _load_norm_config(paths: PipelinePaths) -> norm_mod.NormalizationConfig:
@@ -355,7 +368,7 @@ def _stage_normalize(config: PipelineConfig, paths: PipelinePaths) -> None:
     norm_config = _load_norm_config(paths)
     groups = norm_mod.group_queries(corpus, norm_config)
     norm_mod.save_groups(paths.groups, groups)
-    corpus_mod.save_corpus(corpus, paths.norm_queries, paths.corpus_events)
+    corpus_mod.save_queries(corpus, paths.norm_queries)
 
 
 def _group_copurchase(
@@ -379,15 +392,12 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
         groups,
         copurchase,
         floor=config.mining_floor,
-        mode=mining_mod.MODE_PROPOSED,
         min_purchase=config.min_purchase,
     )
-    baseline = mining_mod.mine_pairs(
-        groups,
-        copurchase,
-        floor=config.mining_floor,
-        mode=mining_mod.MODE_BASELINE_TOP30,
-        min_purchase=config.min_purchase,
+    baseline = mining_mod.baseline_top30(
+        mining_mod.mine_pairs(
+            groups, copurchase, floor=0.0, min_purchase=config.min_purchase
+        )
     )
     # The exclusion list protects pairs from negative sampling, which
     # needs only evidence of relatedness, not a stable distribution
@@ -396,13 +406,7 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
     # are shielded too.
     raw_copurchase = _group_copurchase(groups, 1)
     exclusion = sorted(
-        mining_mod.mine_pairs(
-            groups,
-            raw_copurchase,
-            floor=0.0,
-            mode=mining_mod.MODE_PROPOSED,
-            min_purchase=1,
-        )
+        mining_mod.mine_pairs(groups, raw_copurchase, floor=0.0, min_purchase=1)
         + mining_mod.kin_pairs(groups, raw_copurchase, min_purchase=1),
         key=lambda p: (p.source, p.target),
     )
@@ -411,7 +415,6 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
         singles,
         _group_copurchase(singles, config.min_purchase),
         floor=config.mining_floor,
-        mode=mining_mod.MODE_PROPOSED,
         min_purchase=config.min_purchase,
     )
     mining_mod.save_pairs(paths.pairs_proposed, proposed, grouped=1)
@@ -456,9 +459,13 @@ def _retrieval_examples(pairs) -> list[train_mod.RetrievalExample]:
     return examples
 
 
-def _exclusion_set(paths: PipelinePaths) -> frozenset[tuple[str, str]]:
-    pairs = mining_mod.load_pairs(paths.pairs_exclusion)
-    return frozenset(train_mod.canonical_pair(p.source, p.target) for p in pairs)
+def _co_purchase_kin(paths: PipelinePaths) -> dict[str, set[str]]:
+    """Each query's partners in the exclusion pairs, in both directions."""
+    kin: dict[str, set[str]] = {}
+    for pair in mining_mod.load_pairs(paths.pairs_exclusion):
+        kin.setdefault(pair.source, set()).add(pair.target)
+        kin.setdefault(pair.target, set()).add(pair.source)
+    return kin
 
 
 def _trained_pairs(path, floor: float):
@@ -475,7 +482,7 @@ def _trained_pairs(path, floor: float):
 
 
 def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None:
-    excluded = _exclusion_set(paths)
+    kin = _co_purchase_kin(paths)
     train_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_RETRIEVAL,
         epochs=config.retriever_epochs,
@@ -497,7 +504,7 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
             _retrieval_examples(_trained_pairs(train_path, config.train_floor)),
             _retrieval_examples(_trained_pairs(val_path, config.train_floor)),
             train_config,
-            excluded_pairs=excluded,
+            kin=kin,
         )
         save_checkpoint(model, paths.checkpoint(model_id))
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
@@ -529,7 +536,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     """
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
-    excluded = _exclusion_set(paths)
+    kin = _co_purchase_kin(paths)
     pool = _rich_pool(corpus)
     normalized = _normalized_texts(corpus)
     train_examples = _retrieval_examples(
@@ -541,7 +548,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     anchors = {example.anchor for example in train_examples}
     for round_index in range(1, config.ance_rounds + 1):
         records = ance_mod.mine_hard_negatives(
-            model, anchors, pool, excluded, config.top_k, normalized, round_index
+            model, anchors, pool, kin, config.top_k, normalized, round_index
         )
         round_config = train_mod.TrainConfig(
             objective=train_mod.OBJECTIVE_RETRIEVAL,
@@ -557,7 +564,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
             train_examples,
             val_examples,
             round_config,
-            excluded_pairs=excluded,
+            kin=kin,
             hard_negatives=ance_mod.negatives_by_anchor(records),
         )
         model_id = MODEL_RETRIEVER_ANCE.format(round=round_index)
@@ -636,7 +643,6 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     # from the pairs the deployed filter actually faces, i.e. candidates
     # the final retriever surfaces that are not co-purchase kin.  Random
     # query pairs would be far too easy a negative class.
-    excluded = _exclusion_set(paths)
     positives = _directed_examples(mining_mod.load_pairs(paths.pairs_val))
     if not positives:
         positives = _directed_examples(mining_mod.load_pairs(paths.pairs_train))
@@ -647,7 +653,7 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
         final,
         anchors,
         _rich_pool(corpus),
-        excluded,
+        _co_purchase_kin(paths),
         config.top_k,
         _normalized_texts(corpus),
     )

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import canonical_pair
 from .evaluation import (
     LABEL_NOT_RELEVANT,
     LABEL_PARTIAL,
@@ -42,7 +43,6 @@ from .evaluation import (
 )
 from .files import write_tsv
 from .normalize import NormalizationConfig, save_config
-from .training import canonical_pair
 
 _CONSONANTS = "bcdfghjklmnprstvwy"
 _VOWELS = "aeiou"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def loss_retrieval(
         grad_anchors += (g_zh @ negatives) / tau
         grad_negatives = (g_zh.T @ anchors) / tau
 
-    grads = _zero_grads(model)
-    _add_grads(grads, a_back(grad_anchors))
+    grads = a_back(grad_anchors)
     _add_grads(grads, p_back(grad_positives))
     if has_negs:
         _add_grads(grads, h_back(grad_negatives))
@@ -197,18 +196,11 @@ def _circle_terms(scores_pos: np.ndarray, scores_neg: np.ndarray) -> tuple[float
     return loss, sig, sig * soft_neg, -sig * soft_pos
 
 
-def loss_rerank_circle(
-    model, batch: RerankBatch, compute_grad: bool = True
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Pairwise circle loss for one anchor; zero when no hard negatives."""
-    loss, grads = loss_rerank_circle_many(model, [batch], compute_grad)
-    return loss, grads
-
-
 def loss_rerank_circle_many(
     model, batches: Sequence[RerankBatch], compute_grad: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Mean circle loss over several anchors, scored in one encoder call."""
+    """Mean pairwise circle loss over several anchors, scored in one
+    encoder call; an anchor without hard negatives contributes zero."""
     if not batches:
         raise ValueError("circle loss needs at least one batch")
     pair_list: list[tuple[str, str]] = []
@@ -255,7 +247,8 @@ class TrainConfig:
 
 
 class AdamOptimizer:
-    """Per-parameter adaptive moments; lr 0 leaves parameters untouched."""
+    """Per-parameter adaptive moments, applied to the parameter arrays in
+    place; lr 0 leaves parameters untouched."""
 
     def __init__(
         self,
@@ -275,11 +268,10 @@ class AdamOptimizer:
 
     def step(
         self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
+    ) -> None:
         self.step_count += 1
         correct1 = 1.0 - self.beta1**self.step_count
         correct2 = 1.0 - self.beta2**self.step_count
-        updated = {}
         for name, value in params.items():
             grad = grads[name]
             m = self.first[name]
@@ -288,9 +280,7 @@ class AdamOptimizer:
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
             v += (1.0 - self.beta2) * grad**2
-            step = self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            updated[name] = value - step
-        return updated
+            value -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
 
 @dataclass
@@ -304,26 +294,23 @@ class TrainResult:
         return self.trace[-1][1]
 
 
-def canonical_pair(a: str, b: str) -> tuple[str, str]:
-    """The order-free key of a query pair: its two texts, smaller first."""
-    return (a, b) if a <= b else (b, a)
-
-
 def build_retrieval_batches(
     examples: Sequence[RetrievalExample],
     batch_size: int,
     temperature: float,
-    excluded_pairs: frozenset[tuple[str, str]] = frozenset(),
+    kin: Mapping[str, AbstractSet[str]] | None = None,
     hard_negatives: Mapping[str, Sequence[str]] | None = None,
     hard_negative_cap: int = 8,
     rng: random.Random | None = None,
 ) -> list[RetrievalBatch]:
     """Chunk examples into batches, marking accidental in-batch positives.
 
-    Candidate j is excluded from anchor k's denominator when (anchor_k,
-    positive_j) is in ``excluded_pairs`` (canonical text order) or the two
-    texts are equal; the anchor's own positive always stays.
+    Candidate j is excluded from anchor k's denominator when positive_j is
+    the anchor's own text or one of its co-purchase kin (``kin`` maps each
+    query to its partners, in both directions); the anchor's own positive
+    always stays.
     """
+    kin = kin or {}
     ordered = list(examples)
     if rng is not None:
         rng.shuffle(ordered)
@@ -332,13 +319,14 @@ def build_retrieval_batches(
         chunk = ordered[start:start + batch_size]
         anchors = tuple(e.anchor for e in chunk)
         positives = tuple(e.positive for e in chunk)
+        columns: dict[str, list[int]] = {}
+        for j, positive in enumerate(positives):
+            columns.setdefault(positive, []).append(j)
         excluded = set()
         for k, anchor in enumerate(anchors):
-            for j, positive in enumerate(positives):
-                if j == k:
-                    continue
-                if positive == anchor or canonical_pair(anchor, positive) in excluded_pairs:
-                    excluded.add((k, j))
+            texts = columns.keys() & kin.get(anchor, ())
+            texts.add(anchor)
+            excluded.update((k, j) for text in texts for j in columns.get(text, ()) if j != k)
         negs: tuple[tuple[str, ...], ...] = ()
         if hard_negatives is not None:
             rows = []
@@ -378,7 +366,7 @@ def _epoch_pass(model, optimizer, batches, loss_fn, train: bool, context: str) -
         total += loss
         count += 1
         if train:
-            model.set_parameters(optimizer.step(model.parameters(), grads))
+            optimizer.step(model.parameters(), grads)
     return total / max(count, 1)
 
 
@@ -387,14 +375,15 @@ def train(
     train_data: Sequence,
     val_data: Sequence,
     config: TrainConfig,
-    excluded_pairs: frozenset[tuple[str, str]] = frozenset(),
+    kin: Mapping[str, AbstractSet[str]] | None = None,
     hard_negatives: Mapping[str, Sequence[str]] | None = None,
 ) -> TrainResult:
     """Run the configured objective; deterministic for a fixed seed.
 
     ``train_data`` is a list of RetrievalExample (retrieval), (source,
     target, value) triples (pointwise), or RerankBatch (circle);
-    ``val_data`` may be empty.
+    ``val_data`` may be empty.  ``kin`` and ``hard_negatives`` shape the
+    retrieval batches only (see ``build_retrieval_batches``).
     """
     if not train_data:
         raise ValueError("training data must be non-empty")
@@ -402,53 +391,41 @@ def train(
     shapes = {name: p.shape for name, p in model.parameters().items()}
     optimizer = AdamOptimizer(shapes, config.learning_rate)
     result = TrainResult()
+    if config.objective == OBJECTIVE_RETRIEVAL:
+        loss_fn = loss_retrieval
+    elif config.objective == OBJECTIVE_POINTWISE:
+        loss_fn = loss_rerank_pointwise
+    elif config.objective == OBJECTIVE_CIRCLE:
+        loss_fn = loss_rerank_circle_many
+    else:
+        raise ValueError(f"unknown objective {config.objective!r}")
+    retrieval = config.objective == OBJECTIVE_RETRIEVAL
+    batch_args = (
+        config.batch_size,
+        config.temperature,
+        kin,
+        hard_negatives,
+        config.hard_negative_cap,
+    )
+    # Validation batches draw nothing from the rng, so one build serves every epoch.
+    if not val_data:
+        val_batches = []
+    elif retrieval:
+        val_batches = build_retrieval_batches(val_data, *batch_args)
+    else:
+        val_batches = [val_data]
 
     for epoch in range(1, config.epochs + 1):
         context = f"objective={config.objective} epoch={epoch}"
-        if config.objective == OBJECTIVE_RETRIEVAL:
-            batches = build_retrieval_batches(
-                train_data,
-                config.batch_size,
-                config.temperature,
-                excluded_pairs,
-                hard_negatives,
-                config.hard_negative_cap,
-                rng,
-            )
-            val_batches = (
-                build_retrieval_batches(
-                    val_data,
-                    config.batch_size,
-                    config.temperature,
-                    excluded_pairs,
-                    hard_negatives,
-                    config.hard_negative_cap,
-                )
-                if val_data
-                else []
-            )
-            loss_fn = loss_retrieval
-        elif config.objective == OBJECTIVE_POINTWISE:
-            shuffled = list(train_data)
-            rng.shuffle(shuffled)
-            batches = [
-                shuffled[i:i + config.batch_size]
-                for i in range(0, len(shuffled), config.batch_size)
-            ]
-            val_batches = [val_data] if val_data else []
-            loss_fn = loss_rerank_pointwise
-        elif config.objective == OBJECTIVE_CIRCLE:
-            shuffled = list(train_data)
-            rng.shuffle(shuffled)
-            batches = [
-                shuffled[i:i + config.batch_size]
-                for i in range(0, len(shuffled), config.batch_size)
-            ]
-            val_batches = [val_data] if val_data else []
-            loss_fn = loss_rerank_circle_many
+        if retrieval:
+            batches = build_retrieval_batches(train_data, *batch_args, rng)
         else:
-            raise ValueError(f"unknown objective {config.objective!r}")
-
+            shuffled = list(train_data)
+            rng.shuffle(shuffled)
+            batches = [
+                shuffled[i:i + config.batch_size]
+                for i in range(0, len(shuffled), config.batch_size)
+            ]
         train_loss = _epoch_pass(model, optimizer, batches, loss_fn, True, context)
         val_loss = None
         if val_batches:

@@ -12,7 +12,6 @@ from qreform.ance import (
     save_hard_negatives,
 )
 from qreform.encoders import BiEncoderModel, params_checksum
-from qreform.training import canonical_pair as canon
 
 
 def model(seed=0):
@@ -29,10 +28,8 @@ CANDIDATES = {
 
 
 def test_mining_excludes_self_and_copurchased():
-    copurchased = frozenset({canon("red mask", "crimson mask")})
-    records = mine_hard_negatives(
-        model(), ["red mask"], CANDIDATES, copurchased, top_k=5
-    )
+    kin = {"red mask": {"crimson mask"}, "crimson mask": {"red mask"}}
+    records = mine_hard_negatives(model(), ["red mask"], CANDIDATES, kin, top_k=5)
     (record,) = records
     assert "red mask" not in record.negatives
     assert "crimson mask" not in record.negatives
@@ -46,7 +43,7 @@ def test_mining_excludes_normalization_duplicates():
         model(),
         ["anchor"],
         CANDIDATES,
-        frozenset(),
+        {},
         top_k=5,
         normalized=normalized,
     )
@@ -59,28 +56,27 @@ def test_mining_purity_fuzz():
     rng = np.random.default_rng(0)
     queries = [f"item {i} {rng.integers(100)}" for i in range(30)]
     candidates = {q: q for q in queries}
-    copurchased = set()
+    kin = {}
     for _ in range(60):
         a, b = rng.choice(30, size=2, replace=False)
-        copurchased.add(canon(queries[a], queries[b]))
-    records = mine_hard_negatives(
-        model(1), queries[:10], candidates, frozenset(copurchased), top_k=10
-    )
+        kin.setdefault(queries[a], set()).add(queries[b])
+        kin.setdefault(queries[b], set()).add(queries[a])
+    records = mine_hard_negatives(model(1), queries[:10], candidates, kin, top_k=10)
     for record in records:
         for negative in record.negatives:
-            assert canon(record.anchor, negative) not in copurchased
+            assert negative not in kin.get(record.anchor, ())
             assert negative != record.anchor
 
 
 def test_mining_records_provenance_checksum():
     m = model(2)
-    records = mine_hard_negatives(m, ["red mask"], CANDIDATES, frozenset(), top_k=3)
+    records = mine_hard_negatives(m, ["red mask"], CANDIDATES, {}, top_k=3)
     assert records[0].source_checkpoint == params_checksum(m)
 
 
 def test_mining_orders_anchors_and_ranks():
     records = mine_hard_negatives(
-        model(), ["blue towel", "red mask"], CANDIDATES, frozenset(), top_k=5
+        model(), ["blue towel", "red mask"], CANDIDATES, {}, top_k=5
     )
     assert [r.anchor for r in records] == ["blue towel", "red mask"]
 
@@ -92,7 +88,7 @@ def test_record_rejects_anchor_in_negatives():
 
 def test_negatives_file_round_trip(tmp_path):
     records = mine_hard_negatives(
-        model(5), ["red mask", "blue towel"], CANDIDATES, frozenset(), top_k=3
+        model(5), ["red mask", "blue towel"], CANDIDATES, {}, top_k=3
     )
     path = tmp_path / "negs.tsv"
     save_hard_negatives(path, records)

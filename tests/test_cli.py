@@ -120,7 +120,7 @@ def test_reformulate_command_rejects_index_of_another_model(tiny_run, tmp_path, 
     paths = PipelinePaths(config.out_dir)
     pool = load_index(paths.index_file).query_ids
     weighted = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
-    save_index(build_index(weighted, pool), paths.index_file)
+    save_index(build_index(weighted, {q: q for q in pool}), paths.index_file)
     code = main(["reformulate", *_config_args(config, tmp_path), "--query", "mask"])
     assert code == 1
     err = capsys.readouterr().err
@@ -207,3 +207,22 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
     written = json.loads((run_dir / "config.json").read_text())
     assert written["seed"] == 7
     assert written["synth"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "data, section, key",
+    [
+        ({"eval_kk": 5}, "top-level", "eval_kk"),
+        ({"synth": {"n_intent": 5}}, "synth", "n_intent"),
+    ],
+)
+def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline:")
+    assert str(path) in err
+    assert f"unknown {section} config keys: {key}" in err
+    assert not out_dir.exists()

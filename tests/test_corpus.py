@@ -10,11 +10,12 @@ from qreform.files import FileFormatError
 from qreform.corpus import (
     TIER_IMPOVERISHED,
     TIER_RICH,
-    build_copurchase_pairs,
+    copurchase_from_product_sets,
     ingest_log,
     load_corpus,
     make_split,
-    save_corpus,
+    save_events,
+    save_queries,
     split_rich_impoverished,
     split_validation,
 )
@@ -124,9 +125,16 @@ def test_rich_threshold_zero_rejected():
 # --- co-purchase graph ---
 
 
+def query_copurchase(corpus):
+    """Co-purchase records over individual queries (post-filter behavior)."""
+    return copurchase_from_product_sets(
+        {query_id: corpus.products(query_id) for query_id in corpus.queries}
+    )
+
+
 def test_copurchase_four_queries_sharing_product():
     corpus = build_corpus([(f"q{i}", "pA", 3) for i in range(4)])
-    records = build_copurchase_pairs(corpus)
+    records = query_copurchase(corpus)
     assert len(records) == 6
     assert all(r.query_a < r.query_b for r in records)
     assert all(r.shared_products == 1 for r in records)
@@ -143,7 +151,7 @@ def test_copurchase_counts_shared_products():
             ("q3", "pZ", 2),
         ]
     )
-    records = build_copurchase_pairs(corpus)
+    records = query_copurchase(corpus)
     assert [(r.query_a, r.query_b, r.shared_products) for r in records] == [
         ("q1", "q2", 2)
     ]
@@ -151,7 +159,7 @@ def test_copurchase_counts_shared_products():
 
 def test_copurchase_respects_min_purchase():
     corpus = build_corpus([("q1", "pA", 1), ("q2", "pA", 5)])
-    assert build_copurchase_pairs(corpus) == []
+    assert query_copurchase(corpus) == []
 
 
 # --- splits ---
@@ -224,7 +232,8 @@ def test_corpus_round_trip(tmp_path):
     corpus = build_corpus([("q1", "pA", 5), ("q1", "pB", 1), ("q2", "pC", 30)])
     split_rich_impoverished(corpus, rich_threshold=20)
     qpath, epath = tmp_path / "q.tsv", tmp_path / "e.tsv"
-    save_corpus(corpus, qpath, epath)
+    save_queries(corpus, qpath)
+    save_events(corpus, epath)
     loaded = load_corpus(qpath, epath)
     assert set(loaded.queries) == {"q1", "q2"}
     assert loaded.queries["q2"].traffic_tier == TIER_RICH
@@ -237,7 +246,8 @@ def test_corpus_round_trip(tmp_path):
 def test_load_corpus_rejects_unknown_event_query(tmp_path):
     corpus = build_corpus([("q1", "pA", 5)])
     qpath, epath = tmp_path / "q.tsv", tmp_path / "e.tsv"
-    save_corpus(corpus, qpath, epath)
+    save_queries(corpus, qpath)
+    save_events(corpus, epath)
     body = epath.read_text(encoding="utf-8") + "ghost\tpX\t4\n"
     epath.write_text(body, encoding="utf-8")
     with pytest.raises(FileFormatError, match="ghost"):

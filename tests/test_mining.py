@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from qreform.corpus import CoPurchaseRecord
 from qreform.mining import (
-    MODE_BASELINE_TOP30,
-    MODE_PROPOSED,
     BehaviorDistribution,
+    baseline_top30,
     importance,
     jsd,
     legacy_score,
@@ -242,7 +241,7 @@ def test_mine_baseline_top30_keeps_top_ranked_and_forces_unit_weight():
         counts = {"pA": 50 + i * 10, "pB": 50 - i * 5, f"x{i}": 5 + i * 12}
         groups.append(group(f"g{i + 1}", [f"q{i + 1}"], counts))
         copurchase.append(CoPurchaseRecord("g0", f"g{i + 1}", 2))
-    pairs = mine_pairs(groups, copurchase, floor=0.0, mode=MODE_BASELINE_TOP30)
+    pairs = baseline_top30(mine_pairs(groups, copurchase, floor=0.0))
     hub_pairs = [p for p in pairs if "h" in (p.source, p.target)]
     assert len(hub_pairs) == 3
     assert all(p.importance == 1.0 for p in hub_pairs)
@@ -267,7 +266,7 @@ def test_pairs_file_round_trip(tmp_path):
     groups, copurchase = simple_world()
     pairs = mine_pairs(groups, copurchase, floor=0.0)
     path = tmp_path / "pairs.tsv"
-    save_pairs(path, pairs, mode=MODE_PROPOSED)
+    save_pairs(path, pairs, mode="proposed")
     loaded = load_pairs(path)
     assert [(p.source, p.target) for p in loaded] == [
         (p.source, p.target) for p in pairs

@@ -1,8 +1,13 @@
 """Pipeline orchestration, inference ops, feature augmentation."""
 
+import builtins
 import dataclasses
+import io
 import json
+import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qreform.ance import load_hard_negatives
@@ -20,6 +25,7 @@ from qreform.pipeline import (
     PipelineConfig,
     PipelinePaths,
     StageFailure,
+    _stage_specs,
     augment_feature,
     augment_for_tier,
     evaluate_model,
@@ -346,3 +352,46 @@ def test_corrupt_manifest_reruns_exactly(tiny_run, tmp_path, damage, n_rerun):
     for stage, entry in original["stages"].items():
         assert rerun.manifest["stages"][stage]["outputs"] == entry["outputs"], stage
     assert json.loads(manifest_path.read_text(encoding="utf-8")) == rerun.manifest
+
+
+def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path / "run")
+    paths = PipelinePaths(config.out_dir)
+    paths.root.mkdir(parents=True)
+    root = paths.root.resolve()
+    opened: list[tuple[object, str]] = []
+    real_open, real_load = builtins.open, np.load
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append((file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_load(file, *args, **kwargs):
+        opened.append((file, "rb"))
+        return real_load(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    monkeypatch.setattr(np, "load", spy_load)
+
+    undeclared = {}
+    for name, inputs, outputs, runner in _stage_specs(config, paths):
+        opened.clear()
+        runner(config, paths)
+        reads, writes = set(), set()
+        for file, mode in opened:
+            if not isinstance(file, (str, os.PathLike)):
+                continue
+            path = Path(file).resolve()
+            if path.is_relative_to(root):
+                (writes if set(mode) & set("wax+") else reads).add(path)
+        assert writes, f"{name}: the spy saw no writes"
+        declared_in = {Path(p).resolve() for p in inputs}
+        declared_out = {Path(p).resolve() for p in outputs}
+        stray = sorted(
+            str(p.relative_to(root))
+            for p in (reads - declared_in - declared_out) | (writes - declared_out)
+        )
+        if stray:
+            undeclared[name] = stray
+    assert undeclared == {}

@@ -1,10 +1,12 @@
 """Loss values, analytic gradients, batching, the training driver."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qreform.corpus import canonical_pair
 from qreform.encoders import BiEncoderModel, CrossEncoderModel
 from qreform.training import (
     OBJECTIVE_CIRCLE,
@@ -17,7 +19,6 @@ from qreform.training import (
     TrainConfig,
     build_retrieval_batches,
     load_trace,
-    loss_rerank_circle,
     loss_rerank_circle_many,
     loss_rerank_pointwise,
     loss_retrieval,
@@ -140,7 +141,7 @@ def test_pointwise_rejects_bad_targets():
 def test_circle_no_negatives_is_zero():
     model = cross_model()
     batch = RerankBatch("q", positives=(("p", 0.8),))
-    loss, grads = loss_rerank_circle(model, batch)
+    loss, grads = loss_rerank_circle_many(model, [batch])
     assert loss == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -148,7 +149,7 @@ def test_circle_no_negatives_is_zero():
 def test_circle_single_pair_is_softplus_margin():
     model = cross_model()
     batch = RerankBatch("q x", positives=(("p y", 0.8),), hard_negatives=("n z",))
-    loss, _ = loss_rerank_circle(model, batch)
+    loss, _ = loss_rerank_circle_many(model, [batch])
     s_p = model.score_pair("q x", "p y")
     s_n = model.score_pair("q x", "n z")
     assert loss == pytest.approx(math.log1p(math.exp(s_n - s_p)), abs=1e-12)
@@ -157,7 +158,7 @@ def test_circle_single_pair_is_softplus_margin():
 def test_circle_equal_scores_is_ln_2():
     model = cross_model()
     batch = RerankBatch("q x", positives=(("same", 1.0),), hard_negatives=("same",))
-    loss, _ = loss_rerank_circle(model, batch)
+    loss, _ = loss_rerank_circle_many(model, [batch])
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -165,7 +166,7 @@ def test_circle_many_averages_batches():
     model = cross_model()
     b1 = RerankBatch("q x", positives=(("p y", 0.8),), hard_negatives=("n z",))
     b2 = RerankBatch("q w", positives=(("p v", 0.5),))  # no negatives -> 0
-    l1, _ = loss_rerank_circle(model, b1)
+    l1, _ = loss_rerank_circle_many(model, [b1])
     both, _ = loss_rerank_circle_many(model, [b1, b2])
     assert both == pytest.approx(l1 / 2.0, abs=1e-12)
 
@@ -177,8 +178,8 @@ def test_circle_monotone_in_positive_score():
     anchor = "red mask sheet"
     near = RerankBatch(anchor, positives=((anchor, 1.0),), hard_negatives=("qq ww",))
     far = RerankBatch(anchor, positives=(("zz yy", 1.0),), hard_negatives=("qq ww",))
-    loss_near, _ = loss_rerank_circle(model, near)
-    loss_far, _ = loss_rerank_circle(model, far)
+    loss_near, _ = loss_rerank_circle_many(model, [near])
+    loss_far, _ = loss_rerank_circle_many(model, [far])
     s_near = model.score_pair(anchor, anchor)
     s_far = model.score_pair(anchor, "zz yy")
     if s_near > s_far:
@@ -237,10 +238,32 @@ def test_build_batches_excludes_copurchased_candidates():
         RetrievalExample("c", "d", 1.0),
     ]
     batches = build_retrieval_batches(
-        examples, 8, 0.05, excluded_pairs=frozenset({("a", "d")})
+        examples, 8, 0.05, kin={"a": {"d"}, "d": {"a"}}
     )
     assert len(batches) == 1
     assert (0, 1) in batches[0].excluded
+
+
+def test_build_batches_exclusion_matches_pairwise_scan():
+    # Reference: test every (anchor, positive) cell against the pair set.
+    rng = random.Random(3)
+    texts = [f"q{i}" for i in range(12)]
+    examples = [
+        RetrievalExample(rng.choice(texts), rng.choice(texts), 1.0) for _ in range(40)
+    ]
+    pairs = {canonical_pair(*rng.sample(texts, 2)) for _ in range(20)}
+    kin = {}
+    for a, b in pairs:
+        kin.setdefault(a, set()).add(b)
+        kin.setdefault(b, set()).add(a)
+    for batch in build_retrieval_batches(examples, 16, 0.05, kin):
+        expected = {
+            (k, j)
+            for k, anchor in enumerate(batch.anchors)
+            for j, positive in enumerate(batch.positives)
+            if j != k and (positive == anchor or canonical_pair(anchor, positive) in pairs)
+        }
+        assert batch.excluded == expected
 
 
 def test_build_batches_excludes_equal_texts():
@@ -248,7 +271,7 @@ def test_build_batches_excludes_equal_texts():
         RetrievalExample("a", "b", 1.0),
         RetrievalExample("c", "a", 1.0),
     ]
-    batches = build_retrieval_batches(examples, 8, 0.05, frozenset())
+    batches = build_retrieval_batches(examples, 8, 0.05, {})
     assert (0, 1) in batches[0].excluded
 
 
@@ -256,14 +279,14 @@ def test_build_batches_caps_hard_negatives():
     examples = [RetrievalExample("a", "b", 1.0)]
     negs = {"a": [f"n{i}" for i in range(20)]}
     batches = build_retrieval_batches(
-        examples, 8, 0.05, frozenset(), hard_negatives=negs, hard_negative_cap=8
+        examples, 8, 0.05, {}, hard_negatives=negs, hard_negative_cap=8
     )
     assert len(batches[0].hard_negatives[0]) == 8
 
 
 def test_build_batches_chunking():
     examples = [RetrievalExample(f"a{i}", f"b{i}", 1.0) for i in range(10)]
-    batches = build_retrieval_batches(examples, 4, 0.05, frozenset())
+    batches = build_retrieval_batches(examples, 4, 0.05, {})
     assert [len(b.anchors) for b in batches] == [4, 4, 2]
 
 
@@ -274,9 +297,9 @@ def test_adam_moves_against_gradient():
     opt = AdamOptimizer({"w": (2,)}, learning_rate=0.1)
     params = {"w": np.array([1.0, -1.0])}
     grads = {"w": np.array([1.0, -1.0])}
-    updated = opt.step(params, grads)
-    assert updated["w"][0] < 1.0
-    assert updated["w"][1] > -1.0
+    opt.step(params, grads)
+    assert params["w"][0] < 1.0
+    assert params["w"][1] > -1.0
 
 
 def test_train_retrieval_reduces_loss():
