@@ -1,28 +1,33 @@
 """Desk-scale encoder pair: hashed n-gram bi- and cross-encoders.
 
 Texts become bags of boundary-marked character n-grams hashed into a
-fixed bucket space.  The bi-encoder projects that bag linearly and
-L2-normalizes, so cosine similarity is a plain dot product.  The
-cross-encoder scores an ordered pair through a small MLP over four
-feature blocks (source bag, target bag, elementwise min, positive part
-of source minus target), which makes it position-aware by construction.
-Both models expose closed-form backward passes; the training module only
-ever sees parameter dicts and same-shaped gradient dicts.  The encoders
-operate on raw text, not normalized text, so they must learn surface
-invariance instead of inheriting it.
+fixed bucket space.  Each model keeps an interned ``Featurizer`` table,
+so it featurizes a distinct text once.  The bi-encoder projects the bag
+linearly and L2-normalizes, so cosine similarity is a plain dot product.
+The cross-encoder scores an ordered pair through a small MLP over four
+feature blocks: source bag S, target bag T, elementwise min
+M = min(S, T) and surplus R = (S - T)+, which makes it position-aware by
+construction.  Its first layer is computed block by block,
+S·W_s + T·W_t + M·W_m + R·W_r + b0: S·W_s once per distinct source, and
+M and R only on the source's buckets, the only ones where they can be
+non-zero.  Both models expose closed-form backward passes; the training
+module only ever sees parameter dicts and same-shaped gradient dicts.
+The encoders operate on raw text, not normalized text, so they must
+learn surface invariance instead of inheriting it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .files import FileFormatError, sha256_bytes
+from .files import FileFormatError, atomic_write
 
 DEFAULT_NGRAM_SIZES = (2, 3, 4)
 _BOUNDARY_OPEN = "^"
@@ -52,8 +57,38 @@ def featurize(
     return buckets
 
 
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) of the given rows, in that order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_ptr[1:])
+    flat = np.repeat(starts - out_ptr[:-1], lengths) + np.arange(out_ptr[-1])
+    return out_ptr, indices[flat], data[flat]
+
+
+def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
+    """The row number of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` if it holds ``size`` items, else a copy with doubled room."""
+    if size <= len(array):
+        return array
+    grown = np.zeros(max(size, 2 * len(array)), dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown
+
+
 class Featurizer:
-    """Caches each text's sparse feature row; rows stack into CSR batches."""
+    """Interned feature table: text -> row id, rows in one growing CSR.
+
+    A text is featurized on its first lookup only; a batch is a gather of
+    its rows, each holding sorted bucket indices and their counts.
+    """
 
     def __init__(
         self, feature_dim: int, ngram_sizes: Iterable[int] = DEFAULT_NGRAM_SIZES
@@ -62,32 +97,47 @@ class Featurizer:
             raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
         self.feature_dim = int(feature_dim)
         self.ngram_sizes = tuple(int(n) for n in ngram_sizes)
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._ids: dict[str, int] = {}
+        self._indptr = np.zeros(64, dtype=np.int64)
+        self._indices = np.zeros(1024, dtype=np.int32)
+        self._data = np.zeros(1024)
+
+    def _intern(self, text: str) -> int:
+        buckets = featurize(text, self.ngram_sizes, self.feature_dim)
+        row = len(self._ids)
+        start = self._indptr[row]
+        end = start + len(buckets)
+        self._indptr = _grown(self._indptr, row + 2)
+        self._indices = _grown(self._indices, end)
+        self._data = _grown(self._data, end)
+        order = sorted(buckets)
+        self._indices[start:end] = order
+        self._data[start:end] = [buckets[b] for b in order]
+        self._indptr[row + 1] = end
+        self._ids[text] = row
+        return row
+
+    def ids(self, texts: Sequence[str]) -> np.ndarray:
+        """Row ids of the texts, interning the ones not seen before."""
+        table = self._ids
+        return np.array(
+            [table[t] if t in table else self._intern(t) for t in texts],
+            dtype=np.int64,
+        )
 
     def row(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted bucket indices and counts for one text."""
-        cached = self._cache.get(text)
-        if cached is None:
-            buckets = featurize(text, self.ngram_sizes, self.feature_dim)
-            indices = np.array(sorted(buckets), dtype=np.int32)
-            values = np.array([buckets[i] for i in indices], dtype=np.float64)
-            cached = (indices, values)
-            self._cache[text] = cached
-        return cached
+        row = self.ids([text])[0]
+        start, end = self._indptr[row], self._indptr[row + 1]
+        return self._indices[start:end], self._data[start:end]
 
     def matrix(self, texts: Sequence[str]) -> sparse.csr_matrix:
-        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        index_parts = []
-        value_parts = []
-        for i, text in enumerate(texts):
-            indices, values = self.row(text)
-            index_parts.append(indices)
-            value_parts.append(values)
-            indptr[i + 1] = indptr[i] + len(indices)
-        data = np.concatenate(value_parts) if value_parts else np.zeros(0)
-        cols = np.concatenate(index_parts) if index_parts else np.zeros(0, dtype=np.int32)
+        rows = self.ids(texts)  # may grow the table, so gather after
+        indptr, indices, data = _gather_rows(
+            self._indptr, self._indices, self._data, rows
+        )
         return sparse.csr_matrix(
-            (data, cols, indptr), shape=(len(texts), self.feature_dim)
+            (data, indices, indptr), shape=(len(texts), self.feature_dim)
         )
 
 
@@ -174,6 +224,27 @@ class BiEncoderModel:
         return float(units[0] @ units[1])
 
 
+@dataclass(frozen=True)
+class PairBlocks:
+    """A batch of pairs as the cross-encoder's four first-layer blocks.
+
+    ``sources`` holds one row per distinct source and ``source_of_pair``
+    maps each pair to its row; ``targets`` holds one row per pair.  The
+    min and surplus blocks ``both``/``surplus`` are non-zero only on
+    their pair's source buckets.  With one distinct source, ``columns``
+    lists that source's buckets and ``sources``, ``both`` and ``surplus``
+    are dense on them; otherwise ``columns`` is ``slice(None)`` and
+    those blocks are CSR over every bucket.
+    """
+
+    sources: np.ndarray | sparse.csr_matrix
+    source_of_pair: np.ndarray
+    targets: sparse.csr_matrix
+    columns: np.ndarray | slice
+    both: np.ndarray | sparse.csr_matrix
+    surplus: np.ndarray | sparse.csr_matrix
+
+
 class CrossEncoderModel:
     """Position-aware MLP scorer over joint pair features.
 
@@ -243,50 +314,125 @@ class CrossEncoderModel:
             self.weights[i] = np.asarray(params[f"w{i}"], dtype=np.float64)
             self.biases[i] = np.asarray(params[f"b{i}"], dtype=np.float64)
 
-    def joint_matrix(self, pairs: Sequence[tuple[str, str]]) -> sparse.csr_matrix:
+    def joint_matrix(self, pairs: Sequence[tuple[str, str]]) -> PairBlocks:
+        """The pairs' first-layer inputs, block by block (see PairBlocks)."""
         for source, target in pairs:
             if not source or not target:
                 raise ValueError("cannot score a pair with empty text")
-        sources = self.featurizer.matrix([p[0] for p in pairs])
-        targets = self.featurizer.matrix([p[1] for p in pairs])
-        both = sources.minimum(targets)
-        surplus = (sources - targets).maximum(0)
-        joint = sparse.hstack([sources, targets, both, surplus], format="csr")
-        return joint
+        first_seen: dict[str, int] = {}
+        source_of_pair = np.fromiter(
+            (first_seen.setdefault(s, len(first_seen)) for s, _ in pairs),
+            dtype=np.int64,
+            count=len(pairs),
+        )
+        targets = self.featurizer.matrix([t for _, t in pairs])
+        target_rows = _row_of_entry(targets.indptr)
+        if len(first_seen) == 1:
+            # Dense on the source's buckets: M and R are zero elsewhere.
+            # This beats the CSR form below on one-source calls (serve
+            # runs in BENCH_6.json); with many sources, dense rows over
+            # all their buckets would cost more than CSR.
+            columns, counts = self.featurizer.row(pairs[0][0])
+            position = np.full(self.feature_dim, -1, dtype=np.int64)
+            position[columns] = np.arange(len(columns))
+            at = position[targets.indices]
+            hit = at >= 0
+            on_source = np.zeros((len(pairs), len(columns)))
+            on_source[target_rows[hit], at[hit]] = targets.data[hit]
+            return PairBlocks(
+                counts[None, :],
+                source_of_pair,
+                targets,
+                columns,
+                np.minimum(on_source, counts),
+                np.maximum(counts - on_source, 0.0),
+            )
+        # Sparse: each pair's source entries, matched against its target's.
+        sources = self.featurizer.matrix(list(first_seen))
+        s_ptr, s_cols, s_counts = _gather_rows(
+            sources.indptr, sources.indices, sources.data, source_of_pair
+        )
+        s_rows = _row_of_entry(s_ptr)
+        t_keys = target_rows * self.feature_dim + targets.indices
+        s_keys = s_rows * self.feature_dim + s_cols
+        at = np.minimum(np.searchsorted(t_keys, s_keys), len(t_keys) - 1)
+        hit = t_keys[at] == s_keys
+        on_source = np.where(hit, targets.data[at], 0.0)
+        surplus = np.maximum(s_counts - on_source, 0.0)
+
+        def csr(values: np.ndarray, keep: np.ndarray) -> sparse.csr_matrix:
+            indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(s_rows[keep], minlength=len(pairs)), out=indptr[1:])
+            return sparse.csr_matrix(
+                (values[keep], s_cols[keep], indptr),
+                shape=(len(pairs), self.feature_dim),
+            )
+
+        return PairBlocks(
+            sources,
+            source_of_pair,
+            targets,
+            slice(None),
+            csr(np.minimum(s_counts, on_source), hit),
+            csr(surplus, surplus > 0.0),
+        )
+
+    def _first_layer(self, blocks: PairBlocks) -> np.ndarray:
+        w_s, w_t, w_m, w_r = self._blocks_of(self.weights[0])
+        cols = blocks.columns
+        value = (blocks.sources @ w_s[cols])[blocks.source_of_pair]
+        value += blocks.targets @ w_t
+        value += blocks.both @ w_m[cols]
+        value += blocks.surplus @ w_r[cols]
+        value += self.biases[0]
+        return value
+
+    def _first_layer_grad(self, blocks: PairBlocks, delta: np.ndarray) -> np.ndarray:
+        grad = np.zeros_like(self.weights[0])
+        g_s, g_t, g_m, g_r = self._blocks_of(grad)
+        cols = blocks.columns
+        per_source = np.zeros((blocks.sources.shape[0], delta.shape[1]))
+        np.add.at(per_source, blocks.source_of_pair, delta)
+        g_s[cols] = blocks.sources.T @ per_source
+        g_t[:] = blocks.targets.T @ delta
+        g_m[cols] = blocks.both.T @ delta
+        g_r[cols] = blocks.surplus.T @ delta
+        return grad
+
+    def _blocks_of(self, first: np.ndarray) -> list[np.ndarray]:
+        """Views of a first-layer array's S, T, M and R row blocks."""
+        f = self.feature_dim
+        return [first[i * f:(i + 1) * f] for i in range(self.N_BLOCKS)]
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
         scores, _ = self.score_many_with_backward(pairs)
         return scores
 
-    def score_pair(self, source_text: str, target_text: str) -> float:
-        return float(self.score_many([(source_text, target_text)])[0])
-
     def score_many_with_backward(
         self, pairs: Sequence[tuple[str, str]]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
         """Scores plus a closure mapping dL/dscores to dL/dparams."""
-        joint = self.joint_matrix(pairs)
-        activations: list = [joint]
-        value = joint
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            value = value @ w + b
-            if layer < len(self.weights) - 1:
-                value = np.tanh(value)
-            activations.append(value)
-        scores = np.asarray(activations[-1]).reshape(-1)
+        blocks = self.joint_matrix(pairs)
+        value = self._first_layer(blocks)
+        hidden: list[np.ndarray] = []
+        for w, b in zip(self.weights[1:], self.biases[1:]):
+            hidden.append(np.tanh(value))
+            value = hidden[-1] @ w + b
+        scores = value.reshape(-1)
         if not np.all(np.isfinite(scores)):
             raise FloatingPointError("cross-encoder produced a non-finite score")
 
         def backward(grad_scores: np.ndarray) -> dict[str, np.ndarray]:
             grads: dict[str, np.ndarray] = {}
             delta = np.asarray(grad_scores, dtype=np.float64).reshape(-1, 1)
-            for layer in range(len(self.weights) - 1, -1, -1):
-                inputs = activations[layer]
+            for layer in range(len(self.weights) - 1, 0, -1):
+                inputs = hidden[layer - 1]
                 grads[f"w{layer}"] = inputs.T @ delta
                 grads[f"b{layer}"] = delta.sum(axis=0)
-                if layer > 0:
-                    delta = delta @ self.weights[layer].T
-                    delta = delta * (1.0 - activations[layer] ** 2)
+                delta = delta @ self.weights[layer].T
+                delta = delta * (1.0 - inputs**2)
+            grads["w0"] = self._first_layer_grad(blocks, delta)
+            grads["b0"] = delta.sum(axis=0)
             return grads
 
         return scores, backward
@@ -324,11 +470,9 @@ def params_checksum(model) -> str:
 
 def save_checkpoint(model, path) -> str:
     """Write a versioned .npz checkpoint; returns the parameter checksum."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta_bytes = json.dumps(_model_meta(model), sort_keys=True).encode("utf-8")
     arrays = {f"param_{k}": v for k, v in model.parameters().items()}
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
     return params_checksum(model)
 

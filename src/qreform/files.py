@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 HEADER_PREFIX = "#qreform-"
 
@@ -45,6 +46,25 @@ def parse_header(line: str, kind: str, path: os.PathLike | str) -> dict[str, str
     return attrs
 
 
+@contextmanager
+def atomic_write(path: os.PathLike | str, mode: str = "w", **open_args) -> Iterator[IO]:
+    """Open a sibling temp file for writing; on success rename it onto ``path``.
+
+    A write that raises, or a process killed mid-write, leaves the previous
+    file whole; a failed write also removes its temp file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tsv(
     path: os.PathLike | str,
     kind: str,
@@ -52,9 +72,7 @@ def write_tsv(
     columns: Iterable[str] | None = None,
     **attrs: object,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_header(kind, **attrs) + "\n")
         if columns is not None:
             fh.write("\t".join(columns) + "\n")

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .files import FileFormatError
+from .files import FileFormatError, atomic_write
 
 _UNIT_TOL = 1e-6
 _INDEX_VERSION = 1
@@ -91,8 +91,6 @@ def build_index(model, queries: Mapping[str, str]) -> KnnIndex:
 
 
 def save_index(index: KnnIndex, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "version": _INDEX_VERSION,
         "dim": index.dim,
@@ -100,7 +98,7 @@ def save_index(index: KnnIndex, path) -> None:
         "model_checksum": index.model_checksum,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(
             fh,
             meta=np.frombuffer(meta_bytes, dtype=np.uint8),

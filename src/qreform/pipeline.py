@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -40,7 +39,7 @@ from .encoders import (
     params_checksum,
     save_checkpoint,
 )
-from .files import read_tsv, sha256_bytes, sha256_file, write_tsv
+from .files import atomic_write, read_tsv, sha256_bytes, sha256_file, write_tsv
 
 MODEL_RETRIEVER_BASELINE = "retriever_top30_baseline"
 MODEL_RETRIEVER_WEIGHTED = "retriever_weighted"
@@ -158,13 +157,13 @@ def reformulate(
     if not candidates:
         return ReformulationResult(query, (), threshold)
     scores = _sigmoid(cross_encoder.score_many([(query, c) for c in candidates]))
-    ranked = sorted(
-        zip(candidates, scores), key=lambda pair: (-pair[1], pair[0])
-    )
-    kept = tuple(
-        (candidate, float(score)) for candidate, score in ranked if score >= threshold
-    )[:n_max]
-    return ReformulationResult(query, kept, threshold)
+    passed = [
+        (candidate, float(score))
+        for candidate, score in zip(candidates, scores)
+        if score >= threshold
+    ]
+    passed.sort(key=lambda pair: (-pair[1], pair[0]))
+    return ReformulationResult(query, tuple(passed[:n_max]), threshold)
 
 
 def select_threshold(
@@ -201,7 +200,12 @@ def select_threshold(
     return float(best_threshold)
 
 
-def _reject_unknown_keys(cls, data: Mapping, section: str) -> None:
+def _check_section(cls, data: object, section: str) -> None:
+    """A config section must be a JSON object naming only fields of ``cls``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"{section} config must be a JSON object, got {type(data).__name__}"
+        )
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
@@ -253,13 +257,19 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        """Rejects keys that name no field with a ValueError naming them."""
+        """Rejects a section that is not an object, or keys that name no
+        field, with a ValueError naming the section."""
+        _check_section(cls, data, "top-level")
         data = dict(data)
-        _reject_unknown_keys(cls, data, "top-level")
         if "synth" in data:
-            _reject_unknown_keys(synth_mod.SynthConfig, data["synth"], "synth")
+            _check_section(synth_mod.SynthConfig, data["synth"], "synth")
             data["synth"] = synth_mod.SynthConfig(**data["synth"])
         if "hidden_dims" in data:
+            if not isinstance(data["hidden_dims"], (list, tuple)):
+                raise ValueError(
+                    "hidden_dims config must be a JSON list, got "
+                    f"{type(data['hidden_dims']).__name__}"
+                )
             data["hidden_dims"] = tuple(data["hidden_dims"])
         return cls(**data)
 
@@ -922,16 +932,8 @@ def _load_manifest(paths: PipelinePaths) -> dict:
 
 
 def _save_manifest(paths: PipelinePaths, manifest: dict) -> None:
-    """Write through a sibling temp file and a rename.
-
-    A run killed mid-write leaves the previous manifest whole.
-    """
-    paths.manifest.parent.mkdir(parents=True, exist_ok=True)
-    tmp = paths.manifest.with_name(paths.manifest.name + ".tmp")
-    tmp.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, paths.manifest)
+    with atomic_write(paths.manifest, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _digests(files: Sequence[Path]) -> dict[str, str]:

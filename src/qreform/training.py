@@ -248,7 +248,12 @@ class TrainConfig:
 
 class AdamOptimizer:
     """Per-parameter adaptive moments, applied to the parameter arrays in
-    place; lr 0 leaves parameters untouched."""
+    place; lr 0 leaves parameters untouched.
+
+    Each step runs in two preallocated scratch arrays per parameter, in
+    the operation order of ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
+    so it allocates nothing and rounds exactly like that expression.
+    """
 
     def __init__(
         self,
@@ -265,6 +270,9 @@ class AdamOptimizer:
         self.step_count = 0
         self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self._scratch = {
+            name: (np.empty(shape), np.empty(shape)) for name, shape in shapes.items()
+        }
 
     def step(
         self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
@@ -276,11 +284,18 @@ class AdamOptimizer:
             grad = grads[name]
             m = self.first[name]
             v = self.second[name]
+            a, b = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            value -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            np.square(grad, out=a)
+            v += np.multiply(1.0 - self.beta2, a, out=a)
+            np.divide(m, correct1, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            value -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -288,10 +303,6 @@ class TrainResult:
     """Per-epoch (train loss, validation loss) trace; model is updated in place."""
 
     trace: list[tuple[int, float, float | None]] = field(default_factory=list)
-
-    @property
-    def final_train_loss(self) -> float:
-        return self.trace[-1][1]
 
 
 def build_retrieval_batches(

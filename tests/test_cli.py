@@ -226,3 +226,21 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
     assert str(path) in err
     assert f"unknown {section} config keys: {key}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"synth": 5}, "synth config must be a JSON object, got int"),
+        ([1, 2], "top-level config must be a JSON object, got list"),
+        ({"hidden_dims": 5}, "hidden_dims config must be a JSON list, got int"),
+    ],
+    ids=["synth-not-object", "top-level-list", "hidden_dims-not-list"],
+)
+def test_config_section_of_wrong_type_fails_cleanly(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: pipeline: {path}: {message}\n"
+    assert not out_dir.exists()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from qreform import encoders
 from qreform.files import FileFormatError
 from qreform.encoders import (
     DEFAULT_NGRAM_SIZES,
@@ -17,6 +19,7 @@ from qreform.encoders import (
     params_checksum,
     save_checkpoint,
 )
+from tests.gradcheck import finite_difference_grads, max_relative_error
 
 TEXTS = st.text(
     alphabet=st.sampled_from("abcdef マスク"), min_size=1, max_size=12
@@ -51,6 +54,56 @@ def test_featurize_includes_boundary_markers():
 def test_featurize_empty_text_error():
     with pytest.raises(ValueError):
         featurize("", ngram_sizes=DEFAULT_NGRAM_SIZES, feature_dim=16)
+
+
+def assembled_matrix(feature_dim, ngram_sizes, texts):
+    """Reference: one featurize call per text, rows stacked one by one."""
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    index_parts, value_parts = [], []
+    for i, text in enumerate(texts):
+        buckets = featurize(text, ngram_sizes, feature_dim)
+        indices = np.array(sorted(buckets), dtype=np.int32)
+        index_parts.append(indices)
+        value_parts.append(np.array([buckets[b] for b in indices], dtype=np.float64))
+        indptr[i + 1] = indptr[i] + len(indices)
+    data = np.concatenate(value_parts) if value_parts else np.zeros(0)
+    cols = np.concatenate(index_parts) if index_parts else np.zeros(0, dtype=np.int32)
+    return sparse.csr_matrix((data, cols, indptr), shape=(len(texts), feature_dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(TEXTS, max_size=6), min_size=1, max_size=4))
+def test_featurizer_matrix_equals_assembled_rows(batches):
+    # Batches repeat texts within and across calls, so gathers mix hits and misses.
+    feat = Featurizer(1 << 9, (2, 3))
+    for texts in batches:
+        got = feat.matrix(texts)
+        want = assembled_matrix(1 << 9, (2, 3), texts)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.shape == want.shape
+
+
+def test_model_featurizes_each_distinct_text_once(monkeypatch):
+    calls = []
+    real = encoders.featurize
+
+    def counting(text, *args):
+        calls.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(encoders, "featurize", counting)
+    bi = BiEncoderModel.initialize(1 << 10, 4, seed=0)
+    cross = CrossEncoderModel.initialize(1 << 10, (4,), seed=0)
+    texts = ["twice a", "twice b", "twice a", "twice c"]
+    bi.embed_many(texts)
+    bi.embed_many(texts[::-1])
+    assert sorted(calls) == sorted(set(texts))
+    calls.clear()
+    cross.score_many([(texts[0], t) for t in texts])
+    cross.score_many(list(zip(texts, texts[::-1])))
+    assert sorted(calls) == sorted(set(texts))
 
 
 def test_featurizer_matrix_matches_rows():
@@ -111,8 +164,8 @@ def test_bi_encoder_deterministic_init():
 
 def test_cross_encoder_scores_are_position_aware():
     model = CrossEncoderModel.initialize(1 << 10, (16, 8), seed=0)
-    fwd = model.score_pair("red mask", "blue towel")
-    rev = model.score_pair("blue towel", "red mask")
+    fwd = model.score_many([("red mask", "blue towel")])[0]
+    rev = model.score_many([("blue towel", "red mask")])[0]
     assert fwd != pytest.approx(rev, abs=1e-9)
 
 
@@ -120,8 +173,75 @@ def test_cross_encoder_score_many_matches_score_pair():
     model = CrossEncoderModel.initialize(1 << 10, (16, 8), seed=0)
     pairs = [("a b", "c d"), ("c d", "a b"), ("mask", "mask")]
     many = model.score_many(pairs)
-    singles = [model.score_pair(s, t) for s, t in pairs]
+    singles = [model.score_many([(s, t)])[0] for s, t in pairs]
     assert np.allclose(many, singles, atol=1e-12)
+
+
+def reference_forward(model, pairs):
+    """Reference: the hstacked joint CSR through every layer, plus dL/dw0."""
+    sources = model.featurizer.matrix([s for s, _ in pairs])
+    targets = model.featurizer.matrix([t for _, t in pairs])
+    joint = sparse.hstack(
+        [sources, targets, sources.minimum(targets), (sources - targets).maximum(0)],
+        format="csr",
+    )
+    activations = [joint]
+    value = joint
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        value = value @ w + b
+        if layer < len(model.weights) - 1:
+            value = np.tanh(value)
+        activations.append(value)
+
+    def grad_w0(grad_scores):
+        delta = np.asarray(grad_scores).reshape(-1, 1)
+        for layer in range(len(model.weights) - 1, 0, -1):
+            delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
+        return joint.T @ delta
+
+    return np.asarray(value).reshape(-1), grad_w0
+
+
+ONE_SOURCE = st.builds(
+    lambda source, targets: [(source, t) for t in targets],
+    TEXTS,
+    st.lists(TEXTS, min_size=1, max_size=12),
+)
+SEVERAL_SOURCES = st.lists(st.tuples(TEXTS, TEXTS), min_size=1, max_size=12).filter(
+    lambda pairs: len({s for s, _ in pairs}) > 1
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(ONE_SOURCE, SEVERAL_SOURCES), st.integers(0, 3))
+def test_block_form_matches_hstacked_joint_matrix(pairs, seed):
+    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
+    grad_scores = np.random.default_rng(seed).standard_normal(len(pairs))
+    scores, backward = model.score_many_with_backward(pairs)
+    want, want_grad_w0 = reference_forward(model, pairs)
+    assert np.max(np.abs(scores - want)) <= 1e-12
+    assert np.max(np.abs(backward(grad_scores)["w0"] - want_grad_w0(grad_scores))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("red mask", "red masks"), ("red mask", "mask red"), ("red mask", "towel")],
+        [("red mask", "red masks"), ("towel", "mask red"), ("cup", "red cup")],
+    ],
+    ids=["one-source", "several-sources"],
+)
+def test_first_layer_gradient_matches_finite_differences(pairs):
+    model = CrossEncoderModel.initialize(1 << 4, (3,), seed=5)
+    weights = np.random.default_rng(5).standard_normal(len(pairs))
+    _, backward = model.score_many_with_backward(pairs)
+    grads = backward(weights)
+    numeric = finite_difference_grads(
+        model, lambda m: float(weights @ m.score_many(pairs))
+    )
+    assert max_relative_error(
+        {k: grads[k] for k in ("w0", "b0")}, numeric
+    ) <= 1e-6
 
 
 def test_cross_encoder_zero_biases_at_init():
@@ -152,8 +272,8 @@ def test_cross_checkpoint_round_trip(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert isinstance(loaded, CrossEncoderModel)
-    assert loaded.score_pair("a", "b") == pytest.approx(
-        model.score_pair("a", "b"), abs=1e-15
+    assert loaded.score_many([("a", "b")])[0] == pytest.approx(
+        model.score_many([("a", "b")])[0], abs=1e-15
     )
 
 

@@ -1,7 +1,9 @@
 """Versioned artifact file plumbing."""
 
+import numpy as np
 import pytest
 
+from qreform import encoders, knn
 from qreform.files import (
     FileFormatError,
     format_header,
@@ -72,3 +74,40 @@ def test_sha256_stability(tmp_path):
         sha256_bytes(b"abc")
         == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+class _WriteFailed(RuntimeError):
+    pass
+
+
+def _failing_rows():
+    yield ("a", "1")
+    raise _WriteFailed
+
+
+def _failing_savez(fh, **arrays):
+    fh.write(b"partial")
+    raise _WriteFailed
+
+
+def _write_tsv(path):
+    write_tsv(path, "demo", _failing_rows())
+
+
+def _save_checkpoint(path):
+    encoders.save_checkpoint(encoders.BiEncoderModel.initialize(16, 2), path)
+
+
+def _save_index(path):
+    knn.save_index(knn.KnnIndex(["a"], np.ones((1, 2)) / np.sqrt(2.0)), path)
+
+
+@pytest.mark.parametrize("write", [_write_tsv, _save_checkpoint, _save_index])
+def test_write_failing_midway_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old contents")
+    monkeypatch.setattr(np, "savez", _failing_savez)
+    with pytest.raises(_WriteFailed):
+        write(path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

@@ -360,7 +360,8 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
     paths.root.mkdir(parents=True)
     root = paths.root.resolve()
     opened: list[tuple[object, str]] = []
-    real_open, real_load = builtins.open, np.load
+    renamed: dict[Path, Path] = {}
+    real_open, real_load, real_replace = builtins.open, np.load, os.replace
 
     def spy_open(file, mode="r", *args, **kwargs):
         opened.append((file, mode))
@@ -370,13 +371,20 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
         opened.append((file, "rb"))
         return real_load(file, *args, **kwargs)
 
+    def spy_replace(src, dst, *args, **kwargs):
+        # A temp file renamed onto a path counts as a write of that path.
+        renamed[Path(src).resolve()] = Path(dst).resolve()
+        return real_replace(src, dst, *args, **kwargs)
+
     monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(os, "replace", spy_replace)
     monkeypatch.setattr(io, "open", spy_open)
     monkeypatch.setattr(np, "load", spy_load)
 
     undeclared = {}
     for name, inputs, outputs, runner in _stage_specs(config, paths):
         opened.clear()
+        renamed.clear()
         runner(config, paths)
         reads, writes = set(), set()
         for file, mode in opened:
@@ -384,7 +392,10 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
                 continue
             path = Path(file).resolve()
             if path.is_relative_to(root):
-                (writes if set(mode) & set("wax+") else reads).add(path)
+                if set(mode) & set("wax+"):
+                    writes.add(renamed.get(path, path))
+                else:
+                    reads.add(path)
         assert writes, f"{name}: the spy saw no writes"
         declared_in = {Path(p).resolve() for p in inputs}
         declared_out = {Path(p).resolve() for p in outputs}

@@ -150,8 +150,8 @@ def test_circle_single_pair_is_softplus_margin():
     model = cross_model()
     batch = RerankBatch("q x", positives=(("p y", 0.8),), hard_negatives=("n z",))
     loss, _ = loss_rerank_circle_many(model, [batch])
-    s_p = model.score_pair("q x", "p y")
-    s_n = model.score_pair("q x", "n z")
+    s_p = model.score_many([("q x", "p y")])[0]
+    s_n = model.score_many([("q x", "n z")])[0]
     assert loss == pytest.approx(math.log1p(math.exp(s_n - s_p)), abs=1e-12)
 
 
@@ -180,8 +180,8 @@ def test_circle_monotone_in_positive_score():
     far = RerankBatch(anchor, positives=(("zz yy", 1.0),), hard_negatives=("qq ww",))
     loss_near, _ = loss_rerank_circle_many(model, [near])
     loss_far, _ = loss_rerank_circle_many(model, [far])
-    s_near = model.score_pair(anchor, anchor)
-    s_far = model.score_pair(anchor, "zz yy")
+    s_near = model.score_many([(anchor, anchor)])[0]
+    s_far = model.score_many([(anchor, "zz yy")])[0]
     if s_near > s_far:
         assert loss_near < loss_far
 
@@ -302,6 +302,31 @@ def test_adam_moves_against_gradient():
     assert params["w"][1] > -1.0
 
 
+def test_adam_step_rounds_like_the_expression_form():
+    # Reference: the textbook update as one expression per moment.
+    rng = np.random.default_rng(0)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = AdamOptimizer({"w": (64, 8), "b": (8,)}, learning_rate=lr)
+    params = {"w": rng.standard_normal((64, 8)), "b": rng.standard_normal(8)}
+    ref = {name: value.copy() for name, value in params.items()}
+    m = {name: np.zeros_like(value) for name, value in params.items()}
+    v = {name: np.zeros_like(value) for name, value in params.items()}
+    for t in range(1, 21):
+        w_grad = rng.standard_normal((64, 8)) * (rng.random((64, 1)) < 0.3)
+        grads = {"w": w_grad, "b": rng.standard_normal(8)}
+        opt.step(params, grads)
+        for name, grad in grads.items():
+            m[name] = b1 * m[name] + (1.0 - b1) * grad
+            v[name] = b2 * v[name] + (1.0 - b2) * grad**2
+            ref[name] = ref[name] - lr * (m[name] / (1.0 - b1**t)) / (
+                np.sqrt(v[name] / (1.0 - b2**t)) + eps
+            )
+    for name in params:
+        assert np.array_equal(params[name], ref[name])
+        assert np.array_equal(opt.first[name], m[name])
+        assert np.array_equal(opt.second[name], v[name])
+
+
 def test_train_retrieval_reduces_loss():
     examples = [
         RetrievalExample("red mask", "crimson mask", 1.0),
@@ -315,7 +340,7 @@ def test_train_retrieval_reduces_loss():
     )
     result = train(model, examples, [], config)
     first = result.trace[0][1]
-    assert result.final_train_loss < first
+    assert result.trace[-1][1] < first
 
 
 def test_train_deterministic_given_seed():
