@@ -131,8 +131,7 @@ def load_hard_negatives(path) -> list[HardNegativeRecord]:
     attrs, rows = read_tsv(path, NEGATIVES_KIND, has_columns=True)
     checksum = attrs.get("source_checkpoint", "")
     records = []
-    for row in rows:
-        anchor, round_index = row[0], int(row[1])
-        negatives = tuple(row[2].split(",")) if len(row) > 2 and row[2] else ()
-        records.append(HardNegativeRecord(anchor, negatives, round_index, checksum))
+    for anchor, round_index, field in rows:
+        negatives = tuple(field.split(",")) if field else ()
+        records.append(HardNegativeRecord(anchor, negatives, int(round_index), checksum))
     return records

@@ -2,8 +2,12 @@
 
 Each pipeline stage is a subcommand; ``pipeline`` runs them all with
 checksum-based resume.  ``reformulate``, ``evaluate`` and ``augment``
-operate on an existing run directory.  Exit status is 0 on success and 1
-on failure with a stage-qualified message on stderr.
+operate on an existing run directory.  ``evaluate --model M`` recomputes
+the report the evaluate stage saved for model M and prints it; the model
+kind decides what is measured (recall and audit-pair ordering for a
+retriever, NDCG@3 over the final retriever's lists for a re-ranker).
+Exit status is 0 on success and 1 on failure with a stage-qualified
+message on stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +17,6 @@ import dataclasses
 import sys
 
 from .pipeline import (
-    EVAL_MODE_AUDIT,
-    EVAL_MODE_RERANK,
-    EVAL_MODE_RETRIEVAL,
     STAGE_ORDER,
     AugmentationParams,
     PipelineConfig,
@@ -50,19 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in STAGE_COMMANDS:
         stage = sub.add_parser(name, parents=[common], help=f"run the {name} stage")
         stage.add_argument("--force", action="store_true")
-        if name == "ance":
-            stage.add_argument("--rounds", type=int, help="hard-negative rounds")
-            stage.add_argument("--top-k", type=int, help="candidates mined per anchor")
 
+    # No abbreviations: "--mode" would otherwise be read as "--model".
     evaluate = sub.add_parser(
-        "evaluate", parents=[common], help="score one model on one task"
+        "evaluate", parents=[common], allow_abbrev=False, help="print one model's report"
     )
     evaluate.add_argument("--model", required=True, help="model id to evaluate")
-    evaluate.add_argument(
-        "--mode",
-        required=True,
-        choices=(EVAL_MODE_RETRIEVAL, EVAL_MODE_RERANK, EVAL_MODE_AUDIT),
-    )
 
     reform = sub.add_parser(
         "reformulate", parents=[common], help="reformulate a query"
@@ -107,10 +101,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_stages(args: argparse.Namespace, stages: tuple[str, ...] | None) -> int:
     config = _load_config(args)
-    if getattr(args, "rounds", None) is not None:
-        config = dataclasses.replace(config, ance_rounds=args.rounds)
-    if getattr(args, "top_k", None) is not None:
-        config = dataclasses.replace(config, top_k=args.top_k)
     run = run_pipeline(
         config,
         force=getattr(args, "force", False),
@@ -123,7 +113,7 @@ def _cmd_stages(args: argparse.Namespace, stages: tuple[str, ...] | None) -> int
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    report = evaluate_model(config, args.model, args.mode)
+    report = evaluate_model(config, args.model)
     sys.stdout.write(report.formatted())
     return 0
 

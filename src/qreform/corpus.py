@@ -288,8 +288,6 @@ def load_corpus(queries_path, events_path) -> Corpus:
     if "rich_threshold" in q_attrs:
         corpus.rich_threshold = int(q_attrs["rich_threshold"])
     for row in query_rows:
-        if len(row) != 5:
-            raise FileFormatError(f"{queries_path}: bad query row {row!r}")
         query_id, raw_text, normalized, norm_set, tier = row
         record = QueryRecord(query_id=query_id, raw_text=raw_text)
         if norm_set == "1":
@@ -299,8 +297,6 @@ def load_corpus(queries_path, events_path) -> Corpus:
         corpus.queries[query_id] = record
         corpus._raw_events[query_id] = {}
     for row in event_rows:
-        if len(row) != 3:
-            raise FileFormatError(f"{events_path}: bad event row {row!r}")
         query_id, product, count = row
         if query_id not in corpus.queries:
             raise FileFormatError(

@@ -1,8 +1,10 @@
 """Desk-scale encoder pair: hashed n-gram bi- and cross-encoders.
 
-Texts become bags of boundary-marked character n-grams hashed into a
-fixed bucket space.  Each model keeps an interned ``Featurizer`` table,
-so it featurizes a distinct text once.  The bi-encoder projects the bag
+Texts become bags of boundary-marked character 2-, 3- and 4-grams
+(``NGRAM_SIZES``) hashed into a fixed bucket space.  Checkpoints record
+these sizes, and loading rejects a checkpoint made with others.  Each
+model keeps an interned ``Featurizer`` table, so it featurizes a
+distinct text once.  The bi-encoder projects the bag
 linearly and L2-normalizes, so cosine similarity is a plain dot product.
 The cross-encoder scores an ordered pair through a small MLP over four
 feature blocks: source bag S, target bag T, elementwise min
@@ -22,14 +24,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .files import FileFormatError, atomic_write
 
-DEFAULT_NGRAM_SIZES = (2, 3, 4)
+NGRAM_SIZES = (2, 3, 4)
 _BOUNDARY_OPEN = "^"
 _BOUNDARY_CLOSE = "$"
 _NORM_FLOOR = 1e-12
@@ -40,17 +42,13 @@ def _hash_bucket(ngram: str, feature_dim: int) -> int:
     return int.from_bytes(digest, "big") % feature_dim
 
 
-def featurize(
-    text: str,
-    ngram_sizes: Iterable[int] = DEFAULT_NGRAM_SIZES,
-    feature_dim: int = 1 << 14,
-) -> dict[int, float]:
-    """Hashed character n-gram counts with "^"/"$" boundary markers."""
+def featurize(text: str, feature_dim: int = 1 << 14) -> dict[int, float]:
+    """Hashed character 2-, 3- and 4-gram counts with "^"/"$" boundary markers."""
     if not text:
         raise ValueError("cannot featurize empty text")
     padded = _BOUNDARY_OPEN + text + _BOUNDARY_CLOSE
     buckets: dict[int, float] = {}
-    for size in ngram_sizes:
+    for size in NGRAM_SIZES:
         for i in range(len(padded) - size + 1):
             bucket = _hash_bucket(padded[i:i + size], feature_dim)
             buckets[bucket] = buckets.get(bucket, 0.0) + 1.0
@@ -90,20 +88,17 @@ class Featurizer:
     its rows, each holding sorted bucket indices and their counts.
     """
 
-    def __init__(
-        self, feature_dim: int, ngram_sizes: Iterable[int] = DEFAULT_NGRAM_SIZES
-    ) -> None:
+    def __init__(self, feature_dim: int) -> None:
         if feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
         self.feature_dim = int(feature_dim)
-        self.ngram_sizes = tuple(int(n) for n in ngram_sizes)
         self._ids: dict[str, int] = {}
         self._indptr = np.zeros(64, dtype=np.int64)
         self._indices = np.zeros(1024, dtype=np.int32)
         self._data = np.zeros(1024)
 
     def _intern(self, text: str) -> int:
-        buckets = featurize(text, self.ngram_sizes, self.feature_dim)
+        buckets = featurize(text, self.feature_dim)
         row = len(self._ids)
         start = self._indptr[row]
         end = start + len(buckets)
@@ -151,30 +146,20 @@ class BiEncoderModel:
 
     kind = "bi-encoder"
 
-    def __init__(
-        self,
-        projection: np.ndarray,
-        ngram_sizes: Sequence[int] = DEFAULT_NGRAM_SIZES,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, projection: np.ndarray, seed: int = 0) -> None:
         self.projection = np.asarray(projection, dtype=np.float64)
         if self.projection.ndim != 2:
             raise ValueError("projection must be a 2-d matrix")
-        self.ngram_sizes = tuple(ngram_sizes)
         self.seed = int(seed)
-        self.featurizer = Featurizer(self.projection.shape[0], self.ngram_sizes)
+        self.featurizer = Featurizer(self.projection.shape[0])
 
     @classmethod
     def initialize(
-        cls,
-        feature_dim: int,
-        embed_dim: int,
-        ngram_sizes: Sequence[int] = DEFAULT_NGRAM_SIZES,
-        seed: int = 0,
+        cls, feature_dim: int, embed_dim: int, seed: int = 0
     ) -> "BiEncoderModel":
         rng = np.random.default_rng(seed)
         projection = _uniform_init(rng, feature_dim, (feature_dim, embed_dim))
-        return cls(projection, ngram_sizes, seed)
+        return cls(projection, seed)
 
     @property
     def feature_dim(self) -> int:
@@ -219,10 +204,6 @@ class BiEncoderModel:
 
         return units, backward
 
-    def similarity(self, text_a: str, text_b: str) -> float:
-        units = self.embed_many([text_a, text_b])
-        return float(units[0] @ units[1])
-
 
 @dataclass(frozen=True)
 class PairBlocks:
@@ -262,7 +243,6 @@ class CrossEncoderModel:
         weights: Sequence[np.ndarray],
         biases: Sequence[np.ndarray],
         feature_dim: int,
-        ngram_sizes: Sequence[int] = DEFAULT_NGRAM_SIZES,
         seed: int = 0,
     ) -> None:
         if len(weights) != len(biases):
@@ -277,16 +257,14 @@ class CrossEncoderModel:
         if self.weights[-1].shape[1] != 1:
             raise ValueError("final layer must produce a scalar score")
         self.feature_dim = int(feature_dim)
-        self.ngram_sizes = tuple(ngram_sizes)
         self.seed = int(seed)
-        self.featurizer = Featurizer(self.feature_dim, self.ngram_sizes)
+        self.featurizer = Featurizer(self.feature_dim)
 
     @classmethod
     def initialize(
         cls,
         feature_dim: int,
         hidden_dims: Sequence[int] = (64, 16),
-        ngram_sizes: Sequence[int] = DEFAULT_NGRAM_SIZES,
         seed: int = 0,
     ) -> "CrossEncoderModel":
         rng = np.random.default_rng(seed)
@@ -296,7 +274,7 @@ class CrossEncoderModel:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(_uniform_init(rng, fan_in, (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(weights, biases, feature_dim, ngram_sizes, seed)
+        return cls(weights, biases, feature_dim, seed)
 
     @property
     def hidden_dims(self) -> tuple[int, ...]:
@@ -445,7 +423,7 @@ def _model_meta(model) -> dict:
     meta = {
         "kind": model.kind,
         "version": _CHECKPOINT_VERSION,
-        "ngram_sizes": list(model.ngram_sizes),
+        "ngram_sizes": list(NGRAM_SIZES),
         "seed": model.seed,
     }
     if isinstance(model, BiEncoderModel):
@@ -491,6 +469,11 @@ def load_checkpoint(path):
         }
     if meta.get("version") != _CHECKPOINT_VERSION:
         raise FileFormatError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+    if meta.get("ngram_sizes") != list(NGRAM_SIZES):
+        raise FileFormatError(
+            f"{path}: n-gram sizes {meta.get('ngram_sizes')!r} differ from the"
+            f" featurizer's {list(NGRAM_SIZES)}"
+        )
     kind = meta.get("kind")
     if kind == BiEncoderModel.kind:
         projection = params.get("projection")
@@ -501,7 +484,7 @@ def load_checkpoint(path):
                 f"{path}: projection shape {projection.shape} does not match "
                 f"header dims ({meta['feature_dim']}, {meta['embed_dim']})"
             )
-        return BiEncoderModel(projection, meta["ngram_sizes"], meta["seed"])
+        return BiEncoderModel(projection, meta["seed"])
     if kind == CrossEncoderModel.kind:
         n_layers = len(meta["hidden_dims"]) + 1
         try:
@@ -520,7 +503,5 @@ def load_checkpoint(path):
                     f"{path}: layer {i} shape {w.shape} does not match header "
                     f"dims ({expected[i]}, {expected[i + 1]})"
                 )
-        return CrossEncoderModel(
-            weights, biases, meta["feature_dim"], meta["ngram_sizes"], meta["seed"]
-        )
+        return CrossEncoderModel(weights, biases, meta["feature_dim"], meta["seed"])
     raise FileFormatError(f"{path}: unknown checkpoint kind {kind!r}")

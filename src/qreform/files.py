@@ -85,7 +85,12 @@ def read_tsv(
     kind: str,
     has_columns: bool = False,
 ) -> tuple[dict[str, str], list[list[str]]]:
-    """Read a versioned TSV, returning (header attrs, data rows)."""
+    """Read a versioned TSV, returning (header attrs, data rows).
+
+    With ``has_columns`` the first row names the columns, and a data row
+    with another number of cells raises ``FileFormatError`` naming the
+    file and line.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -93,11 +98,17 @@ def read_tsv(
             raise FileFormatError(f"{path}: empty file, expected a {kind} header")
         attrs = parse_header(header, kind, path)
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            rows.append(line.split("\t"))
+            row = line.split("\t")
+            if has_columns and rows and len(row) != len(rows[0]):
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected {len(rows[0])} tab-separated"
+                    f" cells ({', '.join(rows[0])}), got {len(row)}"
+                )
+            rows.append(row)
     if has_columns and rows:
         rows = rows[1:]
     return attrs, rows

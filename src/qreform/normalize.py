@@ -1,8 +1,13 @@
 """Query text canonicalization and behavior grouping.
 
-The pipeline is fixed-order: lowercase, protected-entity masking, script
-mapping, tokenization, stop-word removal, suffix stemming, token sorting,
-and joining with "_".  Script mapping and stemming iterate to a fixed
+The pipeline is fixed-order: NFKC compatibility folding, lowercase,
+protected-entity masking, script mapping, tokenization, stop-word
+removal, suffix stemming, token sorting, and joining with "_".  NFKC
+makes precomposed and decomposed spellings (a nukta, an accent) and
+half-width katakana read alike.  Tokens split at whitespace,
+punctuation and script changes; a combining mark (a vowel sign, virama
+or nukta) continues the token it follows and is dropped where no token
+precedes it.  Script mapping and stemming iterate to a fixed
 point, and the whole pipeline is itself iterated to a fixed point (with a
 cycle guard), so normalization is idempotent for any configuration.
 Entity masking and script mapping rewrite the longest key that matches at
@@ -11,7 +16,8 @@ expression built once per config, and empty keys are rejected because
 they would match everywhere.
 Queries sharing a normalized form are grouped and their purchase counts
 summed, which lets product counts that are individually below the noise
-filter survive at the group level.
+filter survive at the group level.  A query whose form is empty (only
+stop-words or punctuation) joins no group.
 """
 
 from __future__ import annotations
@@ -36,6 +42,12 @@ _MASK_CLOSE = "\ue001"
 _MASK_SPLIT = re.compile(f"({_MASK_OPEN}[0-9]+{_MASK_CLOSE})")
 
 
+def _fold(text: str) -> str:
+    """NFKC then lowercase: the first two stages, applied to queries and
+    to every configured resource alike."""
+    return unicodedata.normalize("NFKC", text).lower()
+
+
 def _longest_first(keys: Iterable[str]) -> re.Pattern[str]:
     """One alternation over the literal ``keys``, longest first.
 
@@ -58,8 +70,8 @@ class NormalizationConfig:
     longest-suffix-first.  ``protected_entities`` pass through every stage
     verbatim.  Script-map keys and entities are matched longest key first
     at each position; an empty key or entity raises ``ValueError``.  All
-    resources are lowercased on construction because they apply after the
-    lowercase stage, and the matchers are compiled once here.
+    resources are NFKC-folded and lowercased on construction because they
+    apply after those stages, and the matchers are compiled once here.
     """
 
     stopwords: frozenset[str] = frozenset()
@@ -68,18 +80,18 @@ class NormalizationConfig:
     stemmer_rules: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stopwords", frozenset(w.lower() for w in self.stopwords))
-        script_map = {k.lower(): v.lower() for k, v in (self.script_map or {}).items()}
+        object.__setattr__(self, "stopwords", frozenset(map(_fold, self.stopwords)))
+        script_map = {_fold(k): _fold(v) for k, v in (self.script_map or {}).items()}
         if "" in script_map:
             raise ValueError(
                 f"script map has an empty key (mapped to {script_map['']!r})"
             )
         object.__setattr__(self, "script_map", script_map)
-        entities = frozenset(e.lower() for e in self.protected_entities)
+        entities = frozenset(map(_fold, self.protected_entities))
         if "" in entities:
             raise ValueError("protected entities contain an empty entry ''")
         object.__setattr__(self, "protected_entities", entities)
-        rules = tuple((s.lower(), r.lower()) for s, r in self.stemmer_rules)
+        rules = tuple((_fold(s), _fold(r)) for s, r in self.stemmer_rules)
         object.__setattr__(self, "stemmer_rules", rules)
         object.__setattr__(self, "_script_pattern", _longest_first(script_map))
         object.__setattr__(self, "_entity_pattern", _longest_first(entities))
@@ -202,6 +214,8 @@ def _char_class(ch: str) -> str:
     category = unicodedata.category(ch)
     if category.startswith("L"):
         return "letter"
+    if category.startswith("M"):
+        return "mark"
     return "other"
 
 
@@ -232,6 +246,9 @@ def _split_script_boundaries(chunk: str) -> list[str]:
         cls = _char_class(ch)
         if cls == "other":
             flush()
+        elif cls == "mark":
+            if current:
+                current.append(ch)
         elif current_class is None or cls == current_class:
             current.append(ch)
             current_class = cls
@@ -263,8 +280,8 @@ def _stem(token: str, ordered_rules: Sequence[tuple[str, str]]) -> str:
     return _fixed_point(token, step)
 
 
-def _pipeline_pass(raw: str, config: NormalizationConfig) -> tuple[str, bool]:
-    text = raw.lower().replace(_MASK_OPEN, "").replace(_MASK_CLOSE, "")
+def _pipeline_pass(raw: str, config: NormalizationConfig) -> str:
+    text = _fold(raw).replace(_MASK_OPEN, "").replace(_MASK_CLOSE, "")
 
     text, masked = config._mask_entities(text)
     # The script map must not reach a mask's index: a digit key would
@@ -273,10 +290,7 @@ def _pipeline_pass(raw: str, config: NormalizationConfig) -> tuple[str, bool]:
     parts[::2] = [_fixed_point(part, config._map_script_once) for part in parts[::2]]
     text = "".join(parts)
 
-    tokens = _tokenize(text)
-    had_tokens = bool(tokens)
-    tokens = [t for t in tokens if t not in config.stopwords]
-    emptied = had_tokens and not tokens
+    tokens = [t for t in _tokenize(text) if t not in config.stopwords]
 
     processed: list[str] = []
     for token in tokens:
@@ -285,25 +299,12 @@ def _pipeline_pass(raw: str, config: NormalizationConfig) -> tuple[str, bool]:
         else:
             processed.append(_stem(token, config._suffix_rules))
 
-    return SEPARATOR.join(sorted(processed)), emptied
-
-
-@dataclass(frozen=True)
-class NormalizationResult:
-    text: str
-    emptied_by_stopwords: bool
-
-
-def normalize_detail(raw: str, config: NormalizationConfig) -> NormalizationResult:
-    """Run the pipeline to a fixed point, reporting stop-word blanking."""
-    first, emptied = _pipeline_pass(raw, config)
-    text = _fixed_point(first, lambda value: _pipeline_pass(value, config)[0])
-    return NormalizationResult(text, emptied)
+    return SEPARATOR.join(sorted(processed))
 
 
 def normalize(raw: str, config: NormalizationConfig) -> str:
     """Canonical form of a raw query; idempotent for any config."""
-    return normalize_detail(raw, config).text
+    return _fixed_point(raw, lambda value: _pipeline_pass(value, config))
 
 
 @dataclass(frozen=True)
@@ -326,13 +327,15 @@ def group_queries(corpus: "Corpus", config: NormalizationConfig) -> list[QueryGr
     """Partition the corpus by normalized form, summing raw purchase counts.
 
     Also fills each QueryRecord's ``normalized_text`` as a side effect of
-    the normalization pass.
+    the normalization pass.  Queries whose form is empty share nothing
+    but the absence of words, so they are left out of every group.
     """
     buckets: dict[str, list[str]] = {}
     for query_id, record in corpus.queries.items():
         normalized = normalize(record.raw_text, config)
         record.normalized_text = normalized
-        buckets.setdefault(normalized, []).append(query_id)
+        if normalized:
+            buckets.setdefault(normalized, []).append(query_id)
 
     groups = []
     for normalized in sorted(buckets):
@@ -371,12 +374,11 @@ def save_groups(path, groups: Iterable[QueryGroup]) -> None:
 def load_groups(path) -> list[QueryGroup]:
     _, rows = read_tsv(path, GROUPS_KIND, has_columns=True)
     groups = []
-    for row in rows:
-        normalized, members_field = row[0], row[1]
+    for normalized, members, counts_field in rows:
         counts: dict[str, int] = {}
-        if len(row) > 2 and row[2]:
-            for item in row[2].split(","):
+        if counts_field:
+            for item in counts_field.split(","):
                 product, _, count = item.rpartition(":")
                 counts[product] = int(count)
-        groups.append(QueryGroup(normalized, tuple(members_field.split(",")), counts))
+        groups.append(QueryGroup(normalized, tuple(members.split(",")), counts))
     return groups

@@ -200,15 +200,49 @@ def select_threshold(
     return float(best_threshold)
 
 
+def _fits(value: object, default: object) -> bool:
+    """Whether a JSON value may stand where the field's default does: of
+    the default's type, where an int also serves a float, and a bool
+    serves only a bool."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _check_section(cls, data: object, section: str) -> None:
-    """A config section must be a JSON object naming only fields of ``cls``."""
+    """A config section must be a JSON object naming only fields of
+    ``cls``, each holding a value of its default's type; a list field
+    holds a JSON list of its default items' type."""
     if not isinstance(data, Mapping):
         raise ValueError(
             f"{section} config must be a JSON object, got {type(data).__name__}"
         )
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    defaults = vars(cls())  # the fields' default values, by name
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
+    for name, value in data.items():
+        default = defaults[name]
+        if dataclasses.is_dataclass(default):
+            continue  # a nested section, checked on its own
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(
+                    f"{name} config must be a JSON list, got {type(value).__name__}"
+                )
+            bad = [item for item in value if not _fits(item, default[0])]
+            if bad:
+                raise ValueError(
+                    f"{section} config {name} must list {type(default[0]).__name__}"
+                    f" values, got {bad[0]!r}"
+                )
+        elif not _fits(value, default):
+            raise ValueError(
+                f"{section} config {name} must be {type(default).__name__},"
+                f" got {type(value).__name__} {value!r}"
+            )
 
 
 @dataclass
@@ -257,19 +291,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        """Rejects a section that is not an object, or keys that name no
-        field, with a ValueError naming the section."""
+        """Rejects a section that is not an object, a key that names no
+        field, or a value of the wrong type, with a ValueError naming the
+        section and the field."""
         _check_section(cls, data, "top-level")
         data = dict(data)
         if "synth" in data:
             _check_section(synth_mod.SynthConfig, data["synth"], "synth")
             data["synth"] = synth_mod.SynthConfig(**data["synth"])
         if "hidden_dims" in data:
-            if not isinstance(data["hidden_dims"], (list, tuple)):
-                raise ValueError(
-                    "hidden_dims config must be a JSON list, got "
-                    f"{type(data['hidden_dims']).__name__}"
-                )
             data["hidden_dims"] = tuple(data["hidden_dims"])
         return cls(**data)
 
@@ -716,95 +746,82 @@ def _ground_truth(
     return truth
 
 
-def _retrieved_lists(
-    model, truth_queries: Sequence[str], pool: Mapping[str, str], k: int
-) -> dict[str, list[str]]:
-    index = knn_mod.build_index(model, pool)
-    probes = model.embed_many(list(truth_queries))
-    ranked = index.knn_many(probes, k + 1)
-    out = {}
-    for query, hits in zip(truth_queries, ranked):
-        out[query] = [qid for qid, _ in hits if qid != query][:k]
-    return out
+def _evaluation_inputs(paths: PipelinePaths):
+    """The rich pool, the behavior truth and the audit labels of a run."""
+    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    pool = _rich_pool(corpus)
+    truth = _ground_truth(paths, set(pool))
+    return pool, truth, eval_mod.load_audit_labels(paths.audit)
 
 
-def _audit_metrics(model, audit: Sequence[eval_mod.AuditLabel]) -> dict[str, float]:
-    """How well the bi-encoder's similarity orders the graded audit pairs."""
-    sources = model.embed_many([label.source for label in audit])
-    targets = model.embed_many([label.target for label in audit])
-    scores = np.sum(sources * targets, axis=1)
-    labels = [label.label for label in audit]
-    return {
-        "auroc_strict": eval_mod.auroc_strict(scores, labels),
-        "auroc_notrel": eval_mod.auroc_notrel(scores, labels),
-        "spearman": eval_mod.spearman(scores, labels),
-    }
-
-
-def _evaluate_retriever(
+def _model_report(
     model_id: str,
     model,
-    truth: Mapping[str, Mapping[str, float]],
     pool: Mapping[str, str],
+    truth: Mapping[str, Mapping[str, float]],
     audit: Sequence[eval_mod.AuditLabel],
+    final_lists: Mapping[str, Sequence[str]] | None,
     k: int,
-) -> tuple[eval_mod.EvalReport, dict[str, list[str]]]:
-    """The retriever's report, plus its top-k lists for the re-rankers."""
+) -> tuple[eval_mod.EvalReport, Mapping[str, Sequence[str]]]:
+    """One model's report, and the top-k lists it was scored on.
+
+    A retriever retrieves its own lists from ``pool`` and is scored on
+    recall against ``truth`` and on how its similarity orders the audit
+    pairs.  A re-ranker re-scores ``final_lists``, the final retriever's
+    lists, together with each query's truth partners.  Queries without
+    behavior-rich partners are left out.
+    """
     queries = sorted(q for q in truth if truth[q])
-    retrieved = _retrieved_lists(model, queries, pool, k)
-    metrics: dict[str, float | int | None] = {"n_eval_queries": len(queries)}
+    if model_id in RERANKER_IDS:
+        scored_truth = {q: truth[q] for q in queries}
+        scores: dict[str, dict[str, float]] = {}
+        for query in queries:
+            candidates = sorted(set(truth[query]) | set(final_lists.get(query, ())))
+            values = model.score_many([(query, c) for c in candidates])
+            scores[query] = dict(zip(candidates, (float(v) for v in values)))
+        metrics: dict[str, float | int | None] = {}
+        for mode in (eval_mod.MODE_GENERAL, eval_mod.MODE_HARD):
+            ndcg = eval_mod.ndcg_at_3(scores, scored_truth, mode, final_lists)
+            metrics[f"ndcg3_{mode}"] = ndcg.value
+            metrics[f"ndcg3_{mode}_queries"] = ndcg.n_queries
+            metrics[f"ndcg3_{mode}_skipped"] = ndcg.n_skipped
+        return eval_mod.EvalReport(model_id, metrics), final_lists
+
+    index = knn_mod.build_index(model, pool)
+    ranked = index.knn_many(model.embed_many(queries), k + 1)
+    retrieved = {
+        query: [qid for qid, _ in hits if qid != query][:k]
+        for query, hits in zip(queries, ranked)
+    }
+    metrics = {"n_eval_queries": len(queries)}
     for scope in (eval_mod.SCOPE_TOP3, eval_mod.SCOPE_ALL):
         for average in (eval_mod.AVERAGE_MICRO, eval_mod.AVERAGE_MACRO):
             metrics[f"recall{k}_{scope}_{average}"] = eval_mod.recall_at_k(
                 retrieved, truth, k, scope, average
             )
-    metrics.update(_audit_metrics(model, audit))
+    sources = model.embed_many([label.source for label in audit])
+    targets = model.embed_many([label.target for label in audit])
+    similarity = np.sum(sources * targets, axis=1)
+    labels = [label.label for label in audit]
+    metrics["auroc_strict"] = eval_mod.auroc_strict(similarity, labels)
+    metrics["auroc_notrel"] = eval_mod.auroc_notrel(similarity, labels)
+    metrics["spearman"] = eval_mod.spearman(similarity, labels)
     return eval_mod.EvalReport(model_id, metrics), retrieved
 
 
-def _evaluate_reranker(
-    model_id: str,
-    model,
-    truth: Mapping[str, Mapping[str, float]],
-    retrieved: Mapping[str, Sequence[str]],
-) -> eval_mod.EvalReport:
-    # Queries without behavior-rich partners have nothing to rank.
-    scored_truth = {q: truth[q] for q in sorted(truth) if truth[q]}
-    scores: dict[str, dict[str, float]] = {}
-    for query in sorted(scored_truth):
-        candidates = sorted(set(scored_truth[query]) | set(retrieved.get(query, ())))
-        values = model.score_many([(query, c) for c in candidates])
-        scores[query] = dict(zip(candidates, (float(v) for v in values)))
-    general = eval_mod.ndcg_at_3(scores, scored_truth, eval_mod.MODE_GENERAL)
-    hard = eval_mod.ndcg_at_3(scores, scored_truth, eval_mod.MODE_HARD, retrieved)
-    metrics = {
-        "ndcg3_general": general.value,
-        "ndcg3_general_queries": general.n_queries,
-        "ndcg3_general_skipped": general.n_skipped,
-        "ndcg3_hard": hard.value,
-        "ndcg3_hard_queries": hard.n_queries,
-        "ndcg3_hard_skipped": hard.n_skipped,
-    }
-    return eval_mod.EvalReport(model_id, metrics)
-
-
 def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    pool = _rich_pool(corpus)
-    truth = _ground_truth(paths, set(pool))
-    audit = eval_mod.load_audit_labels(paths.audit)
-
+    """Save every model's report; the re-rankers score what the final
+    ANCE retriever, reported before them, surfaces."""
+    inputs = _evaluation_inputs(paths)
     final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
-    retrieved: dict[str, dict[str, list[str]]] = {}
+    final_lists = None
     for model_id in model_ids(config.ance_rounds):
         model = load_checkpoint(paths.checkpoint(model_id))
-        if model_id in RERANKER_IDS:
-            # The re-rankers score what the final ANCE retriever surfaces.
-            report = _evaluate_reranker(model_id, model, truth, retrieved[final_id])
-        else:
-            report, retrieved[model_id] = _evaluate_retriever(
-                model_id, model, truth, pool, audit, config.eval_k
-            )
+        report, lists = _model_report(
+            model_id, model, *inputs, final_lists, config.eval_k
+        )
+        if model_id == final_id:
+            final_lists = lists
         eval_mod.save_report(report, paths.report(model_id))
 
 
@@ -1015,48 +1032,26 @@ def run_pipeline(
     return PipelineRun(paths.root, manifest, executed, skipped)
 
 
-EVAL_MODE_RETRIEVAL = "retrieval"
-EVAL_MODE_RERANK = "rerank"
-EVAL_MODE_AUDIT = "audit"
+def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport:
+    """The report the evaluate stage saves for ``model_id``, computed
+    afresh from an existing run's artifacts.
 
-
-def evaluate_model(
-    config: PipelineConfig, model_id: str, mode: str
-) -> eval_mod.EvalReport:
-    """Metrics for one model/mode from an existing run's artifacts.
-
-    Retrievers take the retrieval and audit modes, re-rankers the rerank
-    mode; any other model id or mode raises before anything is loaded.
+    A re-ranker's report needs the final retriever's lists, so that
+    retriever is evaluated first.  An unknown model id raises before
+    anything is loaded.
     """
     if model_id not in model_ids(config.ance_rounds):
         raise ValueError(f"unknown model id: {model_id!r}")
-    if model_id in RERANKER_IDS:
-        modes = (EVAL_MODE_RERANK,)
-    else:
-        modes = (EVAL_MODE_RETRIEVAL, EVAL_MODE_AUDIT)
-    if mode not in modes:
-        raise ValueError(
-            f"model {model_id!r} cannot be evaluated in mode {mode!r}"
-            f" (its modes: {', '.join(modes)})"
-        )
     paths = PipelinePaths(Path(config.out_dir))
+    inputs = _evaluation_inputs(paths)
+    final_lists = None
+    if model_id in RERANKER_IDS:
+        final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
+        final = load_checkpoint(paths.checkpoint(final_id))
+        _, final_lists = _model_report(final_id, final, *inputs, None, config.eval_k)
     model = load_checkpoint(paths.checkpoint(model_id))
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    pool = _rich_pool(corpus)
-    if mode == EVAL_MODE_AUDIT:
-        audit = eval_mod.load_audit_labels(paths.audit)
-        return eval_mod.EvalReport(model_id, _audit_metrics(model, audit))
-    truth = _ground_truth(paths, set(pool))
-    if mode == EVAL_MODE_RETRIEVAL:
-        audit = eval_mod.load_audit_labels(paths.audit)
-        report, _ = _evaluate_retriever(
-            model_id, model, truth, pool, audit, config.eval_k
-        )
-        return report
-    final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-    queries = sorted(q for q in truth if truth[q])
-    retrieved = _retrieved_lists(final, queries, pool, config.eval_k)
-    return _evaluate_reranker(model_id, model, truth, retrieved)
+    report, _ = _model_report(model_id, model, *inputs, final_lists, config.eval_k)
+    return report
 
 
 def load_reports(config: PipelineConfig) -> dict[str, eval_mod.EvalReport]:
@@ -1068,12 +1063,16 @@ def load_reports(config: PipelineConfig) -> dict[str, eval_mod.EvalReport]:
     return reports
 
 
-def tail_queries(corpus: corpus_mod.Corpus, fraction: float = 1 / 3) -> list[str]:
-    """Bottom-traffic slice by total surviving purchases (ties by id)."""
+TAIL_FRACTION = 1 / 3
+
+
+def tail_queries(corpus: corpus_mod.Corpus) -> list[str]:
+    """The bottom ``TAIL_FRACTION`` of queries by total surviving
+    purchases (ties by id), at least one."""
     ordered = sorted(
         corpus.queries, key=lambda q: (corpus.queries[q].total_purchases, q)
     )
-    n_tail = max(1, int(len(ordered) * fraction))
+    n_tail = max(1, int(len(ordered) * TAIL_FRACTION))
     return ordered[:n_tail]
 
 
@@ -1106,16 +1105,14 @@ def load_serving_state(config: PipelineConfig) -> ServingState:
     )
 
 
-def tail_reformulation_rate(
-    config: PipelineConfig, fraction: float = 1 / 3
-) -> float:
+def tail_reformulation_rate(config: PipelineConfig) -> float:
     """Share of tail queries whose reformulations include their own intent."""
     paths = PipelinePaths(Path(config.out_dir))
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     truth = synth_mod.load_ground_truth(paths.intents, paths.relations)
     state = load_serving_state(config)
 
-    tail = tail_queries(corpus, fraction)
+    tail = tail_queries(corpus)
     hits = 0
     for query in tail:
         result = reformulate(

@@ -134,9 +134,6 @@ class SynthResult:
     ground_truth: SynthGroundTruth
     audit_labels: list[AuditLabel]
     norm_config: NormalizationConfig
-    intent_tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    alt_tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    skew_tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)
     variant_form: dict[str, str] = field(default_factory=dict)
 
 
@@ -375,9 +372,6 @@ def generate(config: SynthConfig) -> SynthResult:
         ground_truth=ground_truth,
         audit_labels=audit_labels,
         norm_config=norm_config,
-        intent_tokens=intent_tokens,
-        alt_tokens=alt_tokens,
-        skew_tokens=skew_tokens,
         variant_form=variant_form,
     )
 

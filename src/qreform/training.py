@@ -17,13 +17,17 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .files import read_tsv, write_tsv
+from .files import write_tsv
 
 OBJECTIVE_RETRIEVAL = "retrieval"
 OBJECTIVE_POINTWISE = "rerank_pointwise"
 OBJECTIVE_CIRCLE = "rerank_circle"
 
 _MASK = -1e30
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -247,26 +251,17 @@ class TrainConfig:
 
 
 class AdamOptimizer:
-    """Per-parameter adaptive moments, applied to the parameter arrays in
-    place; lr 0 leaves parameters untouched.
+    """Per-parameter adaptive moments with decays ``ADAM_BETA1`` and
+    ``ADAM_BETA2``, applied to the parameter arrays in place; lr 0 leaves
+    parameters untouched.
 
     Each step runs in two preallocated scratch arrays per parameter, in
     the operation order of ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
     so it allocates nothing and rounds exactly like that expression.
     """
 
-    def __init__(
-        self,
-        shapes: Mapping[str, tuple],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, shapes: Mapping[str, tuple], learning_rate: float) -> None:
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -278,23 +273,23 @@ class AdamOptimizer:
         self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
     ) -> None:
         self.step_count += 1
-        correct1 = 1.0 - self.beta1**self.step_count
-        correct2 = 1.0 - self.beta2**self.step_count
+        correct1 = 1.0 - ADAM_BETA1**self.step_count
+        correct2 = 1.0 - ADAM_BETA2**self.step_count
         for name, value in params.items():
             grad = grads[name]
             m = self.first[name]
             v = self.second[name]
             a, b = self._scratch[name]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, grad, out=a)
-            v *= self.beta2
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+            v *= ADAM_BETA2
             np.square(grad, out=a)
-            v += np.multiply(1.0 - self.beta2, a, out=a)
+            v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
             np.divide(m, correct1, out=a)
             np.multiply(self.learning_rate, a, out=a)
             np.divide(v, correct2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             value -= np.divide(a, b, out=a)
 
 
@@ -454,13 +449,3 @@ def save_trace(path, result: TrainResult, **attrs) -> None:
         for epoch, train_loss, val_loss in result.trace
     )
     write_tsv(path, TRACE_KIND, rows, columns=("epoch", "train_loss", "val_loss"), **attrs)
-
-
-def load_trace(path) -> TrainResult:
-    _, rows = read_tsv(path, TRACE_KIND, has_columns=True)
-    result = TrainResult()
-    for epoch, train_loss, val_loss in rows:
-        result.trace.append(
-            (int(epoch), float(train_loss), float(val_loss) if val_loss else None)
-        )
-    return result

@@ -6,8 +6,9 @@ import pytest
 
 from qreform.cli import STAGE_COMMANDS, main
 from qreform.encoders import load_checkpoint
+from qreform.evaluation import load_report
 from qreform.knn import build_index, load_index, save_index
-from qreform.pipeline import MODEL_RETRIEVER_WEIGHTED, PipelinePaths
+from qreform.pipeline import MODEL_RETRIEVER_WEIGHTED, PipelinePaths, model_ids
 from tests.conftest import copied_run, tiny_config
 
 
@@ -38,46 +39,31 @@ def test_pipeline_command_resumes(tiny_run, tmp_path, capsys):
     assert err.count("up to date, skipped") == 9
 
 
-def test_evaluate_command_prints_report(tiny_run, tmp_path, capsys):
-    config, _ = tiny_run
-    args = _config_args(config, tmp_path)
-    code = main(["evaluate", *args, "--model", "retriever_weighted", "--mode", "audit"])
+@pytest.mark.parametrize("model", model_ids(tiny_config("unused").ance_rounds))
+def test_evaluate_command_prints_saved_report(tiny_run, tmp_path, capsys, model):
+    # The tiny run's eval_k is short enough that re-ranking another
+    # round's lists would change the re-rankers' reports.
+    config, run = tiny_run
+    code = main(["evaluate", *_config_args(config, tmp_path), "--model", model])
     assert code == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0] == "model\tretriever_weighted"
-    names = {line.split("\t")[0] for line in lines[1:]}
-    assert names == {"auroc_strict", "auroc_notrel", "spearman"}
-
-
-def test_evaluate_command_rerank_mode(tiny_run, tmp_path, capsys):
-    config, _ = tiny_run
-    args = _config_args(config, tmp_path)
-    code = main(
-        ["evaluate", *args, "--model", "reranker_circle_ance", "--mode", "rerank"]
-    )
-    assert code == 0
-    assert "ndcg3_hard\t" in capsys.readouterr().out
+    saved = load_report(PipelinePaths(run.out_dir).report(model))
+    assert capsys.readouterr().out == saved.formatted()
 
 
 @pytest.mark.parametrize(
-    "model, mode",
+    "argv",
     [
-        ("retriever_weighted", "rerank"),
-        ("reranker_circle_ance", "retrieval"),
-        ("reranker_circle_ance", "audit"),
+        ["evaluate", "--model", "retriever_weighted", "--mode", "audit"],
+        ["ance", "--rounds", "1"],
+        ["ance", "--top-k", "5"],
     ],
+    ids=["evaluate-mode", "ance-rounds", "ance-top-k"],
 )
-def test_evaluate_command_rejects_mode_of_other_model_kind(
-    tiny_run, tmp_path, capsys, model, mode
-):
-    config, _ = tiny_run
-    args = _config_args(config, tmp_path)
-    code = main(["evaluate", *args, "--model", model, "--mode", mode])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: evaluate:")
-    assert repr(model) in err and repr(mode) in err
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reformulate_command_output_format(tiny_run, tmp_path, capsys):
@@ -170,8 +156,10 @@ def test_stage_failure_is_stage_qualified(tmp_path, capsys):
 
 
 def test_ance_command_rejects_zero_rounds(tmp_path, capsys):
-    config = tiny_config(tmp_path / "run")
-    code = main(["ance", *_config_args(config, tmp_path), "--rounds", "0"])
+    path = tmp_path / "config.json"
+    data = {**tiny_config(tmp_path / "run").to_dict(), "ance_rounds": 0}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["ance", "--config", str(path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ance:")
@@ -181,7 +169,7 @@ def test_ance_command_rejects_zero_rounds(tmp_path, capsys):
 def test_evaluate_unknown_model_fails_cleanly(tiny_run, tmp_path, capsys):
     config, _ = tiny_run
     args = _config_args(config, tmp_path)
-    code = main(["evaluate", *args, "--model", "nope", "--mode", "audit"])
+    code = main(["evaluate", *args, "--model", "nope"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: evaluate:")
 
@@ -234,8 +222,27 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
         ({"synth": 5}, "synth config must be a JSON object, got int"),
         ([1, 2], "top-level config must be a JSON object, got list"),
         ({"hidden_dims": 5}, "hidden_dims config must be a JSON list, got int"),
+        ({"seed": "x"}, "top-level config seed must be int, got str 'x'"),
+        ({"seed": True}, "top-level config seed must be int, got bool True"),
+        ({"batch_size": 2.5}, "top-level config batch_size must be int, got float 2.5"),
+        ({"temperature": "hot"}, "top-level config temperature must be float, got str 'hot'"),
+        ({"hidden_dims": ["a"]}, "top-level config hidden_dims must list int values, got 'a'"),
+        (
+            {"synth": {"n_intents": "many"}},
+            "synth config n_intents must be int, got str 'many'",
+        ),
     ],
-    ids=["synth-not-object", "top-level-list", "hidden_dims-not-list"],
+    ids=[
+        "synth-not-object",
+        "top-level-list",
+        "hidden_dims-not-list",
+        "seed-str",
+        "seed-bool",
+        "batch_size-float",
+        "temperature-str",
+        "hidden_dims-item-str",
+        "synth-n_intents-str",
+    ],
 )
 def test_config_section_of_wrong_type_fails_cleanly(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"

@@ -1,5 +1,8 @@
 """Char n-gram featurizer, bi-/cross-encoder models, checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from scipy import sparse
 from qreform import encoders
 from qreform.files import FileFormatError
 from qreform.encoders import (
-    DEFAULT_NGRAM_SIZES,
+    NGRAM_SIZES,
     BiEncoderModel,
     CrossEncoderModel,
     Featurizer,
@@ -26,19 +29,19 @@ TEXTS = st.text(
 ).filter(lambda s: s.strip())
 
 
-def hand_ngrams(text, sizes):
+def hand_ngrams(text):
     padded = f"^{text}$"
     grams = []
-    for n in sizes:
+    for n in (2, 3, 4):
         grams.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
     return grams
 
 
 def test_featurize_abab_bucket_counts():
     # Hand-enumerated 2/3/4-grams of "^abab$"; "ab" occurs twice.
-    counts = featurize("abab", ngram_sizes=(2, 3, 4), feature_dim=1 << 14)
+    counts = featurize("abab", feature_dim=1 << 14)
     expected = {}
-    for gram in hand_ngrams("abab", (2, 3, 4)):
+    for gram in hand_ngrams("abab"):
         bucket = _hash_bucket(gram, 1 << 14)
         expected[bucket] = expected.get(bucket, 0.0) + 1.0
     assert counts == expected
@@ -46,22 +49,22 @@ def test_featurize_abab_bucket_counts():
 
 
 def test_featurize_includes_boundary_markers():
-    counts = featurize("ab", ngram_sizes=(2,), feature_dim=1 << 14)
+    counts = featurize("ab", feature_dim=1 << 14)
     assert counts[_hash_bucket("^a", 1 << 14)] == 1.0
     assert counts[_hash_bucket("b$", 1 << 14)] == 1.0
 
 
 def test_featurize_empty_text_error():
     with pytest.raises(ValueError):
-        featurize("", ngram_sizes=DEFAULT_NGRAM_SIZES, feature_dim=16)
+        featurize("", feature_dim=16)
 
 
-def assembled_matrix(feature_dim, ngram_sizes, texts):
+def assembled_matrix(feature_dim, texts):
     """Reference: one featurize call per text, rows stacked one by one."""
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     index_parts, value_parts = [], []
     for i, text in enumerate(texts):
-        buckets = featurize(text, ngram_sizes, feature_dim)
+        buckets = featurize(text, feature_dim)
         indices = np.array(sorted(buckets), dtype=np.int32)
         index_parts.append(indices)
         value_parts.append(np.array([buckets[b] for b in indices], dtype=np.float64))
@@ -75,10 +78,10 @@ def assembled_matrix(feature_dim, ngram_sizes, texts):
 @given(st.lists(st.lists(TEXTS, max_size=6), min_size=1, max_size=4))
 def test_featurizer_matrix_equals_assembled_rows(batches):
     # Batches repeat texts within and across calls, so gathers mix hits and misses.
-    feat = Featurizer(1 << 9, (2, 3))
+    feat = Featurizer(1 << 9)
     for texts in batches:
         got = feat.matrix(texts)
-        want = assembled_matrix(1 << 9, (2, 3), texts)
+        want = assembled_matrix(1 << 9, texts)
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -107,7 +110,7 @@ def test_model_featurizes_each_distinct_text_once(monkeypatch):
 
 
 def test_featurizer_matrix_matches_rows():
-    feat = Featurizer(1 << 10, (2, 3))
+    feat = Featurizer(1 << 10)
     texts = ["abc", "abd", "abc"]
     matrix = feat.matrix(texts)
     assert matrix.shape == (3, 1 << 10)
@@ -136,10 +139,10 @@ def test_bi_encoder_norm_invariant_fuzz(text):
 
 def test_bi_encoder_similarity_is_cosine():
     model = BiEncoderModel.initialize(1 << 12, 16, seed=0)
-    a, b = model.embed("red mask"), model.embed("red masks")
-    assert model.similarity("red mask", "red masks") == pytest.approx(
-        float(a @ b), abs=1e-12
-    )
+    units = model.embed_many(["red mask", "red masks"])
+    raw = model.featurizer.matrix(["red mask", "red masks"]) @ model.projection
+    cosine = raw[0] @ raw[1] / (np.linalg.norm(raw[0]) * np.linalg.norm(raw[1]))
+    assert float(units[0] @ units[1]) == pytest.approx(cosine, abs=1e-12)
 
 
 def test_bi_encoder_init_bounds():
@@ -287,6 +290,20 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
     arrays["param_projection"] = arrays["param_projection"][:-1, :]
     np.savez(path, **arrays)
     with pytest.raises(FileFormatError, match="shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_other_ngram_sizes(tmp_path):
+    path = tmp_path / "bi.npz"
+    save_checkpoint(BiEncoderModel.initialize(1 << 6, 4, seed=0), path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    assert meta["ngram_sizes"] == list(NGRAM_SIZES) == [2, 3, 4]
+    meta["ngram_sizes"] = [2, 3]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: n-gram sizes"):
         load_checkpoint(path)
 
 

@@ -1,9 +1,11 @@
 """Versioned artifact file plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 
-from qreform import encoders, knn
+from qreform import ance, corpus, encoders, evaluation, knn, mining
 from qreform.files import (
     FileFormatError,
     format_header,
@@ -54,6 +56,41 @@ def test_tsv_missing_header(tmp_path):
     path.write_text("a\tb\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
         read_tsv(path, "demo")
+
+
+def _pairs(path):
+    mining.save_pairs(path, [mining.QueryPair("a", "b", 0.5, 0.4, 0.6, 2)])
+    return mining.load_pairs
+
+
+def _audit_labels(path):
+    evaluation.save_audit_labels(path, [evaluation.AuditLabel("a", "b", 2)])
+    return evaluation.load_audit_labels
+
+
+def _hard_negatives(path):
+    ance.save_hard_negatives(path, [ance.HardNegativeRecord("a", ("b", "c"), 1, "x")])
+    return ance.load_hard_negatives
+
+
+def _corpus_queries(path):
+    records = corpus.Corpus(min_purchase=1)
+    records.add_row("a", "p", 1)
+    records.finalize()
+    events = path.with_name("events.tsv")
+    corpus.save_queries(records, path)
+    corpus.save_events(records, events)
+    return lambda queries: corpus.load_corpus(queries, events)
+
+
+@pytest.mark.parametrize("save", [_pairs, _audit_labels, _hard_negatives, _corpus_queries])
+def test_truncated_row_names_file_and_line(tmp_path, save):
+    path = tmp_path / "artifact.tsv"
+    load = save(path)
+    header, columns, row = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{header}\n{columns}\n\n{row.rsplit(chr(9), 1)[0]}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:4: expected"):
+        load(path)
 
 
 def test_iter_log_lines_skips_blanks_and_comments(tmp_path):

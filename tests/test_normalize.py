@@ -15,7 +15,6 @@ from qreform.normalize import (
     load_config,
     load_groups,
     normalize,
-    normalize_detail,
     save_config,
     save_groups,
     singleton_groups,
@@ -63,13 +62,43 @@ def test_script_boundary_splitting():
     assert normalize("マスク子供", config) == "マスク_子供"
 
 
-def test_stopword_removal_and_flag():
-    result = normalize_detail("mask na wo", PLAIN)
-    assert result.text == "mask"
-    assert not result.emptied_by_stopwords
-    emptied = normalize_detail("na wo", PLAIN)
-    assert emptied.text == ""
-    assert emptied.emptied_by_stopwords
+def test_stopword_removal():
+    assert normalize("mask na wo", PLAIN) == "mask"
+    assert normalize("na wo", PLAIN) == ""
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        # Vowel signs and the virama are marks inside a Hindi word.
+        ("क्या है", "क्या_है"),
+        # The nukta, precomposed (U+095E) or as a mark after the consonant.
+        ("मोबाइल \u095eोन", "फ़ोन_मोबाइल"),
+        ("मोबाइल \u092b\u093cोन", "फ़ोन_मोबाइल"),
+        # Half-width katakana folds to full-width.
+        ("ｽﾏﾎ ｹｰｽ", "ケース_スマホ"),
+        # A decomposed accent composes; precomposed input is unchanged.
+        ("cafe\u0301", "caf\u00e9"),
+        ("caf\u00e9", "caf\u00e9"),
+        # A mark with no token before it is dropped.
+        ("\u0301mask", "mask"),
+    ],
+    ids=["hindi", "nukta-precomposed", "nukta-mark", "half-width", "decomposed",
+         "precomposed", "leading-mark"],
+)
+def test_unicode_worked_examples(raw, expected):
+    assert normalize(raw, PLAIN) == expected
+
+
+def test_resources_fold_like_queries():
+    config = NormalizationConfig(
+        stopwords=frozenset({"ｹｰｽ"}),
+        script_map={"\u095e": "\u092b"},
+        protected_entities=frozenset({"CAFE\u0301"}),
+        # Without the folded entity, the second rule would stem café.
+        stemmer_rules=(("ﾎ", ""), ("\u00e9", "e")),
+    )
+    assert normalize("ケース café फ़ोन スマホ", config) == "café_फोन_スマ"
 
 
 def test_stemming_to_fixpoint():
@@ -302,6 +331,17 @@ def test_groups_file_round_trip(tmp_path):
     save_groups(path, groups)
     loaded = load_groups(path)
     assert loaded == groups
+
+
+def test_empty_forms_join_no_group():
+    corpus = build_corpus(
+        [("na wo", "pA", 3), ("wo", "pA", 3), ("!!!", "pA", 3), ("mask", "pA", 3)]
+    )
+    groups = group_queries(corpus, PLAIN)
+    assert [(g.normalized_text, g.member_query_ids) for g in groups] == [
+        ("mask", ("mask",))
+    ]
+    assert corpus.queries["!!!"].normalized_text == ""
 
 
 def test_group_queries_fills_normalized_text():

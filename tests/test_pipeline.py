@@ -13,13 +13,11 @@ import pytest
 from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
 from qreform.encoders import load_checkpoint, params_checksum
-from qreform.evaluation import EvalReport, load_report
+from qreform.evaluation import load_report
 from qreform.files import read_tsv
 from qreform.knn import load_index
 from qreform.mining import load_pairs
 from qreform.pipeline import (
-    MODEL_RERANKER_CIRCLE,
-    MODEL_RETRIEVER_BASELINE,
     MODEL_RETRIEVER_WEIGHTED,
     AugmentationParams,
     PipelineConfig,
@@ -28,7 +26,6 @@ from qreform.pipeline import (
     _stage_specs,
     augment_feature,
     augment_for_tier,
-    evaluate_model,
     load_threshold,
     reformulate,
     run_pipeline,
@@ -261,29 +258,6 @@ def test_tail_reformulation_rate_computable(tiny_run):
     config, _ = tiny_run
     rate = tail_reformulation_rate(config)
     assert 0.0 <= rate <= 1.0
-
-
-def test_evaluate_model_modes(tiny_run):
-    config, run = tiny_run
-    paths = PipelinePaths(run.out_dir)
-    retrieval = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "retrieval")
-    assert f"recall{config.eval_k}_top3_micro" in retrieval.metrics
-    saved = load_report(paths.report(MODEL_RETRIEVER_BASELINE))
-    assert retrieval.metric_rows() == saved.metric_rows()
-    audit = evaluate_model(config, MODEL_RETRIEVER_BASELINE, "audit")
-    assert set(audit.metrics) == {"auroc_strict", "auroc_notrel", "spearman"}
-    saved_audit = {name: saved.metrics[name] for name in audit.metrics}
-    assert audit.metric_rows() == EvalReport("", saved_audit).metric_rows()
-    # The stage must re-rank the final round's candidates, as this call
-    # does; the tiny run's eval_k is short enough to tell the rounds apart.
-    rerank = evaluate_model(config, MODEL_RERANKER_CIRCLE, "rerank")
-    assert "ndcg3_hard" in rerank.metrics
-    saved = load_report(paths.report(MODEL_RERANKER_CIRCLE))
-    assert rerank.metric_rows() == saved.metric_rows()
-    with pytest.raises(ValueError):
-        evaluate_model(config, MODEL_RETRIEVER_BASELINE, "bogus")
-    with pytest.raises(ValueError):
-        evaluate_model(config, "no_such_model", "retrieval")
 
 
 def test_each_ance_round_mines_with_the_previous_round_model(tiny_run):

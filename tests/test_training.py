@@ -8,17 +8,18 @@ import pytest
 
 from qreform.corpus import canonical_pair
 from qreform.encoders import BiEncoderModel, CrossEncoderModel
+from qreform.files import read_tsv
 from qreform.training import (
     OBJECTIVE_CIRCLE,
     OBJECTIVE_POINTWISE,
     OBJECTIVE_RETRIEVAL,
+    TRACE_KIND,
     AdamOptimizer,
     RerankBatch,
     RetrievalBatch,
     RetrievalExample,
     TrainConfig,
     build_retrieval_batches,
-    load_trace,
     loss_rerank_circle_many,
     loss_rerank_pointwise,
     loss_retrieval,
@@ -94,7 +95,7 @@ def test_infonce_exclusion_masks_accidental_positive():
             excluded=frozenset({(0, 1)}),
         ),
     )
-    z00 = model.similarity(anchors[0], positives[0]) / 0.07
+    z00 = float(model.embed(anchors[0]) @ model.embed(positives[0])) / 0.07
     expected = math.log(math.exp(z00)) - z00  # only one candidate remains
     assert masked == pytest.approx(expected, abs=1e-12)
 
@@ -370,11 +371,13 @@ def test_train_pointwise_and_trace_round_trip(tmp_path):
     result = train(model, data, data, config)
     path = tmp_path / "trace.tsv"
     save_trace(path, result, model="unit")
-    loaded = load_trace(path)
-    assert len(loaded.trace) == 2
-    assert loaded.trace[0][0] == 1
-    assert loaded.trace[0][1] == pytest.approx(result.trace[0][1], abs=1e-8)
-    assert loaded.trace[0][2] == pytest.approx(result.trace[0][2], abs=1e-8)
+    attrs, rows = read_tsv(path, TRACE_KIND, has_columns=True)
+    assert attrs["model"] == "unit"
+    assert len(rows) == 2
+    epoch, train_loss, val_loss = rows[0]
+    assert epoch == "1"
+    assert float(train_loss) == pytest.approx(result.trace[0][1], abs=1e-8)
+    assert float(val_loss) == pytest.approx(result.trace[0][2], abs=1e-8)
 
 
 def test_train_circle_objective_runs():
