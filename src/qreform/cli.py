@@ -127,9 +127,9 @@ def _cmd_reformulate(args: argparse.Namespace) -> int:
         state.bi_encoder,
         state.index,
         state.cross_encoder,
-        top_k=args.top_k or config.top_k,
+        top_k=config.top_k if args.top_k is None else args.top_k,
         threshold=threshold,
-        n_max=args.n_max or config.n_max,
+        n_max=config.n_max if args.n_max is None else args.n_max,
     )
     if not result.targets:
         print("(no reformulations above the threshold)", file=sys.stderr)

@@ -4,7 +4,7 @@ Texts become bags of boundary-marked character 2-, 3- and 4-grams
 (``NGRAM_SIZES``) hashed into a fixed bucket space.  Checkpoints record
 these sizes, and loading rejects a checkpoint made with others.  Each
 model keeps an interned ``Featurizer`` table, so it featurizes a
-distinct text once.  The bi-encoder projects the bag
+distinct batch text once.  The bi-encoder projects the bag
 linearly and L2-normalizes, so cosine similarity is a plain dot product.
 The cross-encoder scores an ordered pair through a small MLP over four
 feature blocks: source bag S, target bag T, elementwise min
@@ -16,6 +16,21 @@ non-zero.  Both models expose closed-form backward passes; the training
 module only ever sees parameter dicts and same-shaped gradient dicts.
 The encoders operate on raw text, not normalized text, so they must
 learn surface invariance instead of inheriting it.
+
+Serving path.  ``BiEncoderModel.embed(text)`` and a one-source
+``CrossEncoderModel.joint_matrix`` call hash their text without storing
+its features, so the tables hold only batch texts (training, the index,
+candidates) and a stream of distinct queries does not grow them.
+Forward-only ``score_many`` reads each target's T·W_t row from a
+per-model cache filled on first use; ``score_many_with_backward``
+computes that term afresh.  Both are
+row-wise CSR products, so cached and fresh scores agree bit for bit.
+``parameters()`` and ``set_parameters()`` drop the cache, because the
+arrays ``parameters()`` hands out are the live ones an optimizer updates
+in place; while the cache holds rows, the first-layer array is read-only,
+so a write through an older reference raises instead of leaving stale
+rows behind.  The tables and the cache are unsynchronized: a model serves
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -37,22 +52,34 @@ _BOUNDARY_CLOSE = "$"
 _NORM_FLOOR = 1e-12
 
 
-def _hash_bucket(ngram: str, feature_dim: int) -> int:
-    digest = hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % feature_dim
-
-
-def featurize(text: str, feature_dim: int = 1 << 14) -> dict[int, float]:
-    """Hashed character 2-, 3- and 4-gram counts with "^"/"$" boundary markers."""
+def _ngram_digests(text: str) -> np.ndarray:
+    """64-bit blake2b digests of the text's boundary-marked n-grams."""
     if not text:
         raise ValueError("cannot featurize empty text")
     padded = _BOUNDARY_OPEN + text + _BOUNDARY_CLOSE
-    buckets: dict[int, float] = {}
-    for size in NGRAM_SIZES:
-        for i in range(len(padded) - size + 1):
-            bucket = _hash_bucket(padded[i:i + size], feature_dim)
-            buckets[bucket] = buckets.get(bucket, 0.0) + 1.0
-    return buckets
+    joined = b"".join(
+        hashlib.blake2b(padded[i:i + size].encode("utf-8"), digest_size=8).digest()
+        for size in NGRAM_SIZES
+        for i in range(len(padded) - size + 1)
+    )
+    return np.frombuffer(joined, dtype=">u8").astype(np.uint64)
+
+
+def _bucket_counts(text: str, feature_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted bucket indices of the text's n-grams and how often each occurs."""
+    buckets = np.sort(_ngram_digests(text) % np.uint64(feature_dim))
+    edge = np.empty(len(buckets) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(buckets[1:], buckets[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)  # each run of equal buckets' start, then the end
+    return buckets[bounds[:-1]].astype(np.int32), np.diff(bounds).astype(np.float64)
+
+
+def featurize(text: str, feature_dim: int = 1 << 14) -> dict[int, float]:
+    """Hashed character 2-, 3- and 4-gram counts with "^"/"$" boundary
+    markers, keyed in ascending bucket order."""
+    indices, counts = _bucket_counts(text, feature_dim)
+    return dict(zip(indices.tolist(), counts.tolist()))
 
 
 def _gather_rows(
@@ -67,16 +94,23 @@ def _gather_rows(
     return out_ptr, indices[flat], data[flat]
 
 
+def _csr(
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray], feature_dim: int
+) -> sparse.csr_matrix:
+    indptr, indices, data = arrays
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, feature_dim))
+
+
 def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
     """The row number of every stored entry of a CSR matrix."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
-    """``array`` if it holds ``size`` items, else a copy with doubled room."""
+    """``array`` if it holds ``size`` rows, else a copy with doubled room."""
     if size <= len(array):
         return array
-    grown = np.zeros(max(size, 2 * len(array)), dtype=array.dtype)
+    grown = np.zeros((max(size, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
     grown[:len(array)] = array
     return grown
 
@@ -86,6 +120,7 @@ class Featurizer:
 
     A text is featurized on its first lookup only; a batch is a gather of
     its rows, each holding sorted bucket indices and their counts.
+    ``row`` reads one text without adding it.
     """
 
     def __init__(self, feature_dim: int) -> None:
@@ -97,6 +132,9 @@ class Featurizer:
         self._indices = np.zeros(1024, dtype=np.int32)
         self._data = np.zeros(1024)
 
+    def __len__(self) -> int:
+        return len(self._ids)
+
     def _intern(self, text: str) -> int:
         buckets = featurize(text, self.feature_dim)
         row = len(self._ids)
@@ -105,9 +143,8 @@ class Featurizer:
         self._indptr = _grown(self._indptr, row + 2)
         self._indices = _grown(self._indices, end)
         self._data = _grown(self._data, end)
-        order = sorted(buckets)
-        self._indices[start:end] = order
-        self._data[start:end] = [buckets[b] for b in order]
+        self._indices[start:end] = list(buckets)
+        self._data[start:end] = list(buckets.values())
         self._indptr[row + 1] = end
         self._ids[text] = row
         return row
@@ -120,20 +157,22 @@ class Featurizer:
             dtype=np.int64,
         )
 
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, indices, data) of the given row ids."""
+        return _gather_rows(self._indptr, self._indices, self._data, rows)
+
     def row(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted bucket indices and counts for one text."""
-        row = self.ids([text])[0]
+        """Sorted bucket indices and counts for one text, which is not
+        stored if the table does not hold it already."""
+        row = self._ids.get(text)
+        if row is None:
+            return _bucket_counts(text, self.feature_dim)
         start, end = self._indptr[row], self._indptr[row + 1]
         return self._indices[start:end], self._data[start:end]
 
     def matrix(self, texts: Sequence[str]) -> sparse.csr_matrix:
         rows = self.ids(texts)  # may grow the table, so gather after
-        indptr, indices, data = _gather_rows(
-            self._indptr, self._indices, self._data, rows
-        )
-        return sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(texts), self.feature_dim)
-        )
+        return _csr(self.gather(rows), self.feature_dim)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
@@ -180,21 +219,30 @@ class BiEncoderModel:
         return units
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        """``embed_many([text])[0]`` bit for bit, without storing the text."""
+        columns, counts = self.featurizer.row(text)
+        features = _csr((np.array([0, len(columns)]), columns, counts), self.feature_dim)
+        units, _ = self._unit_rows(features @ self.projection, [text])
+        return units[0]
 
-    def embed_many_with_backward(
-        self, texts: Sequence[str]
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
-        """Unit embeddings plus a closure mapping dL/dunits to dL/dparams."""
-        features = self.featurizer.matrix(texts)
-        raw = features @ self.projection
+    def _unit_rows(
+        self, raw: np.ndarray, texts: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of ``raw`` scaled to unit length, and their norms."""
         norms = np.linalg.norm(raw, axis=1)
         degenerate = np.flatnonzero(norms < _NORM_FLOOR)
         if degenerate.size:
             raise ValueError(
                 f"text {texts[degenerate[0]]!r} projects to a zero vector"
             )
-        units = raw / norms[:, None]
+        return raw / norms[:, None], norms
+
+    def embed_many_with_backward(
+        self, texts: Sequence[str]
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
+        """Unit embeddings plus a closure mapping dL/dunits to dL/dparams."""
+        features = self.featurizer.matrix(texts)
+        units, norms = self._unit_rows(features @ self.projection, texts)
 
         def backward(grad_units: np.ndarray) -> dict[str, np.ndarray]:
             # Through row normalization: g_raw = (g - (g.u)u) / ||raw||.
@@ -210,17 +258,20 @@ class PairBlocks:
     """A batch of pairs as the cross-encoder's four first-layer blocks.
 
     ``sources`` holds one row per distinct source and ``source_of_pair``
-    maps each pair to its row; ``targets`` holds one row per pair.  The
-    min and surplus blocks ``both``/``surplus`` are non-zero only on
-    their pair's source buckets.  With one distinct source, ``columns``
-    lists that source's buckets and ``sources``, ``both`` and ``surplus``
-    are dense on them; otherwise ``columns`` is ``slice(None)`` and
-    those blocks are CSR over every bucket.
+    maps each pair to its row.  ``target_ids`` are the targets' featurizer
+    row ids and ``targets`` their gathered CSR arrays (indptr, indices,
+    data), one row per pair; a scipy matrix is built from them only for a
+    backward pass.  The min and surplus blocks ``both``/``surplus`` are
+    non-zero only on their pair's source buckets.  With one distinct
+    source, ``columns`` lists that source's buckets and ``sources``,
+    ``both`` and ``surplus`` are dense on them; otherwise ``columns`` is
+    ``slice(None)`` and those blocks are CSR over every bucket.
     """
 
     sources: np.ndarray | sparse.csr_matrix
     source_of_pair: np.ndarray
-    targets: sparse.csr_matrix
+    target_ids: np.ndarray
+    targets: tuple[np.ndarray, np.ndarray, np.ndarray]
     columns: np.ndarray | slice
     both: np.ndarray | sparse.csr_matrix
     surplus: np.ndarray | sparse.csr_matrix
@@ -259,6 +310,11 @@ class CrossEncoderModel:
         self.feature_dim = int(feature_dim)
         self.seed = int(seed)
         self.featurizer = Featurizer(self.feature_dim)
+        # T·W_t rows by featurizer row id, and the first-layer array this
+        # model made read-only while they are cached.
+        self._term_rows = np.zeros((0, self.weights[0].shape[1]))
+        self._term_filled = np.zeros(0, dtype=bool)
+        self._term_lock: np.ndarray | None = None
 
     @classmethod
     def initialize(
@@ -281,6 +337,9 @@ class CrossEncoderModel:
         return tuple(w.shape[1] for w in self.weights[:-1])
 
     def parameters(self) -> dict[str, np.ndarray]:
+        """The live parameter arrays.  Drops the T·W_t cache first, since
+        the caller may update them in place."""
+        self._drop_target_terms()
         params: dict[str, np.ndarray] = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             params[f"w{i}"] = w
@@ -288,91 +347,126 @@ class CrossEncoderModel:
         return params
 
     def set_parameters(self, params: Mapping[str, np.ndarray]) -> None:
+        self._drop_target_terms()
         for i in range(len(self.weights)):
             self.weights[i] = np.asarray(params[f"w{i}"], dtype=np.float64)
             self.biases[i] = np.asarray(params[f"b{i}"], dtype=np.float64)
 
+    def _drop_target_terms(self) -> None:
+        """Forget the cached T·W_t rows and unlock the first layer."""
+        if self._term_lock is not None:
+            self._term_lock.flags.writeable = True
+            self._term_lock = None
+        self._term_filled[:] = False
+
+    def _target_term(self, ids: np.ndarray) -> np.ndarray:
+        """T·W_t rows of the given featurizer rows, each computed on its
+        first use by a row-wise CSR product and kept."""
+        size = len(self.featurizer)
+        self._term_rows = _grown(self._term_rows, size)
+        self._term_filled = _grown(self._term_filled, size)
+        missing = np.unique(ids[~self._term_filled[ids]])
+        if missing.size:
+            first = self.weights[0]
+            if first.flags.writeable:
+                first.flags.writeable = False
+                self._term_lock = first
+            features = _csr(self.featurizer.gather(missing), self.feature_dim)
+            self._term_rows[missing] = features @ self._blocks_of(first)[1]
+            self._term_filled[missing] = True
+        return self._term_rows[ids]
+
     def joint_matrix(self, pairs: Sequence[tuple[str, str]]) -> PairBlocks:
         """The pairs' first-layer inputs, block by block (see PairBlocks)."""
-        for source, target in pairs:
-            if not source or not target:
-                raise ValueError("cannot score a pair with empty text")
-        first_seen: dict[str, int] = {}
-        source_of_pair = np.fromiter(
-            (first_seen.setdefault(s, len(first_seen)) for s, _ in pairs),
-            dtype=np.int64,
-            count=len(pairs),
-        )
-        targets = self.featurizer.matrix([t for _, t in pairs])
-        target_rows = _row_of_entry(targets.indptr)
-        if len(first_seen) == 1:
+        source_texts = [s for s, _ in pairs]
+        target_texts = [t for _, t in pairs]
+        if not all(source_texts) or not all(target_texts):
+            raise ValueError("cannot score a pair with empty text")
+        distinct = dict.fromkeys(source_texts)  # in order of first appearance
+        one_source = len(distinct) == 1
+        if one_source:
+            source_of_pair = np.zeros(len(pairs), dtype=np.int64)
+            # Not stored, so a stream of distinct sources leaves the table
+            # as it was.
+            columns, counts = self.featurizer.row(source_texts[0])
+        else:
+            row_of = {s: i for i, s in enumerate(distinct)}
+            source_of_pair = np.fromiter(
+                map(row_of.__getitem__, source_texts), dtype=np.int64, count=len(pairs)
+            )
+        target_ids = self.featurizer.ids(target_texts)
+        targets = self.featurizer.gather(target_ids)
+        t_ptr, t_cols, t_counts = targets
+        target_rows = _row_of_entry(t_ptr)
+        if one_source:
             # Dense on the source's buckets: M and R are zero elsewhere.
             # This beats the CSR form below on one-source calls (serve
             # runs in BENCH_6.json); with many sources, dense rows over
             # all their buckets would cost more than CSR.
-            columns, counts = self.featurizer.row(pairs[0][0])
             position = np.full(self.feature_dim, -1, dtype=np.int64)
             position[columns] = np.arange(len(columns))
-            at = position[targets.indices]
+            at = position[t_cols]
             hit = at >= 0
             on_source = np.zeros((len(pairs), len(columns)))
-            on_source[target_rows[hit], at[hit]] = targets.data[hit]
+            on_source[target_rows[hit], at[hit]] = t_counts[hit]
             return PairBlocks(
                 counts[None, :],
                 source_of_pair,
+                target_ids,
                 targets,
                 columns,
                 np.minimum(on_source, counts),
                 np.maximum(counts - on_source, 0.0),
             )
         # Sparse: each pair's source entries, matched against its target's.
-        sources = self.featurizer.matrix(list(first_seen))
+        sources = self.featurizer.matrix(list(distinct))
         s_ptr, s_cols, s_counts = _gather_rows(
             sources.indptr, sources.indices, sources.data, source_of_pair
         )
         s_rows = _row_of_entry(s_ptr)
-        t_keys = target_rows * self.feature_dim + targets.indices
+        t_keys = target_rows * self.feature_dim + t_cols
         s_keys = s_rows * self.feature_dim + s_cols
         at = np.minimum(np.searchsorted(t_keys, s_keys), len(t_keys) - 1)
         hit = t_keys[at] == s_keys
-        on_source = np.where(hit, targets.data[at], 0.0)
+        on_source = np.where(hit, t_counts[at], 0.0)
         surplus = np.maximum(s_counts - on_source, 0.0)
 
         def csr(values: np.ndarray, keep: np.ndarray) -> sparse.csr_matrix:
             indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
             np.cumsum(np.bincount(s_rows[keep], minlength=len(pairs)), out=indptr[1:])
-            return sparse.csr_matrix(
-                (values[keep], s_cols[keep], indptr),
-                shape=(len(pairs), self.feature_dim),
-            )
+            return _csr((indptr, s_cols[keep], values[keep]), self.feature_dim)
 
         return PairBlocks(
             sources,
             source_of_pair,
+            target_ids,
             targets,
             slice(None),
             csr(np.minimum(s_counts, on_source), hit),
             csr(surplus, surplus > 0.0),
         )
 
-    def _first_layer(self, blocks: PairBlocks) -> np.ndarray:
-        w_s, w_t, w_m, w_r = self._blocks_of(self.weights[0])
+    def _first_layer(self, blocks: PairBlocks, target_term: np.ndarray) -> np.ndarray:
+        """b0 plus the four block products, with T·W_t given."""
+        w_s, _, w_m, w_r = self._blocks_of(self.weights[0])
         cols = blocks.columns
         value = (blocks.sources @ w_s[cols])[blocks.source_of_pair]
-        value += blocks.targets @ w_t
+        value += target_term
         value += blocks.both @ w_m[cols]
         value += blocks.surplus @ w_r[cols]
         value += self.biases[0]
         return value
 
-    def _first_layer_grad(self, blocks: PairBlocks, delta: np.ndarray) -> np.ndarray:
+    def _first_layer_grad(
+        self, blocks: PairBlocks, targets: sparse.csr_matrix, delta: np.ndarray
+    ) -> np.ndarray:
         grad = np.zeros_like(self.weights[0])
         g_s, g_t, g_m, g_r = self._blocks_of(grad)
         cols = blocks.columns
         per_source = np.zeros((blocks.sources.shape[0], delta.shape[1]))
         np.add.at(per_source, blocks.source_of_pair, delta)
         g_s[cols] = blocks.sources.T @ per_source
-        g_t[:] = blocks.targets.T @ delta
+        g_t[:] = targets.T @ delta
         g_m[cols] = blocks.both.T @ delta
         g_r[cols] = blocks.surplus.T @ delta
         return grad
@@ -382,16 +476,11 @@ class CrossEncoderModel:
         f = self.feature_dim
         return [first[i * f:(i + 1) * f] for i in range(self.N_BLOCKS)]
 
-    def score_many(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        scores, _ = self.score_many_with_backward(pairs)
-        return scores
-
-    def score_many_with_backward(
-        self, pairs: Sequence[tuple[str, str]]
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
-        """Scores plus a closure mapping dL/dscores to dL/dparams."""
-        blocks = self.joint_matrix(pairs)
-        value = self._first_layer(blocks)
+    def _forward(
+        self, blocks: PairBlocks, target_term: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Scores and the hidden activations behind them."""
+        value = self._first_layer(blocks, target_term)
         hidden: list[np.ndarray] = []
         for w, b in zip(self.weights[1:], self.biases[1:]):
             hidden.append(np.tanh(value))
@@ -399,6 +488,21 @@ class CrossEncoderModel:
         scores = value.reshape(-1)
         if not np.all(np.isfinite(scores)):
             raise FloatingPointError("cross-encoder produced a non-finite score")
+        return scores, hidden
+
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Scores of the pairs, with each target's T·W_t row from the cache."""
+        blocks = self.joint_matrix(pairs)
+        scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
+        return scores
+
+    def score_many_with_backward(
+        self, pairs: Sequence[tuple[str, str]]
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
+        """Scores plus a closure mapping dL/dscores to dL/dparams."""
+        blocks = self.joint_matrix(pairs)
+        targets = _csr(blocks.targets, self.feature_dim)
+        scores, hidden = self._forward(blocks, targets @ self._blocks_of(self.weights[0])[1])
 
         def backward(grad_scores: np.ndarray) -> dict[str, np.ndarray]:
             grads: dict[str, np.ndarray] = {}
@@ -409,7 +513,7 @@ class CrossEncoderModel:
                 grads[f"b{layer}"] = delta.sum(axis=0)
                 delta = delta @ self.weights[layer].T
                 delta = delta * (1.0 - inputs**2)
-            grads["w0"] = self._first_layer_grad(blocks, delta)
+            grads["w0"] = self._first_layer_grad(blocks, targets, delta)
             grads["b0"] = delta.sum(axis=0)
             return grads
 

@@ -81,6 +81,12 @@ class StageFailure(RuntimeError):
         self.cause = cause
 
 
+def _check_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class AugmentationParams:
     """Hyper-parameters of the feature blend f̂ = α·f + (1−α)·β·mean(f_targets)."""
@@ -94,8 +100,7 @@ class AugmentationParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        _check_positive(n_max=self.n_max)
 
 
 def augment_feature(
@@ -151,6 +156,7 @@ def reformulate(
     """
     if not query:
         raise ValueError("cannot reformulate an empty query")
+    _check_positive(top_k=top_k, n_max=n_max)
     probe = bi_encoder.embed(query)
     hits = index.knn(probe, top_k)
     candidates = [qid for qid, _ in hits if qid != query]
@@ -279,9 +285,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # The re-ranker trains on the final round's negatives and serving
-        # uses the final round's retriever, so a run needs one round.
-        if self.ance_rounds < 1:
-            raise ValueError(f"ance_rounds must be >= 1, got {self.ance_rounds}")
+        # uses the final round's retriever, so a run needs one ANCE round.
+        _check_positive(
+            ance_rounds=self.ance_rounds, top_k=self.top_k, n_max=self.n_max
+        )
         self.synth = replace(self.synth, seed=self.seed)
 
     def to_dict(self) -> dict:

@@ -89,6 +89,17 @@ def test_reformulate_command_output_format(tiny_run, tmp_path, capsys):
         float(score)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("option", ["--top-k", "--n-max"])
+def test_reformulate_command_rejects_counts_below_one(tiny_run, tmp_path, capsys, option, value):
+    config, _ = tiny_run
+    argv = ["reformulate", *_config_args(config, tmp_path), "--query", "mask", option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reformulate:")
+    assert f"{option[2:].replace('-', '_')} must be >= 1, got {value}" in err
+
+
 def test_reformulate_command_can_return_nothing(tiny_run, tmp_path, capsys):
     config, _ = tiny_run
     args = _config_args(config, tmp_path)

@@ -1,22 +1,22 @@
 """Char n-gram featurizer, bi-/cross-encoder models, checkpoints."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from qreform import encoders
+from qreform import encoders, training
 from qreform.files import FileFormatError
 from qreform.encoders import (
     NGRAM_SIZES,
     BiEncoderModel,
     CrossEncoderModel,
     Featurizer,
-    _hash_bucket,
     featurize,
     load_checkpoint,
     params_checksum,
@@ -27,6 +27,22 @@ from tests.gradcheck import finite_difference_grads, max_relative_error
 TEXTS = st.text(
     alphabet=st.sampled_from("abcdef マスク"), min_size=1, max_size=12
 ).filter(lambda s: s.strip())
+
+
+def _hash_bucket(ngram, feature_dim):
+    digest = hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % feature_dim
+
+
+def reference_featurize(text, feature_dim):
+    """Reference: one blake2b digest per n-gram, counted into a dict."""
+    padded = "^" + text + "$"
+    buckets = {}
+    for size in NGRAM_SIZES:
+        for i in range(len(padded) - size + 1):
+            bucket = _hash_bucket(padded[i:i + size], feature_dim)
+            buckets[bucket] = buckets.get(bucket, 0.0) + 1.0
+    return buckets
 
 
 def hand_ngrams(text):
@@ -64,7 +80,7 @@ def assembled_matrix(feature_dim, texts):
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     index_parts, value_parts = [], []
     for i, text in enumerate(texts):
-        buckets = featurize(text, feature_dim)
+        buckets = reference_featurize(text, feature_dim)
         indices = np.array(sorted(buckets), dtype=np.int32)
         index_parts.append(indices)
         value_parts.append(np.array([buckets[b] for b in indices], dtype=np.float64))
@@ -107,6 +123,14 @@ def test_model_featurizes_each_distinct_text_once(monkeypatch):
     cross.score_many([(texts[0], t) for t in texts])
     cross.score_many(list(zip(texts, texts[::-1])))
     assert sorted(calls) == sorted(set(texts))
+    # A one-source call's source, and embed's text, are hashed but never interned.
+    calls.clear()
+    for _ in range(2):
+        bi.embed("probe")
+        cross.score_many([("probe", t) for t in texts])
+        cross.score_many_with_backward([("probe", t) for t in texts])
+    assert calls == []
+    assert len(bi.featurizer) == len(cross.featurizer) == len(set(texts))
 
 
 def test_featurizer_matrix_matches_rows():
@@ -119,6 +143,28 @@ def test_featurizer_matrix_matches_rows():
     dense = np.zeros(1 << 10)
     dense[indices] = values
     assert np.allclose(matrix[0].toarray().ravel(), dense)
+
+
+# The scripts the paper serves, beside arbitrary unicode.
+SERVED_TEXTS = st.text(
+    alphabet=st.sampled_from("マスクシート赤いमास्कक़लम ab"), min_size=1, max_size=16
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(min_size=1, max_size=24), SERVED_TEXTS), st.sampled_from([1, 7, 1 << 6, 1 << 14]))
+def test_digest_split_keeps_every_bucket(text, feature_dim):
+    want = reference_featurize(text, feature_dim)
+    order = sorted(want)
+    got = featurize(text, feature_dim)
+    assert got == want and list(got) == order
+    feat = Featurizer(feature_dim)
+    for _ in range(2):  # not stored, then stored
+        indices, counts = feat.row(text)
+        assert indices.dtype == np.int32 and counts.dtype == np.float64
+        assert indices.tolist() == order
+        assert counts.tolist() == [want[b] for b in order]
+        feat.ids([text])
 
 
 # --- bi-encoder ---
@@ -135,6 +181,16 @@ def test_bi_encoder_unit_norm():
 def test_bi_encoder_norm_invariant_fuzz(text):
     model = BiEncoderModel.initialize(1 << 10, 8, seed=1)
     assert np.linalg.norm(model.embed(text)) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(min_size=1, max_size=24), SERVED_TEXTS), st.integers(1, 9), st.integers(0, 3))
+def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
+    model = BiEncoderModel.initialize(1 << 8, embed_dim, seed=seed)
+    one = model.embed(text)  # from features the table does not keep
+    assert len(model.featurizer) == 0
+    assert one.tobytes() == model.embed_many([text])[0].tobytes()
+    assert model.embed(text).tobytes() == one.tobytes()  # now from the table
 
 
 def test_bi_encoder_similarity_is_cosine():
@@ -224,6 +280,55 @@ def test_block_form_matches_hstacked_joint_matrix(pairs, seed):
     want, want_grad_w0 = reference_forward(model, pairs)
     assert np.max(np.abs(scores - want)) <= 1e-12
     assert np.max(np.abs(backward(grad_scores)["w0"] - want_grad_w0(grad_scores))) <= 1e-12
+
+
+@st.composite
+def one_source_calls(draw):
+    """One source; targets may repeat and may include the source itself."""
+    source = draw(TEXTS)
+    pool = draw(st.lists(TEXTS, min_size=1, max_size=6))
+    targets = draw(st.lists(st.sampled_from([source, *pool]), min_size=1, max_size=12))
+    return [(source, t) for t in targets]
+
+
+# "ab" and "xy" share no bucket at feature_dim 1 << 6.
+@example(pairs=[("ab", "xy"), ("ab", "ab"), ("ab", "xy"), ("ab", "ab b")], seed=0)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3))
+def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed):
+    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
+    first = model.score_many(pairs)  # fills the T·W_t cache
+    fresh, _ = model.score_many_with_backward(pairs)
+    assert first.tobytes() == fresh.tobytes()
+    assert model.score_many(pairs).tobytes() == fresh.tobytes()  # from the cache
+    assert np.count_nonzero(model._term_filled) == len({t for _, t in pairs})
+
+
+def _copy_of(model):
+    return CrossEncoderModel(
+        [w.copy() for w in model.weights],
+        [b.copy() for b in model.biases],
+        model.feature_dim,
+        model.seed,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3))
+def test_cached_scores_follow_a_training_step(pairs, seed):
+    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
+    live = model.parameters()
+    model.score_many(pairs)
+    with pytest.raises(ValueError, match="read-only"):
+        live["w0"][0, 0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.weights[0][-1, -1] = 0.0
+    config = training.TrainConfig(
+        objective=training.OBJECTIVE_POINTWISE, epochs=1, batch_size=len(pairs),
+        learning_rate=0.1, seed=seed,
+    )
+    training.train(model, [(s, t, 1.0) for s, t in pairs], [], config)
+    assert model.score_many(pairs).tobytes() == _copy_of(model).score_many(pairs).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,13 @@ def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
         dataclasses.replace(tiny_config(tmp_path / "run"), ance_rounds=rounds)
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["top_k", "n_max"])
+def test_config_rejects_counts_below_one(tmp_path, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        dataclasses.replace(tiny_config(tmp_path / "run"), **{name: value})
+
+
 # --- the tiny end-to-end run ---
 
 
@@ -252,6 +259,45 @@ def test_reformulate_rejects_empty_query(tiny_run):
     index = load_index(paths.index_file)
     with pytest.raises(ValueError):
         reformulate("", bi_encoder, index, cross_encoder)
+
+
+def _serving_models(config, run):
+    paths = PipelinePaths(run.out_dir)
+    bi_encoder = load_checkpoint(paths.retriever_ance(config.ance_rounds))
+    cross_encoder = load_checkpoint(paths.reranker_circle)
+    return bi_encoder, load_index(paths.index_file), cross_encoder
+
+
+@pytest.mark.parametrize("value", [0, -1, -3])
+@pytest.mark.parametrize("name", ["top_k", "n_max"])
+def test_reformulate_rejects_counts_below_one(tiny_run, monkeypatch, name, value):
+    bi_encoder, index, cross_encoder = _serving_models(*tiny_run)
+
+    def no_work(*args):
+        raise AssertionError("reformulate did work before checking its arguments")
+
+    monkeypatch.setattr(bi_encoder, "embed", no_work)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        reformulate("mask", bi_encoder, index, cross_encoder, **{name: value})
+
+
+def test_serving_memory_is_bounded(tiny_run):
+    # Every request retrieves the whole index, so the first one interns
+    # every candidate the cross-encoder will ever see.
+    bi_encoder, index, cross_encoder = _serving_models(*tiny_run)
+    probes = [f"{index.query_ids[i % len(index)]} {i}x" for i in range(1000)]
+    assert not set(probes) & set(index.query_ids)
+
+    def serve(probe):
+        reformulate(probe, bi_encoder, index, cross_encoder, top_k=len(index), threshold=0.0)
+        return len(bi_encoder.featurizer), len(cross_encoder.featurizer)
+
+    rows = serve(probes[0])
+    cached = len(cross_encoder._term_rows)
+    for probe in probes[1:]:
+        assert serve(probe) == rows
+        assert np.count_nonzero(cross_encoder._term_filled) <= rows[1]
+    assert len(cross_encoder._term_rows) == cached
 
 
 def test_tail_reformulation_rate_computable(tiny_run):
