@@ -27,6 +27,7 @@ profile, as limited traffic explores little of the catalog.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -399,6 +400,7 @@ def _sample_audit_labels(
     per_class = config.n_audit_pairs // 3
     labels: list[AuditLabel] = []
     seen: set[tuple[str, str]] = set()
+    per_label: Counter[int] = Counter()
 
     half = max(2, config.queries_per_intent // 2)
 
@@ -413,10 +415,11 @@ def _sample_audit_labels(
             return False
         seen.add((source, target))
         labels.append(AuditLabel(source, target, label))
+        per_label[label] += 1
         return True
 
     guard = 0
-    while sum(1 for l in labels if l.label == LABEL_STRICT) < per_class and guard < 10000:
+    while per_label[LABEL_STRICT] < per_class and guard < 10000:
         guard += 1
         intent = rng.choice(intents)
         base = rich(intent, "base")
@@ -428,7 +431,7 @@ def _sample_audit_labels(
     guard = 0
     while (
         confusable
-        and sum(1 for l in labels if l.label == LABEL_PARTIAL) < per_class
+        and per_label[LABEL_PARTIAL] < per_class
         and guard < 10000
     ):
         guard += 1

@@ -92,79 +92,57 @@ def _zero_grads(model) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(p) for name, p in model.parameters().items()}
 
 
-def _add_grads(total: dict[str, np.ndarray], part: Mapping[str, np.ndarray]) -> None:
-    for name, grad in part.items():
-        total[name] += grad
-
-
 def loss_retrieval(
     model, batch: RetrievalBatch, compute_grad: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Importance-weighted infoNCE with in-batch (plus hard) negatives.
 
     L = -(1/N) sum_k I_k * log softmax_j(s(a_k, p_j)/tau) at j = k, with
-    excluded j masked out of the denominator.
+    excluded j masked out of the denominator.  Hard negatives form one
+    flat list; each enters only its ``owner`` anchor's softmax, so its
+    logit is one row-wise dot.  Anchors, positives and negatives are
+    embedded and backpropagated as one stacked batch.
     """
     n = len(batch.anchors)
-    anchors, a_back = model.embed_many_with_backward(batch.anchors)
-    positives, p_back = model.embed_many_with_backward(batch.positives)
-
-    flat_negs: list[str] = []
-    neg_owner: list[int] = []
-    for k, negs in enumerate(batch.hard_negatives):
-        for text in negs:
-            flat_negs.append(text)
-            neg_owner.append(k)
-    has_negs = bool(flat_negs)
-    if has_negs:
-        negatives, h_back = model.embed_many_with_backward(flat_negs)
-        owner = np.array(neg_owner)
+    owner = np.repeat(np.arange(n), [len(negs) for negs in batch.hard_negatives] or 0)
+    flat_negs = [text for negs in batch.hard_negatives for text in negs]
+    units, backward = model.embed_many_with_backward(
+        [*batch.anchors, *batch.positives, *flat_negs]
+    )
+    anchors, positives, negatives = units[:n], units[n:2 * n], units[2 * n:]
+    owned = anchors[owner]
 
     tau = batch.temperature
     z = (anchors @ positives.T) / tau
     for k, j in batch.excluded:
         z[k, j] = _MASK
-    if has_negs:
-        zh = (anchors @ negatives.T) / tau
-        # Each hard negative only enters its own anchor's denominator.
-        mask = owner[None, :] != np.arange(n)[:, None]
-        zh[mask] = _MASK
-        full = np.concatenate([z, zh], axis=1)
-    else:
-        full = z
+    zh = np.einsum("ij,ij->i", owned, negatives) / tau
 
-    row_max = full.max(axis=1, keepdims=True)
-    exp_shift = np.exp(full - row_max)
-    denom = exp_shift.sum(axis=1)
-    lse = row_max[:, 0] + np.log(denom)
-    diag = np.diag(z)
+    row_max = z.max(axis=1)
+    np.maximum.at(row_max, owner, zh)
+    exp_z = np.exp(z - row_max[:, None])
+    exp_h = np.exp(zh - row_max[owner])
+    denom = exp_z.sum(axis=1) + np.bincount(owner, weights=exp_h, minlength=n)
+    lse = row_max + np.log(denom)
     weights = np.array(batch.importances)
-    loss = float(np.sum(weights * (lse - diag)) / n)
+    loss = float(np.sum(weights * (lse - np.diag(z))) / n)
 
     if not compute_grad:
         return loss, None
 
-    probs = exp_shift / denom[:, None]
-    coeff = (weights / n)[:, None]
-    g_full = coeff * probs
-    g_z = g_full[:, :n].copy()
-    g_z[np.arange(n), np.arange(n)] -= coeff[:, 0]
-    for k, j in batch.excluded:
-        g_z[k, j] = 0.0
+    # A masked logit's exp is exactly 0, so excluded cells get no gradient.
+    coeff = weights / n
+    g_z = coeff[:, None] * (exp_z / denom[:, None])
+    g_z[np.arange(n), np.arange(n)] -= coeff
+    g_h = coeff[owner] * (exp_h / denom[owner])
 
-    grad_anchors = (g_z @ positives) / tau
-    grad_positives = (g_z.T @ anchors) / tau
-    if has_negs:
-        g_zh = g_full[:, n:]
-        g_zh = np.where(owner[None, :] == np.arange(n)[:, None], g_zh, 0.0)
-        grad_anchors += (g_zh @ negatives) / tau
-        grad_negatives = (g_zh.T @ anchors) / tau
-
-    grads = a_back(grad_anchors)
-    _add_grads(grads, p_back(grad_positives))
-    if has_negs:
-        _add_grads(grads, h_back(grad_negatives))
-    return loss, grads
+    grad_hard = np.zeros_like(anchors)
+    np.add.at(grad_hard, owner, g_h[:, None] * negatives)
+    grad_units = np.empty_like(units)
+    grad_units[:n] = (g_z @ positives) / tau + grad_hard / tau
+    grad_units[n:2 * n] = (g_z.T @ anchors) / tau
+    grad_units[2 * n:] = (g_h[:, None] * owned) / tau
+    return loss, backward(grad_units)
 
 
 def loss_rerank_pointwise(

@@ -5,9 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreform.corpus import canonical_pair
-from qreform.encoders import BiEncoderModel, CrossEncoderModel
+from qreform.encoders import BiEncoderModel, CrossEncoderModel, Featurizer
 from qreform.files import read_tsv
 from qreform.training import (
     OBJECTIVE_CIRCLE,
@@ -116,6 +118,125 @@ def test_infonce_hard_negatives_increase_pool():
     )
     loss, _ = loss_retrieval(model, augmented)
     assert loss > 0.0
+
+
+def reference_loss_retrieval(model, batch):
+    """Reference: every hard negative as a column of one dense block,
+    masked out of every row but its owner's, with one embed and one
+    backward per part."""
+    n = len(batch.anchors)
+    anchors, a_back = model.embed_many_with_backward(batch.anchors)
+    positives, p_back = model.embed_many_with_backward(batch.positives)
+    flat_negs = [text for negs in batch.hard_negatives for text in negs]
+    owner = np.array([k for k, negs in enumerate(batch.hard_negatives) for _ in negs])
+    has_negs = bool(flat_negs)
+    if has_negs:
+        negatives, h_back = model.embed_many_with_backward(flat_negs)
+
+    tau = batch.temperature
+    z = (anchors @ positives.T) / tau
+    for k, j in batch.excluded:
+        z[k, j] = -1e30
+    if has_negs:
+        zh = (anchors @ negatives.T) / tau
+        mask = owner[None, :] != np.arange(n)[:, None]
+        zh[mask] = -1e30
+        full = np.concatenate([z, zh], axis=1)
+    else:
+        full = z
+
+    row_max = full.max(axis=1, keepdims=True)
+    exp_shift = np.exp(full - row_max)
+    denom = exp_shift.sum(axis=1)
+    lse = row_max[:, 0] + np.log(denom)
+    weights = np.array(batch.importances)
+    loss = float(np.sum(weights * (lse - np.diag(z))) / n)
+
+    probs = exp_shift / denom[:, None]
+    coeff = (weights / n)[:, None]
+    g_full = coeff * probs
+    g_z = g_full[:, :n].copy()
+    g_z[np.arange(n), np.arange(n)] -= coeff[:, 0]
+    for k, j in batch.excluded:
+        g_z[k, j] = 0.0
+
+    grad_anchors = (g_z @ positives) / tau
+    grads = p_back((g_z.T @ anchors) / tau)
+    if has_negs:
+        g_zh = np.where(mask, 0.0, g_full[:, n:])
+        grad_anchors += (g_zh @ negatives) / tau
+        grads["projection"] += h_back((g_zh.T @ anchors) / tau)["projection"]
+    grads["projection"] += a_back(grad_anchors)["projection"]
+    return loss, grads
+
+
+# Few texts, so anchors, positives and negatives repeat each other.
+RETRIEVAL_TEXTS = st.sampled_from(["a b", "c d", "a c", "e f", "a b d", "x y", "zz"])
+
+
+@st.composite
+def retrieval_batches(draw, cap=3):
+    n = draw(st.integers(1, 5))
+    anchors = draw(st.lists(RETRIEVAL_TEXTS, min_size=n, max_size=n))
+    positives = draw(st.lists(RETRIEVAL_TEXTS, min_size=n, max_size=n))
+    off_diagonal = [(k, j) for k in range(n) for j in range(n) if k != j]
+    excluded = draw(st.sets(st.sampled_from(off_diagonal))) if off_diagonal else set()
+    hard = ()
+    if draw(st.booleans()):
+        hard = [draw(st.lists(RETRIEVAL_TEXTS, max_size=cap)) for _ in range(n)]
+        # The anchor's own text has the largest logit any candidate can have.
+        leader = draw(st.integers(0, n - 1))
+        if hard[leader] and draw(st.booleans()):
+            hard[leader][0] = anchors[leader]
+        hard = tuple(tuple(negs) for negs in hard)
+    return RetrievalBatch(
+        anchors=tuple(anchors),
+        positives=tuple(positives),
+        importances=tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))),
+        temperature=draw(st.floats(0.02, 1.0)),
+        excluded=frozenset(excluded),
+        hard_negatives=hard,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(retrieval_batches(), st.integers(0, 3))
+def test_retrieval_loss_matches_masked_dense_reference(batch, seed):
+    model = bi_model(seed)
+    loss, grads = loss_retrieval(model, batch)
+    want_loss, want_grads = reference_loss_retrieval(model, batch)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
+    assert loss_retrieval(model, batch, compute_grad=False) == (loss, None)
+    # Gradients that cancel to zero keep rounding noise of the size of
+    # the logit gradients, sum(I) / (N tau), so that bounds the scale.
+    logit_scale = sum(batch.importances) / (len(batch.anchors) * batch.temperature)
+    for name, want in want_grads.items():
+        scale = max(float(np.max(np.abs(want))), logit_scale)
+        assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale
+
+
+def test_retrieval_loss_featurizes_once_per_call(monkeypatch):
+    calls = []
+    matrix = Featurizer.matrix
+
+    def counted(self, texts):
+        calls.append(list(texts))
+        return matrix(self, texts)
+
+    monkeypatch.setattr(Featurizer, "matrix", counted)
+    batch = RetrievalBatch(
+        anchors=("a b", "c d", "e f"),
+        positives=("a c", "c e", "a b"),
+        importances=(0.9, 0.4, 0.7),
+        temperature=0.08,
+        hard_negatives=(("x y",), (), ("z w", "c d")),
+    )
+    model = bi_model()
+    loss_retrieval(model, batch)
+    loss_retrieval(model, batch, compute_grad=False)
+    # One lookup per call, in the order that keeps featurizer row ids.
+    stacked = [*batch.anchors, *batch.positives, "x y", "z w", "c d"]
+    assert calls == [stacked, stacked]
 
 
 # --- pointwise regression ---
