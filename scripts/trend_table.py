@@ -5,10 +5,10 @@ Usage:
                                   [--config config.json]
 
 Prints per-seed and mean values for the three retrieval checkpoints
-(recall@100 on top-3 truth, micro), the audit metrics of the baseline vs
-the final hard-negative round, the two re-ranker NDCG@3 variants, mined
-pair counts with and without normalization grouping, and the tail
-reformulation rate.
+(recall@eval_k on top-3 truth, micro; eval_k is 100 by default), the
+audit metrics of the baseline vs the final hard-negative round, the two
+re-ranker NDCG@3 variants, mined pair counts with and without
+normalization grouping, and the tail reformulation rate.
 """
 
 from __future__ import annotations
@@ -48,12 +48,13 @@ def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> 
     paths = PipelinePaths(Path(config.out_dir))
 
     final = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
+    recall = f"recall{config.eval_k}_top3_micro"
     row = {
         "seed": seed,
         "seconds": elapsed,
-        "recall_baseline": reports[MODEL_RETRIEVER_BASELINE].metrics["recall100_top3_micro"],
-        "recall_weighted": reports[MODEL_RETRIEVER_WEIGHTED].metrics["recall100_top3_micro"],
-        "recall_ance": reports[final].metrics["recall100_top3_micro"],
+        "recall_baseline": reports[MODEL_RETRIEVER_BASELINE].metrics[recall],
+        "recall_weighted": reports[MODEL_RETRIEVER_WEIGHTED].metrics[recall],
+        "recall_ance": reports[final].metrics[recall],
         "auroc_strict_base": reports[MODEL_RETRIEVER_BASELINE].metrics["auroc_strict"],
         "auroc_strict_ance": reports[final].metrics["auroc_strict"],
         "auroc_notrel_base": reports[MODEL_RETRIEVER_BASELINE].metrics["auroc_notrel"],
@@ -100,7 +101,7 @@ def main() -> int:
     def mean(key: str) -> float:
         return statistics.fmean(row[key] for row in rows)
 
-    print("\n=== retrieval: recall@100 (top-3 truth, micro), mean over seeds ===")
+    print(f"\n=== retrieval: recall@{base.eval_k} (top-3 truth, micro), mean over seeds ===")
     print(f"baseline top-30   {mean('recall_baseline'):.4f}")
     print(f"+importance       {mean('recall_weighted'):.4f}  (step {mean('recall_weighted') - mean('recall_baseline'):+.4f})")
     print(f"+ance (final)     {mean('recall_ance'):.4f}  (step {mean('recall_ance') - mean('recall_weighted'):+.4f})")

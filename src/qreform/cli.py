@@ -6,6 +6,10 @@ operate on an existing run directory.  ``evaluate --model M`` recomputes
 the report the evaluate stage saved for model M and prints it; the model
 kind decides what is measured (recall and audit-pair ordering for a
 retriever, NDCG@3 over the final retriever's lists for a re-ranker).
+``augment`` blends ``--source-value`` with the mean of the first
+``n_max`` (from the config) of ``--target-values``, under ``--alpha``
+and ``--beta`` (by default ``AugmentationParams``'s); a query of
+``--tier rich`` comes back unblended.
 Exit status is 0 on success and 1 on failure with a stage-qualified
 message on stderr.
 """
@@ -16,6 +20,7 @@ import argparse
 import dataclasses
 import sys
 
+from .corpus import TIER_IMPOVERISHED, TIER_RICH
 from .pipeline import (
     STAGE_ORDER,
     AugmentationParams,
@@ -73,13 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     augment.add_argument(
         "--target-values", default="", help="comma-separated target feature values"
     )
-    augment.add_argument("--alpha", type=float)
-    augment.add_argument("--beta", type=float)
-    augment.add_argument("--tier", default="impoverished", help="traffic tier of the query")
+    augment.add_argument("--alpha", type=float, default=AugmentationParams.alpha)
+    augment.add_argument("--beta", type=float, default=AugmentationParams.beta)
     augment.add_argument(
-        "--all-tiers",
-        action="store_true",
-        help="apply the blend to rich queries too",
+        "--tier",
+        choices=(TIER_RICH, TIER_IMPOVERISHED),
+        default=TIER_IMPOVERISHED,
+        help="traffic tier of the query",
     )
     return parser
 
@@ -140,19 +145,9 @@ def _cmd_reformulate(args: argparse.Namespace) -> int:
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    params = AugmentationParams(
-        alpha=config.alpha if args.alpha is None else args.alpha,
-        beta=config.beta if args.beta is None else args.beta,
-        n_max=config.n_max,
-    )
+    params = AugmentationParams(alpha=args.alpha, beta=args.beta)
     targets = [float(v) for v in args.target_values.split(",") if v != ""]
-    value = augment_for_tier(
-        args.tier,
-        args.source_value,
-        targets[: params.n_max],
-        params,
-        tail_only=not args.all_tiers,
-    )
+    value = augment_for_tier(args.tier, args.source_value, targets[: config.n_max], params)
     print(f"{value:.6f}")
     return 0
 

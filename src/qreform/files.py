@@ -14,14 +14,15 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 HEADER_PREFIX = "#qreform-"
+_HEADER_VERSION = "1"
 
 
 class FileFormatError(ValueError):
     """Raised when an artifact file fails header or row validation."""
 
 
-def format_header(kind: str, version: int = 1, **attrs: object) -> str:
-    parts = [f"{HEADER_PREFIX}{kind} v{version}"]
+def format_header(kind: str, **attrs: object) -> str:
+    parts = [f"{HEADER_PREFIX}{kind} v{_HEADER_VERSION}"]
     for key in sorted(attrs):
         parts.append(f"{key}={attrs[key]}")
     return " ".join(parts)
@@ -41,7 +42,7 @@ def parse_header(line: str, kind: str, path: os.PathLike | str) -> dict[str, str
         if field:
             key, _, value = field.partition("=")
             attrs[key] = value
-    if attrs["version"] != "1":
+    if attrs["version"] != _HEADER_VERSION:
         raise FileFormatError(f"{path}: unsupported {kind} version {attrs['version']!r}")
     return attrs
 

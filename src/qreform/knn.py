@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .encoders import params_checksum
 from .files import FileFormatError, atomic_write
 
 _UNIT_TOL = 1e-6
@@ -84,8 +85,6 @@ def build_index(model, queries: Mapping[str, str]) -> KnnIndex:
     texts = [queries[i] for i in ids]
     if not ids:
         raise ValueError("cannot build an empty index: no rich queries")
-    from .encoders import params_checksum
-
     embeddings = model.embed_many(texts)
     return KnnIndex(ids, embeddings, model_checksum=params_checksum(model))
 

@@ -18,7 +18,7 @@ import dataclasses
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -93,14 +93,12 @@ class AugmentationParams:
 
     alpha: float = 0.8
     beta: float = 1.0
-    n_max: int = 10
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        _check_positive(n_max=self.n_max)
 
 
 def augment_feature(
@@ -120,10 +118,9 @@ def augment_for_tier(
     f_source: float,
     f_targets: Sequence[float],
     params: AugmentationParams,
-    tail_only: bool = True,
 ) -> float:
-    """Tier gate: by default only behavior-impoverished queries are blended."""
-    if tail_only and tier == corpus_mod.TIER_RICH:
+    """Tier gate: only behavior-impoverished queries are blended."""
+    if tier == corpus_mod.TIER_RICH:
         return float(f_source)
     return augment_feature(f_source, f_targets, params)
 
@@ -280,8 +277,6 @@ class PipelineConfig:
     rerank_negative_cap: int = 32
     eval_k: int = 100
     n_max: int = 10
-    alpha: float = 0.8
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         # The re-ranker trains on the final round's negatives and serving
@@ -289,7 +284,6 @@ class PipelineConfig:
         _check_positive(
             ance_rounds=self.ance_rounds, top_k=self.top_k, n_max=self.n_max
         )
-        self.synth = replace(self.synth, seed=self.seed)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -390,7 +384,7 @@ THRESHOLD_KIND = "rerank-threshold"
 
 
 def _stage_synth(config: PipelineConfig, paths: PipelinePaths) -> None:
-    result = synth_mod.generate(config.synth)
+    result = synth_mod.generate(config.synth, config.seed)
     synth_mod.write_all(result, paths.root)
 
 

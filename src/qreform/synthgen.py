@@ -21,7 +21,10 @@ catalogs: textually near, behaviorally unrelated, exactly the false
 friends a lexical matcher retrieves.  Traffic is Zipfian within each
 intent, which yields behavior-rich heads and impoverished tails
 organically; sparse queries only reach the popular core of their
-profile, as limited traffic explores little of the catalog.
+profile, as limited traffic explores little of the catalog.  The
+corpus's shape (traffic skew, pathology shares, noise, typo rate,
+vocabulary sizes) is fixed by module constants; a caller sets its scale
+through ``SynthConfig`` and the seed as an argument of ``generate``.
 """
 
 from __future__ import annotations
@@ -42,12 +45,27 @@ from .evaluation import (
     AuditLabel,
     save_audit_labels,
 )
-from .files import write_tsv
+from .files import read_tsv, write_tsv
 from .normalize import NormalizationConfig, save_config
 
 _CONSONANTS = "bcdfghjklmnprstvwy"
 _VOWELS = "aeiou"
 _STOPWORDS = ("na", "wo", "de")
+# The shape of the corpus: traffic skew over each intent's queries, the
+# share of intent pairs planted as confusable or doppelganger, the share
+# of traffic ranks phrased as synonyms, the width of a divergent catalog
+# slice, per-intent purchase volume, per-product lognormal noise, the
+# per-token typo rate, and the shared generic and brand vocabularies.
+_ZIPF_EXPONENT = 1.15
+_CONFUSABLE_FRACTION = 0.25
+_DOPPEL_FRACTION = 0.25
+_ALT_FRACTION = 0.5
+_OVERLAP_FRACTION = 0.5
+_PURCHASES_SCALE = 480.0
+_NOISE_SIGMA = 0.25
+_TYPO_PROB = 0.1
+_N_GENERIC_WORDS = 3
+_N_BRANDS = 4
 
 LOG_KIND = "behavior-log"
 INTENTS_KIND = "intents"
@@ -63,44 +81,16 @@ RELATION_DOPPEL = "doppelganger"
 
 @dataclass
 class SynthConfig:
-    """Scale and shape knobs; defaults target a minute-scale pipeline run."""
+    """Scale knobs; defaults target a minute-scale pipeline run.  The run
+    seed is passed to ``generate`` on its own, and the corpus shape is
+    fixed by the module constants above."""
 
     n_intents: int = 80
     queries_per_intent: int = 20
     products_per_catalog: int = 40
-    zipf_exponent: float = 1.15
-    confusable_fraction: float = 0.25
-    doppel_fraction: float = 0.25
-    alt_fraction: float = 0.5
-    overlap_fraction: float = 0.5
-    purchases_scale: float = 480.0
-    noise_sigma: float = 0.25
-    typo_prob: float = 0.1
-    n_generic_words: int = 3
-    n_brands: int = 4
     n_audit_pairs: int = 400
-    tail_product_bound: int = 6
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.overlap_fraction <= 1.0:
-            raise ValueError(
-                f"overlap_fraction must be in (0, 1], got {self.overlap_fraction}"
-            )
-        if not 0.0 <= self.confusable_fraction <= 1.0:
-            raise ValueError(
-                f"confusable_fraction must be in [0, 1], got {self.confusable_fraction}"
-            )
-        if not 0.0 <= self.doppel_fraction <= 1.0:
-            raise ValueError(
-                f"doppel_fraction must be in [0, 1], got {self.doppel_fraction}"
-            )
-        if not 0.0 <= self.alt_fraction < 1.0:
-            raise ValueError(f"alt_fraction must be in [0, 1), got {self.alt_fraction}")
-        if self.confusable_fraction + self.doppel_fraction > 1.0:
-            raise ValueError("confusable and doppelganger fractions exceed 1 combined")
-        if not 0.0 <= self.typo_prob < 1.0:
-            raise ValueError(f"typo_prob must be in [0, 1), got {self.typo_prob}")
         if self.n_intents < 2 or self.queries_per_intent < 2:
             raise ValueError("need at least 2 intents and 2 queries per intent")
         if self.products_per_catalog < 2:
@@ -130,7 +120,7 @@ class SynthGroundTruth:
 
 @dataclass
 class SynthResult:
-    config: SynthConfig
+    seed: int
     log_rows: list[tuple[str, str, int]]
     ground_truth: SynthGroundTruth
     audit_labels: list[AuditLabel]
@@ -151,9 +141,9 @@ def _make_words(rng: random.Random, count: int, used: set[str]) -> list[str]:
     return words
 
 
-def _slice_width(catalog_size: int, overlap_fraction: float) -> int:
+def _slice_width(catalog_size: int) -> int:
     """Width of one divergent-behavior slice (child or skew) of a catalog."""
-    width = int(round(catalog_size * overlap_fraction / 2))
+    width = int(round(catalog_size * _OVERLAP_FRACTION / 2))
     return max(1, min(catalog_size // 2, width))
 
 
@@ -166,7 +156,7 @@ def _typo(token: str, rng: random.Random) -> str:
     return token[:i] + token[i] + token[i:]
 
 
-def _variant(tokens: Sequence[str], rng: random.Random, typo_prob: float) -> str:
+def _variant(tokens: Sequence[str], rng: random.Random) -> str:
     out = list(tokens)
     if rng.random() < 0.6:
         rng.shuffle(out)
@@ -177,7 +167,7 @@ def _variant(tokens: Sequence[str], rng: random.Random, typo_prob: float) -> str
             token = token + "q"
         elif roll < 0.45:
             token = token + "z"
-        if rng.random() < typo_prob:
+        if rng.random() < _TYPO_PROB:
             token = _typo(token, rng)
         mutated.append(token)
     if rng.random() < 0.3:
@@ -185,17 +175,17 @@ def _variant(tokens: Sequence[str], rng: random.Random, typo_prob: float) -> str
     return " ".join(mutated)
 
 
-def generate(config: SynthConfig) -> SynthResult:
+def generate(config: SynthConfig, seed: int) -> SynthResult:
     """Deterministic synthetic corpus for one config and seed."""
-    rng = random.Random(config.seed)
-    np_rng = np.random.default_rng(config.seed)
+    rng = random.Random(seed)
+    np_rng = np.random.default_rng(seed)
     used_words: set[str] = set(_STOPWORDS)
 
-    generics = _make_words(rng, config.n_generic_words, used_words)
-    brands = [w + "z" for w in _make_words(rng, config.n_brands, used_words)]
+    generics = _make_words(rng, _N_GENERIC_WORDS, used_words)
+    brands = [w + "z" for w in _make_words(rng, _N_BRANDS, used_words)]
 
-    n_confusable = int(round(config.confusable_fraction * config.n_intents / 2))
-    n_doppel = int(round(config.doppel_fraction * config.n_intents / 2))
+    n_confusable = int(round(_CONFUSABLE_FRACTION * config.n_intents / 2))
+    n_doppel = int(round(_DOPPEL_FRACTION * config.n_intents / 2))
     intent_ids = [f"intent{i:02d}" for i in range(config.n_intents)]
     confusable_pairs: set[tuple[str, str]] = set()
     doppel_pairs: set[tuple[str, str]] = set()
@@ -221,7 +211,7 @@ def generate(config: SynthConfig) -> SynthResult:
         if parent_index is None:
             spec_a, spec_b = _make_words(rng, 2, used_words)
             tokens = [generic, spec_a, spec_b]
-            if i % (config.n_intents // max(config.n_brands, 1) + 1) == 0 and brands:
+            if i % (config.n_intents // _N_BRANDS + 1) == 0:
                 tokens.append(brands[i % len(brands)])
             products = [
                 f"prod{i:02d}_{j:02d}" for j in range(config.products_per_catalog)
@@ -235,7 +225,7 @@ def generate(config: SynthConfig) -> SynthResult:
             # Child intent buys a deep slice of the parent's catalog with a
             # reversed sharp profile: set overlap with the parent stays
             # real while the distributions diverge hard.
-            child_w = _slice_width(len(catalogs[parent]), config.overlap_fraction)
+            child_w = _slice_width(len(catalogs[parent]))
             lo = max(0, len(catalogs[parent]) - 2 * child_w)
             products = catalogs[parent][lo:lo + child_w]
             weights = (np.arange(len(products)) + 1.0) ** -2.0
@@ -260,7 +250,7 @@ def generate(config: SynthConfig) -> SynthResult:
     variant_form: dict[str, str] = {}
     log_rows: list[tuple[str, str, int]] = []
 
-    rank_weights = (np.arange(config.queries_per_intent) + 1.0) ** -config.zipf_exponent
+    rank_weights = (np.arange(config.queries_per_intent) + 1.0) ** -_ZIPF_EXPONENT
     rank_weights /= rank_weights.sum()
 
     # Spread synonym slots evenly over the traffic ranks, alternating the
@@ -271,7 +261,7 @@ def generate(config: SynthConfig) -> SynthResult:
     synonym_ranks = sorted(
         r
         for r in range(config.queries_per_intent)
-        if int((r + 1) * config.alt_fraction) > int(r * config.alt_fraction)
+        if int((r + 1) * _ALT_FRACTION) > int(r * _ALT_FRACTION)
     )
     rank_form = {
         rank: ("alt" if slot % 2 == 0 else "skew")
@@ -303,14 +293,14 @@ def generate(config: SynthConfig) -> SynthResult:
                         f"could not generate {config.queries_per_intent} distinct "
                         f"variants for {intent}"
                     )
-                candidate = _variant(tokens, rng, config.typo_prob)
+                candidate = _variant(tokens, rng)
             variants.append(candidate)
             variant_form[candidate] = form
         for query in variants:
             query_intent[query] = intent
         queries_by_intent[intent] = variants
 
-        intent_volume = config.purchases_scale * rng.uniform(0.85, 1.15)
+        intent_volume = _PURCHASES_SCALE * rng.uniform(0.85, 1.15)
         volumes = np.floor(intent_volume * rank_weights).astype(int)
         base_weights = catalog_weights[intent]
         products = catalogs[intent]
@@ -319,7 +309,7 @@ def generate(config: SynthConfig) -> SynthResult:
         # there keeps the phrasings co-purchase-linked, but the
         # distributions are nearly disjoint, so mined importance is
         # genuinely low.
-        n_skew = _slice_width(len(products), config.overlap_fraction)
+        n_skew = _slice_width(len(products))
         skew_weights = np.zeros(len(products))
         skew_weights[len(products) - n_skew:] = (
             (np.arange(n_skew) + 1.0) ** -2.0
@@ -329,7 +319,7 @@ def generate(config: SynthConfig) -> SynthResult:
                 log_rows.append((query, "", 0))
                 continue
             profile = skew_weights if variant_form[query] == "skew" else base_weights
-            noise = np_rng.lognormal(0.0, config.noise_sigma, size=len(products))
+            noise = np_rng.lognormal(0.0, _NOISE_SIGMA, size=len(products))
             probs = profile * noise
             probs /= probs.sum()
             # Sparse traffic only reaches the popular core of its profile;
@@ -368,7 +358,7 @@ def generate(config: SynthConfig) -> SynthResult:
         stemmer_rules=(("z", ""),),
     )
     return SynthResult(
-        config=config,
+        seed=seed,
         log_rows=log_rows,
         ground_truth=ground_truth,
         audit_labels=audit_labels,
@@ -475,7 +465,7 @@ def write_all(result: SynthResult, out_dir) -> dict[str, Path]:
         "relations": out_dir / "intent_relations.tsv",
         "audit": out_dir / "audit_labels.tsv",
     }
-    write_tsv(paths["log"], LOG_KIND, result.log_rows, seed=result.config.seed)
+    write_tsv(paths["log"], LOG_KIND, result.log_rows, seed=result.seed)
     write_tsv(
         paths["intents"],
         INTENTS_KIND,
@@ -501,8 +491,6 @@ def write_all(result: SynthResult, out_dir) -> dict[str, Path]:
 
 
 def load_ground_truth(intents_path, relations_path) -> SynthGroundTruth:
-    from .files import read_tsv
-
     _, intent_rows = read_tsv(intents_path, INTENTS_KIND, has_columns=True)
     _, relation_rows = read_tsv(relations_path, RELATIONS_KIND, has_columns=True)
     return SynthGroundTruth(

@@ -56,8 +56,9 @@ def test_evaluate_command_prints_saved_report(tiny_run, tmp_path, capsys, model)
         ["evaluate", "--model", "retriever_weighted", "--mode", "audit"],
         ["ance", "--rounds", "1"],
         ["ance", "--top-k", "5"],
+        ["augment", "--source-value", "0.2", "--tier", "rich", "--all-tiers"],
     ],
-    ids=["evaluate-mode", "ance-rounds", "ance-top-k"],
+    ids=["evaluate-mode", "ance-rounds", "ance-top-k", "augment-all-tiers"],
 )
 def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exited:
@@ -147,8 +148,13 @@ def test_augment_command_tier_gate(capsys):
     base = ["augment", "--source-value", "0.2", "--target-values", "0.8"]
     assert main([*base, "--alpha", "0.5", "--tier", "rich"]) == 0
     assert capsys.readouterr().out.strip() == "0.200000"
-    assert main([*base, "--alpha", "0.5", "--tier", "rich", "--all-tiers"]) == 0
+    assert main([*base, "--alpha", "0.5", "--tier", "impoverished"]) == 0
     assert capsys.readouterr().out.strip() == "0.500000"
+    for tier in ("Rich", "tail"):
+        with pytest.raises(SystemExit) as exited:
+            main([*base, "--alpha", "0.5", "--tier", tier])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_augment_command_rejects_empty_targets(capsys):
@@ -205,7 +211,7 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
     capsys.readouterr()
     written = json.loads((run_dir / "config.json").read_text())
     assert written["seed"] == 7
-    assert written["synth"]["seed"] == 7
+    assert "seed=7" in (run_dir / "behavior_log.tsv").read_text().split("\n")[0]
 
 
 @pytest.mark.parametrize(
@@ -213,6 +219,11 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
     [
         ({"eval_kk": 5}, "top-level", "eval_kk"),
         ({"synth": {"n_intent": 5}}, "synth", "n_intent"),
+        # Keys of earlier config files that no longer shape a run.
+        ({"alpha": 0.8}, "top-level", "alpha"),
+        ({"synth": {"seed": 7}}, "synth", "seed"),
+        ({"synth": {"tail_product_bound": 6}}, "synth", "tail_product_bound"),
+        ({"synth": {"zipf_exponent": 1.15}}, "synth", "zipf_exponent"),
     ],
 )
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):

@@ -1,5 +1,6 @@
 """Pipeline orchestration, inference ops, feature augmentation."""
 
+import ast
 import builtins
 import dataclasses
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qreform
 from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
 from qreform.encoders import load_checkpoint, params_checksum
@@ -32,6 +34,7 @@ from qreform.pipeline import (
     select_threshold,
     tail_reformulation_rate,
 )
+from qreform.synthgen import LOG_KIND, SynthConfig, generate
 from tests.conftest import copied_run, tiny_config
 
 
@@ -78,7 +81,6 @@ def test_augment_tier_gate():
     assert augment_for_tier(TIER_IMPOVERISHED, 0.2, [0.8], params) == pytest.approx(
         0.5 * 0.2 + 0.5 * 0.8
     )
-    assert augment_for_tier(TIER_RICH, 0.2, [0.8], params, tail_only=False) != 0.2
 
 
 # --- threshold selection ---
@@ -119,7 +121,42 @@ def test_config_hash_tracks_changes(tmp_path):
 
 def test_config_seed_propagates_to_synth(tmp_path):
     config = tiny_config(tmp_path / "run", seed=9)
-    assert config.synth.seed == 9
+    run = run_pipeline(config, stages=["synth-gen"])
+    attrs, rows = read_tsv(PipelinePaths(run.out_dir).log, LOG_KIND)
+    assert attrs["seed"] == "9"
+    expected = generate(config.synth, 9).log_rows
+    assert rows == [[query, product, str(n)] for query, product, n in expected]
+
+
+def _attributes_read(tree: ast.AST, skip_classes: set[str]) -> set[str]:
+    """Names read as ``x.name`` anywhere in ``tree`` outside the bodies of
+    the classes named in ``skip_classes``."""
+    if isinstance(tree, ast.ClassDef) and tree.name in skip_classes:
+        return set()
+    names = set()
+    if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        names.add(tree.attr)
+    for child in ast.iter_child_nodes(tree):
+        names |= _attributes_read(child, skip_classes)
+    return names
+
+
+def test_every_config_field_is_read_by_the_package():
+    # A field nothing reads still enters config_hash, so editing it would
+    # rerun every stage while changing no artifact.
+    classes = {"PipelineConfig": PipelineConfig, "SynthConfig": SynthConfig}
+    package = Path(qreform.__file__).parent
+    read = set()
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        read |= _attributes_read(tree, set(classes))
+    unread = [
+        f"{name}.{f.name}"
+        for name, cls in classes.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("rounds", [0, -1])

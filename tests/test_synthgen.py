@@ -20,6 +20,9 @@ from qreform.synthgen import (
 SMALL = SynthConfig(
     n_intents=16, queries_per_intent=12, products_per_catalog=14, n_audit_pairs=150
 )
+# The median number of distinct products a tail query of SMALL buys
+# stays at or below this.
+TAIL_PRODUCT_BOUND = 6
 
 
 def query_counts(result):
@@ -43,26 +46,27 @@ def intent_counts(result):
 
 
 def test_generate_deterministic():
-    a, b = generate(SMALL), generate(SMALL)
+    a, b = generate(SMALL, 0), generate(SMALL, 0)
     assert a.log_rows == b.log_rows
     assert a.audit_labels == b.audit_labels
     assert a.ground_truth == b.ground_truth
 
 
 def test_generate_seed_changes_output():
-    other = SynthConfig(**{**SMALL.__dict__, "seed": 1})
-    assert generate(other).log_rows != generate(SMALL).log_rows
+    assert generate(SMALL, 1).log_rows != generate(SMALL, 0).log_rows
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(overlap_fraction=1.5)
-    with pytest.raises(ValueError):
-        SynthConfig(confusable_fraction=-0.1)
+    with pytest.raises(ValueError, match="2 intents"):
+        SynthConfig(n_intents=1)
+    with pytest.raises(ValueError, match="2 queries"):
+        SynthConfig(queries_per_intent=1)
+    with pytest.raises(ValueError, match="2 products"):
+        SynthConfig(products_per_catalog=1)
 
 
 def test_every_query_has_exactly_one_intent():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     queries = {row[0] for row in result.log_rows}
     assert queries <= set(result.ground_truth.query_intent)
     n_queries = SMALL.n_intents * SMALL.queries_per_intent
@@ -70,7 +74,7 @@ def test_every_query_has_exactly_one_intent():
 
 
 def test_unrelated_intents_have_disjoint_catalogs():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     by_intent = intent_counts(result)
     truth = result.ground_truth
     unrelated = [
@@ -88,7 +92,7 @@ def test_unrelated_intents_have_disjoint_catalogs():
 
 
 def test_confusable_catalogs_nested():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     by_intent = intent_counts(result)
     for parent, child in sorted(result.ground_truth.confusable_intents):
         child_products = set(by_intent.get(child, {}))
@@ -101,7 +105,7 @@ def test_containment_pathology_realized():
     # At least one confusable pair must show visible legacy overlap (the
     # child catalog nests inside the parent's) while behavioral importance
     # stays far lower: the trap that set-overlap mining falls into.
-    result = generate(SynthConfig())
+    result = generate(SynthConfig(), 0)
     by_intent = intent_counts(result)
     best_ratio, best_legacy = 0.0, 0.0
     for parent, child in sorted(result.ground_truth.confusable_intents):
@@ -121,8 +125,7 @@ def test_containment_pathology_realized():
 def test_separability_of_mean_importance_over_seeds():
     same_means, confusable_means, unrelated_means = [], [], []
     for seed in range(10):
-        config = SynthConfig(**{**SMALL.__dict__, "seed": seed})
-        result = generate(config)
+        result = generate(SMALL, seed)
         by_intent = intent_counts(result)
         dists = {
             i: BehaviorDistribution.from_counts(c)
@@ -163,8 +166,7 @@ def test_same_intent_jsd_small_for_high_volume_queries():
     # the time.
     total, below = 0, 0
     for seed in range(5):
-        config = SynthConfig(**{**SMALL.__dict__, "seed": seed})
-        result = generate(config)
+        result = generate(SMALL, seed)
         truth = result.ground_truth
         rich = {
             q: BehaviorDistribution.from_counts(c)
@@ -185,7 +187,7 @@ def test_same_intent_jsd_small_for_high_volume_queries():
 def test_skew_phrasing_diverges_within_intent():
     # The drifted synonym buys the same catalog under a different mix, so
     # cross-profile importance sits well below same-profile importance.
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     truth = result.ground_truth
     counts = query_counts(result)
     rich = {q: c for q, c in counts.items() if sum(c.values()) >= 25}
@@ -209,7 +211,7 @@ def test_skew_phrasing_diverges_within_intent():
 
 
 def test_tail_queries_are_behavior_sparse():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     per_query = query_counts(result)
     totals = {q: sum(c.values()) for q, c in per_query.items()}
     for query in result.ground_truth.query_intent:
@@ -217,11 +219,11 @@ def test_tail_queries_are_behavior_sparse():
     ordered = sorted(totals, key=lambda q: (totals[q], q))
     tail = ordered[: len(ordered) // 3]
     distinct = [len(per_query.get(q, {})) for q in tail]
-    assert statistics.median(distinct) <= SMALL.tail_product_bound
+    assert statistics.median(distinct) <= TAIL_PRODUCT_BOUND
 
 
 def test_audit_labels_cover_all_classes_and_match_truth():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     truth = result.ground_truth
     seen = set()
     for label in result.audit_labels:
@@ -233,14 +235,14 @@ def test_audit_labels_cover_all_classes_and_match_truth():
 
 
 def test_surface_variants_collapse_under_normalization():
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     queries = sorted(result.ground_truth.query_intent)
     forms = {normalize(q, result.norm_config) for q in queries}
     assert len(forms) < len(queries) / 2
 
 
 def test_write_all_round_trip(tmp_path):
-    result = generate(SMALL)
+    result = generate(SMALL, 0)
     paths = write_all(result, tmp_path)
     corpus = ingest_log(paths["log"], min_purchase=2)
     assert set(corpus.queries) == set(result.ground_truth.query_intent)
