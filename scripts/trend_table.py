@@ -65,7 +65,10 @@ def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> 
         "ndcg_general_circle": reports[MODEL_RERANKER_CIRCLE].metrics["ndcg3_general"],
         "ndcg_hard_point": reports[MODEL_RERANKER_POINTWISE].metrics["ndcg3_hard"],
         "ndcg_hard_circle": reports[MODEL_RERANKER_CIRCLE].metrics["ndcg3_hard"],
-        "pairs_grouped": len(load_pairs(paths.pairs_proposed)),
+        "pairs_grouped": sum(
+            len(load_pairs(path))
+            for path in (paths.pairs_train, paths.pairs_val, paths.pairs_test)
+        ),
         "pairs_ungrouped": len(load_pairs(paths.pairs_ungrouped)),
         "tail_rate": tail_reformulation_rate(config),
     }

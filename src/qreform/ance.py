@@ -1,14 +1,15 @@
 """Hard-negative mining for the ANCE rounds and the re-ranker's batches.
 
 A mining pass retrieves every anchor's nearest candidates with a
-bi-encoder and keeps those that are not the anchor's co-purchase kin (nor
-the anchor or one of its normalization duplicates): textually
-close, behaviorally unrelated queries.  The rounds themselves run in the
-pipeline's ance stage, which mines with the current retriever and then
-fine-tunes it on its own mined negatives (self-learning).  The
-learn-from-teacher step, in which the cross-encoder fine-tunes once on the
-final round's sets, runs in the train-reranker stage from the persisted
-files, using ``build_rerank_batches``.  The cross-encoder never retrieves;
+bi-encoder and keeps those that are neither the anchor nor its kin
+(``mining.kin_pairs``: same normalized form, co-purchased, or one shared
+co-purchased neighbor apart): textually close, behaviorally unrelated
+queries.  The rounds themselves run in the pipeline's ance stage, which
+mines with the current retriever and then fine-tunes it on its own mined
+negatives (self-learning).  The learn-from-teacher step, in which the
+cross-encoder fine-tunes once on the final round's sets, runs in the
+train-reranker stage from the persisted files, using
+``build_rerank_batches``.  The cross-encoder never retrieves;
 every record carries the bi-encoder checkpoint checksum it was mined with.
 """
 
@@ -43,16 +44,14 @@ def mine_hard_negatives(
     candidates: Mapping[str, str],
     kin: Mapping[str, AbstractSet[str]],
     top_k: int = 100,
-    normalized: Mapping[str, str] | None = None,
     round_index: int = 1,
 ) -> list[HardNegativeRecord]:
-    """Retrieve top_k per anchor, subtract co-purchase partners and twins.
+    """Retrieve top_k per anchor and drop the anchor and its kin.
 
     ``candidates`` maps candidate query_id to raw text (the rich pool);
-    ``kin`` maps each query id to its co-purchase partners (symmetric);
-    ``normalized`` (id to normalized form) enables duplicate exclusion.
-    Negatives keep retrieval rank order.  Records with empty negative
-    lists are kept; training simply skips them.
+    ``kin`` maps each query id to its kin (symmetric), and negatives
+    exclude kin.  Negatives keep retrieval rank order.  Records with
+    empty negative lists are kept; training simply skips them.
     """
     if not candidates:
         raise ValueError("hard-negative mining needs a non-empty candidate set")
@@ -63,18 +62,12 @@ def mine_hard_negatives(
     ranked = index.knn_many(probes, top_k)
     records = []
     for anchor, hits in zip(anchor_list, ranked):
-        anchor_norm = normalized.get(anchor) if normalized is not None else None
         partners = kin.get(anchor, ())
-        kept = []
-        for candidate, _ in hits:
-            if candidate == anchor or candidate in partners:
-                continue
-            if (
-                anchor_norm is not None
-                and normalized.get(candidate) == anchor_norm
-            ):
-                continue
-            kept.append(candidate)
+        kept = [
+            candidate
+            for candidate, _ in hits
+            if candidate != anchor and candidate not in partners
+        ]
         records.append(
             HardNegativeRecord(anchor, tuple(kept), round_index, checksum)
         )

@@ -42,15 +42,6 @@ class QueryRecord:
 
 
 @dataclass(frozen=True)
-class CoPurchaseRecord:
-    """Unordered query pair sharing at least one surviving product."""
-
-    query_a: str
-    query_b: str
-    shared_products: int
-
-
-@dataclass(frozen=True)
 class DatasetSplit:
     """Pair shards for training; any pair touching a test query is test-only."""
 
@@ -162,25 +153,22 @@ def split_rich_impoverished(
 
 def copurchase_from_product_sets(
     product_sets: Mapping[str, Iterable[str]]
-) -> list[CoPurchaseRecord]:
+) -> list[tuple[str, str]]:
     """Self-join arbitrary keyed product sets on product.
 
-    Works over query ids or group keys alike; one undirected record per
-    unordered pair, ordered (query_a < query_b), sorted output.
+    Works over query ids or group keys alike; one canonical key pair per
+    unordered pair sharing at least one product, sorted output.
     """
     by_product: dict[str, list[str]] = {}
     for key in sorted(product_sets):
         for product in product_sets[key]:
             by_product.setdefault(product, []).append(key)
-    shared: dict[tuple[str, str], int] = {}
+    shared: set[tuple[str, str]] = set()
     for keys in by_product.values():
         for i, key_a in enumerate(keys):
             for key_b in keys[i + 1:]:
-                pair = canonical_pair(key_a, key_b)
-                shared[pair] = shared.get(pair, 0) + 1
-    return [
-        CoPurchaseRecord(a, b, count) for (a, b), count in sorted(shared.items())
-    ]
+                shared.add(canonical_pair(key_a, key_b))
+    return sorted(shared)
 
 
 def make_split(pairs: Sequence, n_test_queries: int, seed: int) -> DatasetSplit:

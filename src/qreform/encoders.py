@@ -543,8 +543,9 @@ def params_checksum(model) -> str:
     """Stable digest of architecture plus parameters, for provenance tags."""
     digest = hashlib.sha256()
     digest.update(json.dumps(_model_meta(model), sort_keys=True).encode("utf-8"))
-    for name in sorted(model.parameters()):
-        array = np.ascontiguousarray(model.parameters()[name], dtype=np.float64)
+    params = model.parameters()
+    for name in sorted(params):
+        array = np.ascontiguousarray(params[name], dtype=np.float64)
         digest.update(name.encode("utf-8"))
         digest.update(array.tobytes())
     return digest.hexdigest()

@@ -128,10 +128,12 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def iter_log_lines(path: os.PathLike | str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping header/blank lines."""
+    """Yield (1-based line number, stripped line), skipping blank lines and
+    a ``#qreform-`` header on line 1; any other line is data, even one
+    that starts with ``#``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line or (lineno == 1 and line.startswith(HEADER_PREFIX)):
                 continue
             yield lineno, line

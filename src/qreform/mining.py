@@ -5,7 +5,8 @@ divergence-derived importance (1 - JSD), re-ranking regresses onto the
 directed one-sided variant (1 - KLD of the target distribution against
 the pair mixture), and the legacy set-overlap score is kept around as the
 baseline it replaces.  All divergences use base-2 logarithms so every
-score lives in [0, 1].
+score lives in [0, 1].  The kin relation, which shields related queries
+from negative sampling, is unscored.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ _BASELINE_KEEP_FRACTION = 0.3
 
 def mine_pairs(
     groups: Sequence[QueryGroup],
-    copurchase: Iterable,
+    copurchase: Iterable[tuple[str, str]],
     floor: float = 0.01,
     min_purchase: int = 2,
 ) -> list[QueryPair]:
     """Score co-purchase pairs of query groups and expand to member queries.
 
-    ``copurchase`` holds records over group keys (``normalized_text``).
+    ``copurchase`` holds pairs of group keys (``normalized_text``).
     Each surviving group pair is scored once on the groups' filtered
     behavior and then expanded to every cross pair of member queries, so
     the encoders see surface variation while sharing one behavioral score.
@@ -155,8 +156,7 @@ def mine_pairs(
             dists[key] = BehaviorDistribution.from_counts(counts)
 
     pairs: list[QueryPair] = []
-    for record in copurchase:
-        key_a, key_b = record.query_a, record.query_b
+    for key_a, key_b in copurchase:
         if key_a not in dists or key_b not in dists:
             continue
         da, db = dists[key_a], dists[key_b]
@@ -194,53 +194,37 @@ def mine_pairs(
 
 
 def kin_pairs(
-    groups: Sequence[QueryGroup],
-    copurchase: Iterable,
-    min_purchase: int = 2,
-) -> list[QueryPair]:
-    """Pairs linked only through a shared co-purchase neighbor.
+    groups: Sequence[QueryGroup], copurchase: Iterable[tuple[str, str]]
+) -> list[tuple[str, str]]:
+    """Member query pairs whose groups are related, as sorted canonical keys.
 
-    Sparse queries explore so little of the catalog that two related
-    queries can share zero sampled products while both overlap the same
-    third group.  Such kin carry no measurable importance (the pairs
-    score 0), but they must still be shielded from negative sampling, so
-    the exclusion output closes the group co-purchase graph by one hop.
+    Two groups are kin when they are the same group, are co-purchased, or
+    share a co-purchased neighbor.  Sparse queries explore so little of
+    the catalog that two related queries can share zero sampled products
+    while both overlap the same third group, and members of one group are
+    surface variants of one intent, purchases or not.  Kin carry no
+    measurable importance, but negative sampling must never draw them.
     """
-    by_key = {group.normalized_text: group for group in groups}
-    alive = {
-        key
-        for key, group in by_key.items()
-        if group.surviving_counts(min_purchase)
+    members = {group.normalized_text: group.member_query_ids for group in groups}
+    near: dict[str, set[str]] = {key: {key} for key in members}
+    for key_a, key_b in copurchase:
+        near[key_a].add(key_b)
+        near[key_b].add(key_a)
+    kin_groups = {
+        (key_a, key_b)
+        for keys in near.values()
+        for key_a in keys
+        for key_b in keys
+        if key_a <= key_b
     }
-    adjacent: dict[str, set[str]] = {}
-    direct: set[tuple[str, str]] = set()
-    for record in copurchase:
-        key_a, key_b = record.query_a, record.query_b
-        if key_a not in alive or key_b not in alive:
-            continue
-        adjacent.setdefault(key_a, set()).add(key_b)
-        adjacent.setdefault(key_b, set()).add(key_a)
-        direct.add(canonical_pair(key_a, key_b))
-
-    two_hop: set[tuple[str, str]] = set()
-    for neighbors in adjacent.values():
-        ordered = sorted(neighbors)
-        for i, key_a in enumerate(ordered):
-            for key_b in ordered[i + 1:]:
-                pair = (key_a, key_b)
-                if pair not in direct:
-                    two_hop.add(pair)
-
-    pairs: list[QueryPair] = []
-    for key_a, key_b in sorted(two_hop):
-        for member_a in by_key[key_a].member_query_ids:
-            for member_b in by_key[key_b].member_query_ids:
-                if member_a == member_b:
-                    continue
-                src, tgt = canonical_pair(member_a, member_b)
-                pairs.append(QueryPair(src, tgt, 0.0, 0.0, 0.0, 0))
-    pairs.sort(key=lambda p: (p.source, p.target))
-    return pairs
+    pairs = {
+        canonical_pair(member_a, member_b)
+        for key_a, key_b in kin_groups
+        for member_a in members[key_a]
+        for member_b in members[key_b]
+        if member_a != member_b
+    }
+    return sorted(pairs)
 
 
 def baseline_top30(pairs: Sequence[QueryPair]) -> list[QueryPair]:
@@ -304,3 +288,20 @@ def load_pairs(path) -> list[QueryPair]:
         QueryPair(r[0], r[1], float(r[2]), float(r[3]), float(r[4]), int(r[5]))
         for r in rows
     ]
+
+
+KIN_KIND = "kin"
+
+
+def save_kin(path, pairs: Iterable[tuple[str, str]]) -> None:
+    write_tsv(path, KIN_KIND, pairs, columns=("source", "target"))
+
+
+def load_kin(path) -> dict[str, set[str]]:
+    """Each query's kin from a ``save_kin`` file, in both directions."""
+    _, rows = read_tsv(path, KIN_KIND, has_columns=True)
+    kin: dict[str, set[str]] = {}
+    for source, target in rows:
+        kin.setdefault(source, set()).add(target)
+        kin.setdefault(target, set()).add(source)
+    return kin

@@ -348,8 +348,6 @@ class PipelinePaths:
         self.corpus_events = root / "corpus_events.tsv"
         self.norm_queries = root / "corpus_queries_normalized.tsv"
         self.groups = root / "groups.tsv"
-        self.pairs_proposed = root / "pairs_proposed.tsv"
-        self.pairs_baseline = root / "pairs_baseline.tsv"
         self.pairs_ungrouped = root / "pairs_ungrouped.tsv"
         self.pairs_exclusion = root / "pairs_exclusion.tsv"
         self.test_queries = root / "test_queries.tsv"
@@ -414,8 +412,8 @@ def _stage_normalize(config: PipelineConfig, paths: PipelinePaths) -> None:
 
 def _group_copurchase(
     groups: Sequence[norm_mod.QueryGroup], min_purchase: int
-) -> list[corpus_mod.CoPurchaseRecord]:
-    """Co-purchase records over group keys, from the products each group
+) -> list[tuple[str, str]]:
+    """Co-purchased pairs of group keys, from the products each group
     bought at least ``min_purchase`` times; groups with none are left out."""
     product_sets = {
         g.normalized_text: frozenset(g.surviving_counts(min_purchase)) for g in groups
@@ -428,29 +426,19 @@ def _group_copurchase(
 def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     groups = norm_mod.load_groups(paths.groups)
-    copurchase = _group_copurchase(groups, config.min_purchase)
-    proposed = mining_mod.mine_pairs(
+    scored = mining_mod.mine_pairs(
         groups,
-        copurchase,
-        floor=config.mining_floor,
+        _group_copurchase(groups, config.min_purchase),
+        floor=0.0,
         min_purchase=config.min_purchase,
     )
-    baseline = mining_mod.baseline_top30(
-        mining_mod.mine_pairs(
-            groups, copurchase, floor=0.0, min_purchase=config.min_purchase
-        )
-    )
-    # The exclusion list protects pairs from negative sampling, which
-    # needs only evidence of relatedness, not a stable distribution
-    # estimate: it keeps every raw co-purchase link (min_purchase 1) and
-    # closes the graph one hop so kin with no directly sampled overlap
-    # are shielded too.
-    raw_copurchase = _group_copurchase(groups, 1)
-    exclusion = sorted(
-        mining_mod.mine_pairs(groups, raw_copurchase, floor=0.0, min_purchase=1)
-        + mining_mod.kin_pairs(groups, raw_copurchase, min_purchase=1),
-        key=lambda p: (p.source, p.target),
-    )
+    proposed = [p for p in scored if p.importance >= config.mining_floor]
+    baseline = mining_mod.baseline_top30(scored)
+    # The kin relation shields queries from negative sampling, which needs
+    # only evidence of relatedness, not a stable distribution estimate:
+    # it takes every raw co-purchase link (min_purchase 1), and kin_pairs
+    # adds same-group members and queries one shared neighbor apart.
+    kin = mining_mod.kin_pairs(groups, _group_copurchase(groups, 1))
     singles = norm_mod.singleton_groups(corpus)
     ungrouped = mining_mod.mine_pairs(
         singles,
@@ -458,9 +446,7 @@ def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
         floor=config.mining_floor,
         min_purchase=config.min_purchase,
     )
-    mining_mod.save_pairs(paths.pairs_proposed, proposed, grouped=1)
-    mining_mod.save_pairs(paths.pairs_baseline, baseline, grouped=1)
-    mining_mod.save_pairs(paths.pairs_exclusion, exclusion, grouped=1)
+    mining_mod.save_kin(paths.pairs_exclusion, kin)
     mining_mod.save_pairs(paths.pairs_ungrouped, ungrouped, grouped=0)
 
     split = corpus_mod.make_split(proposed, config.n_test_queries, config.seed)
@@ -500,21 +486,12 @@ def _retrieval_examples(pairs) -> list[train_mod.RetrievalExample]:
     return examples
 
 
-def _co_purchase_kin(paths: PipelinePaths) -> dict[str, set[str]]:
-    """Each query's partners in the exclusion pairs, in both directions."""
-    kin: dict[str, set[str]] = {}
-    for pair in mining_mod.load_pairs(paths.pairs_exclusion):
-        kin.setdefault(pair.source, set()).add(pair.target)
-        kin.setdefault(pair.target, set()).add(pair.source)
-    return kin
-
-
 def _trained_pairs(path, floor: float):
     """Load pairs whose importance clears the training floor.
 
     Mined pairs below the floor stay in the pair files (they still count
-    as co-purchase knowledge: evaluation truth, hard-negative exclusion,
-    reformulation candidates), but they are kept out of training batches.
+    as co-purchase knowledge: evaluation truth and reformulation
+    candidates), but they are kept out of training batches.
     An adaptive optimizer normalizes gradient magnitudes per parameter,
     so a near-zero contrastive weight does not yield near-zero learning;
     dropping the pair is the only faithful reading of its weight.
@@ -523,7 +500,7 @@ def _trained_pairs(path, floor: float):
 
 
 def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None:
-    kin = _co_purchase_kin(paths)
+    kin = mining_mod.load_kin(paths.pairs_exclusion)
     train_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_RETRIEVAL,
         epochs=config.retriever_epochs,
@@ -559,13 +536,6 @@ def _rich_pool(corpus: corpus_mod.Corpus) -> dict[str, str]:
     }
 
 
-def _normalized_texts(corpus: corpus_mod.Corpus) -> dict[str, str]:
-    return {
-        qid: record.normalized_text or record.raw_text
-        for qid, record in corpus.queries.items()
-    }
-
-
 def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     """Hard-negative rounds on the weighted retriever.
 
@@ -577,9 +547,8 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     """
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
-    kin = _co_purchase_kin(paths)
+    kin = mining_mod.load_kin(paths.pairs_exclusion)
     pool = _rich_pool(corpus)
-    normalized = _normalized_texts(corpus)
     train_examples = _retrieval_examples(
         _trained_pairs(paths.pairs_train, config.train_floor)
     )
@@ -589,7 +558,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     anchors = {example.anchor for example in train_examples}
     for round_index in range(1, config.ance_rounds + 1):
         records = ance_mod.mine_hard_negatives(
-            model, anchors, pool, kin, config.top_k, normalized, round_index
+            model, anchors, pool, kin, config.top_k, round_index
         )
         round_config = train_mod.TrainConfig(
             objective=train_mod.OBJECTIVE_RETRIEVAL,
@@ -682,7 +651,7 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
 
     # Decision threshold: best F1 separating co-purchased validation pairs
     # from the pairs the deployed filter actually faces, i.e. candidates
-    # the final retriever surfaces that are not co-purchase kin.  Random
+    # the final retriever surfaces that are not kin.  Random
     # query pairs would be far too easy a negative class.
     positives = _directed_examples(mining_mod.load_pairs(paths.pairs_val))
     if not positives:
@@ -694,9 +663,8 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
         final,
         anchors,
         _rich_pool(corpus),
-        _co_purchase_kin(paths),
+        mining_mod.load_kin(paths.pairs_exclusion),
         config.top_k,
-        _normalized_texts(corpus),
     )
     candidates = [
         (record.anchor, negative)
@@ -831,8 +799,6 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     norm_files = [paths.stopwords, paths.script_map, paths.entities, paths.stemmer]
     synth_out = [paths.log, paths.intents, paths.relations, paths.audit, *norm_files]
     mine_out = [
-        paths.pairs_proposed,
-        paths.pairs_baseline,
         paths.pairs_exclusion,
         paths.pairs_ungrouped,
         paths.test_queries,

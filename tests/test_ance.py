@@ -12,6 +12,8 @@ from qreform.ance import (
     save_hard_negatives,
 )
 from qreform.encoders import BiEncoderModel, params_checksum
+from qreform.mining import kin_pairs, load_kin, save_kin
+from qreform.normalize import QueryGroup
 
 
 def model(seed=0):
@@ -36,20 +38,19 @@ def test_mining_excludes_self_and_copurchased():
     assert "red masks" in record.negatives
 
 
-def test_mining_excludes_normalization_duplicates():
-    normalized = {q: q.rstrip("s") for q in CANDIDATES}
-    normalized["anchor"] = "red mask"
-    records = mine_hard_negatives(
-        model(),
-        ["anchor"],
-        CANDIDATES,
-        {},
-        top_k=5,
-        normalized=normalized,
-    )
+def test_mining_excludes_same_form_kin(tmp_path):
+    # "red mask" and "red masks" share one normalized form, so they are
+    # kin though neither bought anything.
+    groups = [
+        QueryGroup("red mask", ("red mask", "red masks"), {}),
+        QueryGroup("blue towel", ("blue towel",), {"p1": 3}),
+    ]
+    save_kin(tmp_path / "kin.tsv", kin_pairs(groups, []))
+    kin = load_kin(tmp_path / "kin.tsv")
+    records = mine_hard_negatives(model(), ["red mask"], CANDIDATES, kin, top_k=5)
     (record,) = records
-    assert "red mask" not in record.negatives
     assert "red masks" not in record.negatives
+    assert "crimson mask" in record.negatives
 
 
 def test_mining_purity_fuzz():

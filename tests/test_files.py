@@ -100,7 +100,8 @@ def test_iter_log_lines_skips_blanks_and_comments(tmp_path):
         encoding="utf-8",
     )
     lines = list(iter_log_lines(path))
-    assert lines == [(2, "q1\tp1\t3"), (5, "q2\tp2\t1")]
+    # Only the header on line 1 is skipped: a later "#" line is data.
+    assert lines == [(2, "q1\tp1\t3"), (4, "# comment"), (5, "q2\tp2\t1")]
 
 
 def test_sha256_stability(tmp_path):

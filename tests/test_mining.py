@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreform.corpus import CoPurchaseRecord
+from qreform.files import FileFormatError
 from qreform.mining import (
     BehaviorDistribution,
     baseline_top30,
     importance,
     jsd,
+    kin_pairs,
     legacy_score,
+    load_kin,
     load_pairs,
     mine_pairs,
     rerank_target,
+    save_kin,
     save_pairs,
 )
 from qreform.normalize import QueryGroup
@@ -176,11 +179,7 @@ def simple_world():
         group("gb", ["q3"], {"pA": 9, "pB": 11}),
         group("gc", ["q4"], {"pB": 2, "pC": 18}),
     ]
-    copurchase = [
-        CoPurchaseRecord("ga", "gb", 2),
-        CoPurchaseRecord("ga", "gc", 1),
-        CoPurchaseRecord("gb", "gc", 1),
-    ]
+    copurchase = [("ga", "gb"), ("ga", "gc"), ("gb", "gc")]
     return groups, copurchase
 
 
@@ -240,7 +239,7 @@ def test_mine_baseline_top30_keeps_top_ranked_and_forces_unit_weight():
     for i in range(10):
         counts = {"pA": 50 + i * 10, "pB": 50 - i * 5, f"x{i}": 5 + i * 12}
         groups.append(group(f"g{i + 1}", [f"q{i + 1}"], counts))
-        copurchase.append(CoPurchaseRecord("g0", f"g{i + 1}", 2))
+        copurchase.append(("g0", f"g{i + 1}"))
     pairs = baseline_top30(mine_pairs(groups, copurchase, floor=0.0))
     hub_pairs = [p for p in pairs if "h" in (p.source, p.target)]
     assert len(hub_pairs) == 3
@@ -274,3 +273,69 @@ def test_pairs_file_round_trip(tmp_path):
     for a, b in zip(loaded, pairs):
         assert a.importance == pytest.approx(b.importance, abs=1e-6)
         assert a.co_purchases == b.co_purchases
+
+
+# --- kin ---
+
+
+def chain_world():
+    # A chain of co-purchased groups: g1 - g2 - g3 - g4, and a lone g5
+    # whose two members bought nothing.
+    groups = [
+        group("g1", ["a1", "a2"], {"pA": 3}),
+        group("g2", ["b1"], {"pA": 3, "pB": 3}),
+        group("g3", ["c1"], {"pB": 3, "pC": 3}),
+        group("g4", ["d1"], {"pC": 3}),
+        group("g5", ["e1", "e2"], {}),
+    ]
+    copurchase = [("g1", "g2"), ("g2", "g3"), ("g3", "g4")]
+    return groups, copurchase
+
+
+def test_kin_same_group_even_without_purchases():
+    kin = set(kin_pairs(*chain_world()))
+    assert ("a1", "a2") in kin
+    assert ("e1", "e2") in kin
+    assert {pair for pair in kin if {"e1", "e2"} & set(pair)} == {("e1", "e2")}
+
+
+def test_kin_direct_link():
+    kin = set(kin_pairs(*chain_world()))
+    assert {("a1", "b1"), ("a2", "b1"), ("b1", "c1"), ("c1", "d1")} <= kin
+
+
+def test_kin_two_hops_but_not_three():
+    kin = set(kin_pairs(*chain_world()))
+    # g1 and g3 share the neighbor g2; g2 and g4 share g3.
+    assert {("a1", "c1"), ("a2", "c1"), ("b1", "d1")} <= kin
+    # g1 and g4 are three hops apart.
+    assert ("a1", "d1") not in kin and ("a2", "d1") not in kin
+
+
+def test_kin_expands_members_in_canonical_order():
+    groups = [group("gx", ["z", "m"], {"pA": 3}), group("gy", ["a"], {"pA": 3})]
+    assert kin_pairs(groups, [("gx", "gy")]) == [("a", "m"), ("a", "z"), ("m", "z")]
+
+
+def test_kin_order_invariance():
+    groups, copurchase = chain_world()
+    reversed_pairs = [(b, a) for a, b in reversed(copurchase)]
+    assert kin_pairs(groups, copurchase) == kin_pairs(
+        list(reversed(groups)), reversed_pairs
+    )
+
+
+def test_kin_file_round_trip_is_symmetric(tmp_path):
+    path = tmp_path / "kin.tsv"
+    save_kin(path, kin_pairs(*chain_world()))
+    kin = load_kin(path)
+    assert kin["b1"] == {"a1", "a2", "c1", "d1"}
+    assert all(query in kin[other] for query, others in kin.items() for other in others)
+
+
+def test_kin_reader_rejects_a_pairs_file(tmp_path):
+    groups, copurchase = simple_world()
+    path = tmp_path / "pairs_exclusion.tsv"
+    save_pairs(path, mine_pairs(groups, copurchase, floor=0.0))
+    with pytest.raises(FileFormatError, match="pairs_exclusion.tsv"):
+        load_kin(path)

@@ -358,6 +358,22 @@ def test_each_ance_round_mines_with_the_previous_round_model(tiny_run):
         previous = current
 
 
+def test_no_hard_negative_shares_its_anchor_normalized_form(tiny_run):
+    config, run = tiny_run
+    paths = PipelinePaths(run.out_dir)
+    corpus = load_corpus(paths.norm_queries, paths.corpus_events)
+    form = {qid: record.normalized_text for qid, record in corpus.queries.items()}
+    files = sorted(run.out_dir.glob("hard_negatives_round*.tsv"))
+    assert len(files) == config.ance_rounds
+    checked = 0
+    for path in files:
+        for record in load_hard_negatives(path):
+            for negative in record.negatives:
+                assert form[negative] != form[record.anchor], (record.anchor, negative)
+                checked += 1
+    assert checked
+
+
 def test_mined_pair_files_expose_split(tiny_run):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
