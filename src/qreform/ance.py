@@ -11,6 +11,8 @@ cross-encoder fine-tunes once on the final round's sets, runs in the
 train-reranker stage from the persisted files, using
 ``build_rerank_batches``.  The cross-encoder never retrieves;
 every record carries the bi-encoder checkpoint checksum it was mined with.
+A negatives file holds one ``(anchor, negative)`` row per negative in rank
+order, so an anchor with no negatives writes no rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 from .encoders import params_checksum
-from .files import read_tsv, write_tsv
+from .files import tsv_rows, write_tsv
 from .knn import build_index
 from .training import RerankBatch
 
@@ -41,20 +43,18 @@ class HardNegativeRecord:
 def mine_hard_negatives(
     model,
     anchors: Sequence[str],
-    candidates: Mapping[str, str],
+    candidates: Sequence[str],
     kin: Mapping[str, AbstractSet[str]],
     top_k: int = 100,
     round_index: int = 1,
 ) -> list[HardNegativeRecord]:
     """Retrieve top_k per anchor and drop the anchor and its kin.
 
-    ``candidates`` maps candidate query_id to raw text (the rich pool);
-    ``kin`` maps each query id to its kin (symmetric), and negatives
-    exclude kin.  Negatives keep retrieval rank order.  Records with
-    empty negative lists are kept; training simply skips them.
+    ``candidates`` are the rich queries; ``kin`` maps each query to its kin
+    (symmetric), and negatives exclude kin.  Negatives keep retrieval rank
+    order.  Records with empty negative lists are kept; training simply
+    skips them.
     """
-    if not candidates:
-        raise ValueError("hard-negative mining needs a non-empty candidate set")
     index = build_index(model, candidates)
     checksum = params_checksum(model)
     anchor_list = sorted(anchors)
@@ -112,19 +112,22 @@ def save_hard_negatives(path, records: Sequence[HardNegativeRecord]) -> None:
             "source_checkpoint": records[0].source_checkpoint,
         }
     rows = (
-        (record.anchor, record.round_index, ",".join(record.negatives))
+        (record.anchor, negative)
         for record in records
+        for negative in record.negatives
     )
-    write_tsv(
-        path, NEGATIVES_KIND, rows, columns=("anchor", "round", "negatives"), **attrs
-    )
+    write_tsv(path, NEGATIVES_KIND, rows, columns=("anchor", "negative"), **attrs)
 
 
 def load_hard_negatives(path) -> list[HardNegativeRecord]:
-    attrs, rows = read_tsv(path, NEGATIVES_KIND, has_columns=True)
-    checksum = attrs.get("source_checkpoint", "")
-    records = []
-    for anchor, round_index, field in rows:
-        negatives = tuple(field.split(",")) if field else ()
-        records.append(HardNegativeRecord(anchor, negatives, int(round_index), checksum))
-    return records
+    """The records of the anchors with negatives, in file order."""
+    by_anchor: dict[str, list[str]] = {}
+    with tsv_rows(path, NEGATIVES_KIND, has_columns=True) as (attrs, rows):
+        for anchor, negative in rows:
+            by_anchor.setdefault(anchor, []).append(negative)
+    return [
+        HardNegativeRecord(
+            anchor, tuple(negatives), int(attrs["round"]), attrs["source_checkpoint"]
+        )
+        for anchor, negatives in by_anchor.items()
+    ]

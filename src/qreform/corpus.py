@@ -30,12 +30,13 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
 class QueryRecord:
     """One query with its aggregate behavior and derived annotations.
 
-    ``normalized_text`` is filled by the normalizer and ``traffic_tier``
-    by the rich/impoverished split; both stay None until then.
+    ``query_id`` is the query's text as the log spells it; it is both the
+    key and what the encoders read.  ``normalized_text`` is filled by the
+    normalizer and ``traffic_tier`` by the rich/impoverished split; both
+    stay None until then.
     """
 
     query_id: str
-    raw_text: str
     total_purchases: int = 0
     normalized_text: str | None = None
     traffic_tier: str | None = None
@@ -69,7 +70,7 @@ class Corpus:
 
     def add_row(self, query: str, product: str | None, purchases: int) -> None:
         if query not in self.queries:
-            self.queries[query] = QueryRecord(query_id=query, raw_text=query)
+            self.queries[query] = QueryRecord(query_id=query)
             self._raw_events[query] = {}
         if product is not None and purchases > 0:
             events = self._raw_events[query]
@@ -229,23 +230,20 @@ def _corpus_attrs(corpus: Corpus) -> dict:
 def save_queries(corpus: Corpus, path) -> None:
     """Persist the query table as a versioned TSV (``load_corpus`` pairs it
     with an events file written by ``save_events``)."""
-    query_rows = []
-    for query_id in sorted(corpus.queries):
-        record = corpus.queries[query_id]
-        query_rows.append(
-            (
-                record.query_id,
-                record.raw_text,
-                record.normalized_text if record.normalized_text is not None else "",
-                "1" if record.normalized_text is not None else "0",
-                record.traffic_tier or _TIER_NONE,
-            )
+    query_rows = (
+        (
+            query_id,
+            record.normalized_text or "",
+            "0" if record.normalized_text is None else "1",
+            record.traffic_tier or _TIER_NONE,
         )
+        for query_id, record in sorted(corpus.queries.items())
+    )
     write_tsv(
         path,
         QUERIES_KIND,
         query_rows,
-        columns=("query_id", "raw_text", "normalized_text", "norm_set", "tier"),
+        columns=("query_id", "normalized_text", "norm_set", "tier"),
         **_corpus_attrs(corpus),
     )
 
@@ -275,17 +273,15 @@ def load_corpus(queries_path, events_path) -> Corpus:
     corpus = Corpus(int(q_attrs["min_purchase"]))
     if "rich_threshold" in q_attrs:
         corpus.rich_threshold = int(q_attrs["rich_threshold"])
-    for row in query_rows:
-        query_id, raw_text, normalized, norm_set, tier = row
-        record = QueryRecord(query_id=query_id, raw_text=raw_text)
+    for query_id, normalized, norm_set, tier in query_rows:
+        record = QueryRecord(query_id=query_id)
         if norm_set == "1":
             record.normalized_text = normalized
         if tier != _TIER_NONE:
             record.traffic_tier = tier
         corpus.queries[query_id] = record
         corpus._raw_events[query_id] = {}
-    for row in event_rows:
-        query_id, product, count = row
+    for query_id, product, count in event_rows:
         if query_id not in corpus.queries:
             raise FileFormatError(
                 f"{events_path}: event for unknown query {query_id!r}"

@@ -3,6 +3,8 @@
 Every artifact this package writes starts with a one-line header of the
 form ``#qreform-<kind> v<version>[ key=value ...]`` so that readers can
 reject files of the wrong kind or version before parsing a single row.
+Rows are flat: each cell holds one value, never a list, so no cell needs
+escaping, and ``write_tsv`` refuses a cell that holds a tab or a newline.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 HEADER_PREFIX = "#qreform-"
-_HEADER_VERSION = "1"
+_HEADER_VERSION = "2"
 
 
 class FileFormatError(ValueError):
@@ -73,24 +75,29 @@ def write_tsv(
     columns: Iterable[str] | None = None,
     **attrs: object,
 ) -> None:
+    """Write a versioned TSV atomically; a cell holding a tab, ``\\n`` or
+    ``\\r`` would split its row on reading, so it raises ``ValueError``
+    naming the file and the data row, and the previous file stays."""
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_header(kind, **attrs) + "\n")
         if columns is not None:
             fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(cell) for cell in row) + "\n")
+        for number, row in enumerate(rows, start=1):
+            cells = [str(cell) for cell in row]
+            line = "\t".join(cells)
+            if line.count("\t") != len(cells) - 1 or "\n" in line or "\r" in line:
+                raise ValueError(f"{path}: row {number} has a tab or newline in a cell: {cells!r}")
+            fh.write(line + "\n")
 
 
-def read_tsv(
-    path: os.PathLike | str,
-    kind: str,
-    has_columns: bool = False,
-) -> tuple[dict[str, str], list[list[str]]]:
-    """Read a versioned TSV, returning (header attrs, data rows).
-
-    With ``has_columns`` the first row names the columns, and a data row
-    with another number of cells raises ``FileFormatError`` naming the
-    file and line.
+@contextmanager
+def tsv_rows(
+    path: os.PathLike | str, kind: str, has_columns: bool = False
+) -> Iterator[tuple[dict[str, str], Iterator[list[str]]]]:
+    """Open a versioned TSV as (header attrs, an iterator over its data
+    rows), so that a long file is read one row at a time.  With
+    ``has_columns`` the first row names the columns, and a data row with
+    another number of cells raises ``FileFormatError`` naming file and line.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -98,21 +105,33 @@ def read_tsv(
         if not header:
             raise FileFormatError(f"{path}: empty file, expected a {kind} header")
         attrs = parse_header(header, kind, path)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            row = line.split("\t")
-            if has_columns and rows and len(row) != len(rows[0]):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {len(rows[0])} tab-separated"
-                    f" cells ({', '.join(rows[0])}), got {len(row)}"
-                )
-            rows.append(row)
-    if has_columns and rows:
-        rows = rows[1:]
-    return attrs, rows
+
+        def rows() -> Iterator[list[str]]:
+            columns = None
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                row = line.split("\t")
+                if has_columns and columns is None:
+                    columns = row
+                elif columns is not None and len(row) != len(columns):
+                    raise FileFormatError(
+                        f"{path}:{lineno}: expected {len(columns)} tab-separated"
+                        f" cells ({', '.join(columns)}), got {len(row)}"
+                    )
+                else:
+                    yield row
+
+        yield attrs, rows()
+
+
+def read_tsv(
+    path: os.PathLike | str, kind: str, has_columns: bool = False
+) -> tuple[dict[str, str], list[list[str]]]:
+    """Read a whole versioned TSV: (header attrs, data rows); see ``tsv_rows``."""
+    with tsv_rows(path, kind, has_columns) as (attrs, rows):
+        return attrs, list(rows)
 
 
 def sha256_file(path: os.PathLike | str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,14 +79,10 @@ class KnnIndex:
         return results
 
 
-def build_index(model, queries: Mapping[str, str]) -> KnnIndex:
-    """Embed the candidate pool (query_id -> raw text) into an index."""
-    ids = sorted(queries)
-    texts = [queries[i] for i in ids]
-    if not ids:
-        raise ValueError("cannot build an empty index: no rich queries")
-    embeddings = model.embed_many(texts)
-    return KnnIndex(ids, embeddings, model_checksum=params_checksum(model))
+def build_index(model, texts: Sequence[str]) -> KnnIndex:
+    """Embed the candidate pool, the texts of the rich queries, into an index."""
+    texts = sorted(texts)
+    return KnnIndex(texts, model.embed_many(texts), model_checksum=params_checksum(model))
 
 
 def save_index(index: KnnIndex, path) -> None:

@@ -113,9 +113,8 @@ class QueryPair:
 
     ``importance`` is symmetric under swapping source and target;
     ``rerank_target_fwd`` scores target given source, ``rerank_target_rev``
-    the opposite direction.  ``co_purchases`` counts distinct shared
-    products that survive the purchase filter at the behavior level the
-    pair was mined from.
+    the opposite direction.  A pair file holds one row per pair with these
+    five fields.
     """
 
     source: str
@@ -123,7 +122,6 @@ class QueryPair:
     importance: float
     rerank_target_fwd: float
     rerank_target_rev: float
-    co_purchases: int
 
 
 _BASELINE_KEEP_FRACTION = 0.3
@@ -148,11 +146,9 @@ def mine_pairs(
 
     by_key = {group.normalized_text: group for group in groups}
     dists: dict[str, BehaviorDistribution] = {}
-    survivors: dict[str, dict[str, int]] = {}
     for key, group in by_key.items():
         counts = group.surviving_counts(min_purchase)
         if counts:
-            survivors[key] = counts
             dists[key] = BehaviorDistribution.from_counts(counts)
 
     pairs: list[QueryPair] = []
@@ -163,7 +159,6 @@ def mine_pairs(
         weight = importance(da, db)
         if weight < floor:
             continue
-        shared = len(survivors[key_a].keys() & survivors[key_b].keys())
         fwd = rerank_target(da, db)
         rev = rerank_target(db, da)
         for member_a in by_key[key_a].member_query_ids:
@@ -175,19 +170,16 @@ def mine_pairs(
                     pair_fwd, pair_rev = fwd, rev
                 else:
                     pair_fwd, pair_rev = rev, fwd
-                pairs.append(
-                    QueryPair(src, tgt, weight, pair_fwd, pair_rev, shared)
-                )
+                pairs.append(QueryPair(src, tgt, weight, pair_fwd, pair_rev))
 
     # Same-group members are surface variants of one intent: perfect pairs.
     for key, group in by_key.items():
         if key not in dists:
             continue
         members = sorted(group.member_query_ids)
-        shared = len(survivors[key])
         for i, member_a in enumerate(members):
             for member_b in members[i + 1:]:
-                pairs.append(QueryPair(member_a, member_b, 1.0, 1.0, 1.0, shared))
+                pairs.append(QueryPair(member_a, member_b, 1.0, 1.0, 1.0))
 
     pairs.sort(key=lambda p: (p.source, p.target))
     return pairs
@@ -250,21 +242,14 @@ def baseline_top30(pairs: Sequence[QueryPair]) -> list[QueryPair]:
         for i in ranked[:n_keep]:
             kept_count[i] = kept_count.get(i, 0) + 1
     return [
-        QueryPair(p.source, p.target, 1.0, p.rerank_target_fwd, p.rerank_target_rev, p.co_purchases)
+        QueryPair(p.source, p.target, 1.0, p.rerank_target_fwd, p.rerank_target_rev)
         for i, p in enumerate(pairs)
         if kept_count.get(i, 0) == 2
     ]
 
 
 PAIRS_KIND = "pairs"
-_PAIR_COLUMNS = (
-    "source",
-    "target",
-    "importance",
-    "rerank_target_fwd",
-    "rerank_target_rev",
-    "co_purchases",
-)
+_PAIR_COLUMNS = ("source", "target", "importance", "rerank_target_fwd", "rerank_target_rev")
 
 
 def save_pairs(path, pairs: Sequence[QueryPair], **attrs) -> None:
@@ -275,7 +260,6 @@ def save_pairs(path, pairs: Sequence[QueryPair], **attrs) -> None:
             f"{p.importance:.6f}",
             f"{p.rerank_target_fwd:.6f}",
             f"{p.rerank_target_rev:.6f}",
-            p.co_purchases,
         )
         for p in pairs
     )
@@ -285,8 +269,8 @@ def save_pairs(path, pairs: Sequence[QueryPair], **attrs) -> None:
 def load_pairs(path) -> list[QueryPair]:
     _, rows = read_tsv(path, PAIRS_KIND, has_columns=True)
     return [
-        QueryPair(r[0], r[1], float(r[2]), float(r[3]), float(r[4]), int(r[5]))
-        for r in rows
+        QueryPair(source, target, float(weight), float(fwd), float(rev))
+        for source, target, weight, fwd, rev in rows
     ]
 
 

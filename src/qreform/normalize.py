@@ -17,7 +17,8 @@ they would match everywhere.
 Queries sharing a normalized form are grouped and their purchase counts
 summed, which lets product counts that are individually below the noise
 filter survive at the group level.  A query whose form is empty (only
-stop-words or punctuation) joins no group.
+stop-words or punctuation) joins no group.  A groups file records
+membership only; loading it sums the counts from the corpus again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .files import read_tsv, write_tsv
+from .files import FileFormatError, read_tsv, write_tsv
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -311,8 +312,9 @@ def normalize(raw: str, config: NormalizationConfig) -> str:
 class QueryGroup:
     """Queries sharing one normalized form plus their summed raw behavior.
 
-    ``aggregated_counts`` are pre-filter sums; callers re-apply the
-    purchase floor at group level via :meth:`surviving_counts`.
+    ``aggregated_counts`` are pre-filter sums in ascending product order;
+    callers re-apply the purchase floor at group level via
+    :meth:`surviving_counts`.
     """
 
     normalized_text: str
@@ -321,6 +323,15 @@ class QueryGroup:
 
     def surviving_counts(self, min_purchase: int) -> dict[str, int]:
         return {p: c for p, c in self.aggregated_counts.items() if c >= min_purchase}
+
+
+def _query_group(corpus: "Corpus", normalized_text: str, members: Sequence[str]) -> QueryGroup:
+    """The group of ``members`` under one form, their raw events summed."""
+    counts: dict[str, int] = {}
+    for member in members:
+        for product, count in corpus.raw_events(member).items():
+            counts[product] = counts.get(product, 0) + count
+    return QueryGroup(normalized_text, tuple(sorted(members)), dict(sorted(counts.items())))
 
 
 def group_queries(corpus: "Corpus", config: NormalizationConfig) -> list[QueryGroup]:
@@ -332,53 +343,37 @@ def group_queries(corpus: "Corpus", config: NormalizationConfig) -> list[QueryGr
     """
     buckets: dict[str, list[str]] = {}
     for query_id, record in corpus.queries.items():
-        normalized = normalize(record.raw_text, config)
+        normalized = normalize(query_id, config)
         record.normalized_text = normalized
         if normalized:
             buckets.setdefault(normalized, []).append(query_id)
-
-    groups = []
-    for normalized in sorted(buckets):
-        members = tuple(sorted(buckets[normalized]))
-        counts: dict[str, int] = {}
-        for member in members:
-            for product, count in corpus.raw_events(member).items():
-                counts[product] = counts.get(product, 0) + count
-        groups.append(QueryGroup(normalized, members, counts))
-    return groups
+    return [_query_group(corpus, form, buckets[form]) for form in sorted(buckets)]
 
 
 def singleton_groups(corpus: "Corpus") -> list[QueryGroup]:
     """Degenerate grouping (one query per group) for ungrouped mining runs."""
-    groups = []
-    for query_id in sorted(corpus.queries):
-        groups.append(
-            QueryGroup(query_id, (query_id,), dict(corpus.raw_events(query_id)))
-        )
-    return groups
+    return [_query_group(corpus, q, (q,)) for q in sorted(corpus.queries)]
 
 
 GROUPS_KIND = "groups"
 
 
 def save_groups(path, groups: Iterable[QueryGroup]) -> None:
-    rows = []
-    for group in groups:
-        counts = ",".join(
-            f"{product}:{count}" for product, count in sorted(group.aggregated_counts.items())
-        )
-        rows.append((group.normalized_text, ",".join(group.member_query_ids), counts))
-    write_tsv(path, GROUPS_KIND, rows, columns=("normalized_text", "members", "counts"))
+    rows = (
+        (group.normalized_text, member)
+        for group in groups
+        for member in group.member_query_ids
+    )
+    write_tsv(path, GROUPS_KIND, rows, columns=("normalized_text", "member"))
 
 
-def load_groups(path) -> list[QueryGroup]:
+def load_groups(path, corpus: "Corpus") -> list[QueryGroup]:
+    """The groups of a ``save_groups`` file, one ``(normalized_text,
+    member)`` row per member, with their counts summed from ``corpus``."""
     _, rows = read_tsv(path, GROUPS_KIND, has_columns=True)
-    groups = []
-    for normalized, members, counts_field in rows:
-        counts: dict[str, int] = {}
-        if counts_field:
-            for item in counts_field.split(","):
-                product, _, count = item.rpartition(":")
-                counts[product] = int(count)
-        groups.append(QueryGroup(normalized, tuple(members.split(",")), counts))
-    return groups
+    members: dict[str, list[str]] = {}
+    for normalized, member in rows:
+        if member not in corpus.queries:
+            raise FileFormatError(f"{path}: group member {member!r} is not a corpus query")
+        members.setdefault(normalized, []).append(member)
+    return [_query_group(corpus, form, ids) for form, ids in members.items()]

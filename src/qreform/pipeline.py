@@ -27,6 +27,7 @@ import numpy as np
 from . import ance as ance_mod
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
+from . import files as files_mod
 from . import knn as knn_mod
 from . import mining as mining_mod
 from . import normalize as norm_mod
@@ -319,13 +320,15 @@ class PipelineConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
-        """Hash of every setting that shapes the artifacts.
+        """Hash of every setting that shapes the artifacts, and of their
+        format version, so a run in an older format reruns every stage.
 
         ``out_dir`` is left out: it says where a run lives, not what it
         holds, so a copied or moved run resumes instead of rerunning.
         """
         data = self.to_dict()
         del data["out_dir"]
+        data["format_version"] = files_mod._HEADER_VERSION
         return sha256_bytes(json.dumps(data, sort_keys=True).encode("utf-8"))
 
 
@@ -425,7 +428,7 @@ def _group_copurchase(
 
 def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    groups = norm_mod.load_groups(paths.groups)
+    groups = norm_mod.load_groups(paths.groups, corpus)
     scored = mining_mod.mine_pairs(
         groups,
         _group_copurchase(groups, config.min_purchase),
@@ -528,12 +531,12 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
 
 
-def _rich_pool(corpus: corpus_mod.Corpus) -> dict[str, str]:
-    return {
-        qid: record.raw_text
+def _rich_pool(corpus: corpus_mod.Corpus) -> list[str]:
+    return sorted(
+        qid
         for qid, record in corpus.queries.items()
         if record.traffic_tier == corpus_mod.TIER_RICH
-    }
+    )
 
 
 def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
@@ -726,7 +729,7 @@ def _evaluation_inputs(paths: PipelinePaths):
 def _model_report(
     model_id: str,
     model,
-    pool: Mapping[str, str],
+    pool: Sequence[str],
     truth: Mapping[str, Mapping[str, float]],
     audit: Sequence[eval_mod.AuditLabel],
     final_lists: Mapping[str, Sequence[str]] | None,

@@ -20,13 +20,7 @@ def model(seed=0):
     return BiEncoderModel.initialize(1 << 10, 8, seed=seed)
 
 
-CANDIDATES = {
-    "red mask": "red mask",
-    "red masks": "red masks",
-    "crimson mask": "crimson mask",
-    "blue towel": "blue towel",
-    "red towel": "red towel",
-}
+CANDIDATES = ["red mask", "red masks", "crimson mask", "blue towel", "red towel"]
 
 
 def test_mining_excludes_self_and_copurchased():
@@ -56,13 +50,12 @@ def test_mining_excludes_same_form_kin(tmp_path):
 def test_mining_purity_fuzz():
     rng = np.random.default_rng(0)
     queries = [f"item {i} {rng.integers(100)}" for i in range(30)]
-    candidates = {q: q for q in queries}
     kin = {}
     for _ in range(60):
         a, b = rng.choice(30, size=2, replace=False)
         kin.setdefault(queries[a], set()).add(queries[b])
         kin.setdefault(queries[b], set()).add(queries[a])
-    records = mine_hard_negatives(model(1), queries[:10], candidates, kin, top_k=10)
+    records = mine_hard_negatives(model(1), queries[:10], queries, kin, top_k=10)
     for record in records:
         for negative in record.negatives:
             assert negative not in kin.get(record.anchor, ())
@@ -94,7 +87,8 @@ def test_negatives_file_round_trip(tmp_path):
     path = tmp_path / "negs.tsv"
     save_hard_negatives(path, records)
     loaded = load_hard_negatives(path)
-    assert loaded == records
+    # An anchor with no negatives writes no rows.
+    assert loaded == [record for record in records if record.negatives]
 
 
 def test_negatives_file_rejects_mixed_rounds(tmp_path):

@@ -118,7 +118,7 @@ def test_reformulate_command_rejects_index_of_another_model(tiny_run, tmp_path, 
     paths = PipelinePaths(config.out_dir)
     pool = load_index(paths.index_file).query_ids
     weighted = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
-    save_index(build_index(weighted, {q: q for q in pool}), paths.index_file)
+    save_index(build_index(weighted, pool), paths.index_file)
     code = main(["reformulate", *_config_args(config, tmp_path), "--query", "mask"])
     assert code == 1
     err = capsys.readouterr().err

@@ -174,7 +174,7 @@ def make_pairs(n):
         a, b = f"q{i:03d}", f"q{(i + 7) % n:03d}"
         if a > b:
             a, b = b, a
-        pairs.append(QueryPair(a, b, 0.5, 0.5, 0.5, 1))
+        pairs.append(QueryPair(a, b, 0.5, 0.5, 0.5))
     return sorted(set(pairs), key=lambda p: (p.source, p.target))
 
 

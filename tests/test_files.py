@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qreform import ance, corpus, encoders, evaluation, knn, mining
+from qreform import ance, corpus, encoders, evaluation, files, knn, mining, normalize
 from qreform.files import (
     FileFormatError,
     format_header,
@@ -16,12 +16,13 @@ from qreform.files import (
     sha256_file,
     write_tsv,
 )
+from qreform.pipeline import PipelineConfig
 
 
 def test_header_round_trip():
     line = format_header("pairs", floor="0.01", mode="proposed")
     attrs = parse_header(line, "pairs", "in-memory")
-    assert attrs == {"version": "1", "floor": "0.01", "mode": "proposed"}
+    assert attrs == {"version": "2", "floor": "0.01", "mode": "proposed"}
 
 
 def test_header_rejects_wrong_kind():
@@ -32,7 +33,7 @@ def test_header_rejects_wrong_kind():
 
 def test_header_rejects_wrong_version():
     with pytest.raises(FileFormatError, match="version"):
-        parse_header("#qreform-pairs v2", "pairs", "x.tsv")
+        parse_header("#qreform-pairs v1", "pairs", "x.tsv")
 
 
 def test_header_rejects_garbage():
@@ -48,7 +49,7 @@ def test_tsv_round_trip(tmp_path):
     assert attrs["extra"] == "yes"
     assert loaded == [["a", "1"], ["b", "2"]]
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first_line.startswith("#qreform-demo v1")
+    assert first_line.startswith("#qreform-demo v2")
 
 
 def test_tsv_missing_header(tmp_path):
@@ -59,8 +60,20 @@ def test_tsv_missing_header(tmp_path):
 
 
 def _pairs(path):
-    mining.save_pairs(path, [mining.QueryPair("a", "b", 0.5, 0.4, 0.6, 2)])
+    mining.save_pairs(path, [mining.QueryPair("a", "b", 0.5, 0.4, 0.6)])
     return mining.load_pairs
+
+
+def _kin(path):
+    mining.save_kin(path, [("a", "b")])
+    return mining.load_kin
+
+
+def _groups(path):
+    records = corpus.Corpus(min_purchase=1)
+    records.add_row("a", "p", 1)
+    normalize.save_groups(path, [normalize.QueryGroup("a", ("a",), {"p": 1})])
+    return lambda groups: normalize.load_groups(groups, records)
 
 
 def _audit_labels(path):
@@ -69,7 +82,7 @@ def _audit_labels(path):
 
 
 def _hard_negatives(path):
-    ance.save_hard_negatives(path, [ance.HardNegativeRecord("a", ("b", "c"), 1, "x")])
+    ance.save_hard_negatives(path, [ance.HardNegativeRecord("a", ("b",), 1, "x")])
     return ance.load_hard_negatives
 
 
@@ -83,7 +96,9 @@ def _corpus_queries(path):
     return lambda queries: corpus.load_corpus(queries, events)
 
 
-@pytest.mark.parametrize("save", [_pairs, _audit_labels, _hard_negatives, _corpus_queries])
+@pytest.mark.parametrize(
+    "save", [_pairs, _kin, _groups, _audit_labels, _hard_negatives, _corpus_queries]
+)
 def test_truncated_row_names_file_and_line(tmp_path, save):
     path = tmp_path / "artifact.tsv"
     load = save(path)
@@ -91,6 +106,34 @@ def test_truncated_row_names_file_and_line(tmp_path, save):
     path.write_text(f"{header}\n{columns}\n\n{row.rsplit(chr(9), 1)[0]}\n", encoding="utf-8")
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:4: expected"):
         load(path)
+
+
+def test_version_1_file_is_rejected_naming_it(tmp_path):
+    path = tmp_path / "groups.tsv"
+    path.write_text(
+        "#qreform-groups v1\nnormalized_text\tmembers\tcounts\na\ta\tp:1\n",
+        encoding="utf-8",
+    )
+    records = corpus.Corpus(min_purchase=1)
+    records.add_row("a", "p", 1)
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: unsupported"):
+        normalize.load_groups(path, records)
+
+
+def test_config_hash_covers_format_version(monkeypatch):
+    before = PipelineConfig().config_hash()
+    monkeypatch.setattr(files, "_HEADER_VERSION", "3")
+    assert PipelineConfig().config_hash() != before
+
+
+@pytest.mark.parametrize("cell", ["a\tb", "a\nb", "a\rb"])
+def test_write_tsv_rejects_a_cell_that_would_split_its_row(tmp_path, cell):
+    path = tmp_path / "artifact.tsv"
+    path.write_bytes(b"old contents")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2 "):
+        write_tsv(path, "demo", [("x", "y"), ("z", cell)], columns=("a", "b"))
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
 
 
 def test_iter_log_lines_skips_blanks_and_comments(tmp_path):

@@ -74,17 +74,16 @@ def test_index_rejects_duplicates_and_empty():
 
 def test_build_index_embeds_pool_and_records_provenance(tmp_path):
     model = BiEncoderModel.initialize(1 << 10, 8, seed=0)
-    pool = {"q1": "red mask", "q2": "blue towel", "q3": "green cup"}
-    index = build_index(model, pool)
+    index = build_index(model, ["red mask", "blue towel", "green cup"])
     assert len(index) == 3
     assert index.model_checksum == params_checksum(model)
     probe = model.embed("red mask")
-    assert index.knn(probe, 1)[0][0] == "q1"
+    assert index.knn(probe, 1)[0][0] == "red mask"
 
 
 def test_index_save_load_round_trip(tmp_path):
     model = BiEncoderModel.initialize(1 << 10, 8, seed=0)
-    index = build_index(model, {"q1": "red mask", "q2": "blue towel"})
+    index = build_index(model, ["red mask", "blue towel"])
     path = tmp_path / "index.npz"
     save_index(index, path)
     loaded = load_index(path, expected_model_checksum=params_checksum(model))
@@ -94,7 +93,7 @@ def test_index_save_load_round_trip(tmp_path):
 
 def test_index_load_rejects_wrong_checksum(tmp_path):
     model = BiEncoderModel.initialize(1 << 10, 8, seed=0)
-    index = build_index(model, {"q1": "red mask"})
+    index = build_index(model, ["red mask"])
     path = tmp_path / "index.npz"
     save_index(index, path)
     with pytest.raises(FileFormatError, match="built from model"):

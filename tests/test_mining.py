@@ -272,7 +272,8 @@ def test_pairs_file_round_trip(tmp_path):
     ]
     for a, b in zip(loaded, pairs):
         assert a.importance == pytest.approx(b.importance, abs=1e-6)
-        assert a.co_purchases == b.co_purchases
+        assert a.rerank_target_fwd == pytest.approx(b.rerank_target_fwd, abs=1e-6)
+        assert a.rerank_target_rev == pytest.approx(b.rerank_target_rev, abs=1e-6)
 
 
 # --- kin ---

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreform.corpus import Corpus
+from qreform.files import format_header
 from qreform.normalize import (
     _MASK_CLOSE,
     _MASK_OPEN,
@@ -179,14 +180,14 @@ def test_config_rejects_empty_protected_entity():
 
 def test_load_config_rejects_empty_script_map_key(tmp_path):
     path = tmp_path / "script_map.tsv"
-    path.write_text("#qreform-script-map v1\n\tx\n", encoding="utf-8")
+    path.write_text(format_header("script-map") + "\n\tx\n", encoding="utf-8")
     with pytest.raises(ValueError, match="empty key .*'x'"):
         load_config(script_map_path=path)
 
 
 def test_load_config_names_file_of_malformed_script_map_row(tmp_path):
     path = tmp_path / "script_map.tsv"
-    path.write_text("#qreform-script-map v1\ncolour\n", encoding="utf-8")
+    path.write_text(format_header("script-map") + "\ncolour\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"script_map\.tsv: script map rows need"):
         load_config(script_map_path=path)
 
@@ -329,7 +330,7 @@ def test_groups_file_round_trip(tmp_path):
     groups = group_queries(corpus, PLAIN)
     path = tmp_path / "groups.tsv"
     save_groups(path, groups)
-    loaded = load_groups(path)
+    loaded = load_groups(path, corpus)
     assert loaded == groups
 
 
