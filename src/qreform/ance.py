@@ -8,10 +8,11 @@ queries.  The rounds themselves run in the pipeline's ance stage, which
 mines with the current retriever and then fine-tunes it on its own mined
 negatives (self-learning).  The learn-from-teacher step, in which the
 cross-encoder fine-tunes once on the final round's sets, runs in the
-train-reranker stage from the persisted files, using
-``build_rerank_batches``.  The cross-encoder never retrieves;
-every record carries the bi-encoder checkpoint checksum it was mined with.
-A negatives file holds one ``(anchor, negative)`` row per negative in rank
+train-reranker stage, using ``build_rerank_batches``.  Only those sets
+are persisted: the final round's records, each cut to the negatives the
+re-ranker trains on.  The cross-encoder never retrieves; every record
+carries the bi-encoder checkpoint checksum it was mined with.  A
+negatives file holds one ``(anchor, negative)`` row per negative in rank
 order, so an anchor with no negatives writes no rows.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 from .encoders import params_checksum
-from .files import tsv_rows, write_tsv
+from .files import read_tsv, write_tsv
 from .knn import build_index
 from .training import RerankBatch
 
@@ -83,16 +84,15 @@ def negatives_by_anchor(
 def build_rerank_batches(
     rerank_positives: Mapping[str, tuple[tuple[str, float], ...]],
     records: Sequence[HardNegativeRecord],
-    hard_negative_cap: int = 8,
 ) -> list[RerankBatch]:
-    """Pair each anchor's positive set with its mined negatives (capped)."""
+    """Pair each anchor's positive set with all of its mined negatives."""
     by_anchor = negatives_by_anchor(records)
     batches = []
     for anchor in sorted(rerank_positives):
         positives = rerank_positives[anchor]
         if not positives:
             continue
-        negatives = by_anchor.get(anchor, ())[:hard_negative_cap]
+        negatives = by_anchor.get(anchor, ())
         batches.append(RerankBatch(anchor, tuple(positives), tuple(negatives)))
     return batches
 
@@ -121,10 +121,10 @@ def save_hard_negatives(path, records: Sequence[HardNegativeRecord]) -> None:
 
 def load_hard_negatives(path) -> list[HardNegativeRecord]:
     """The records of the anchors with negatives, in file order."""
+    attrs, rows = read_tsv(path, NEGATIVES_KIND, has_columns=True)
     by_anchor: dict[str, list[str]] = {}
-    with tsv_rows(path, NEGATIVES_KIND, has_columns=True) as (attrs, rows):
-        for anchor, negative in rows:
-            by_anchor.setdefault(anchor, []).append(negative)
+    for anchor, negative in rows:
+        by_anchor.setdefault(anchor, []).append(negative)
     return [
         HardNegativeRecord(
             anchor, tuple(negatives), int(attrs["round"]), attrs["source_checkpoint"]

@@ -90,14 +90,15 @@ def write_tsv(
             fh.write(line + "\n")
 
 
-@contextmanager
-def tsv_rows(
+def read_tsv(
     path: os.PathLike | str, kind: str, has_columns: bool = False
-) -> Iterator[tuple[dict[str, str], Iterator[list[str]]]]:
-    """Open a versioned TSV as (header attrs, an iterator over its data
-    rows), so that a long file is read one row at a time.  With
-    ``has_columns`` the first row names the columns, and a data row with
-    another number of cells raises ``FileFormatError`` naming file and line.
+) -> tuple[dict[str, str], list[list[str]]]:
+    """Read a whole versioned TSV: (header attrs, data rows).  Every
+    artifact is read this way; none is large enough to need streaming.
+
+    With ``has_columns`` the first row names the columns, and a data row
+    with another number of cells raises ``FileFormatError`` naming the
+    file and line.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,33 +106,19 @@ def tsv_rows(
         if not header:
             raise FileFormatError(f"{path}: empty file, expected a {kind} header")
         attrs = parse_header(header, kind, path)
-
-        def rows() -> Iterator[list[str]]:
-            columns = None
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                row = line.split("\t")
-                if has_columns and columns is None:
-                    columns = row
-                elif columns is not None and len(row) != len(columns):
-                    raise FileFormatError(
-                        f"{path}:{lineno}: expected {len(columns)} tab-separated"
-                        f" cells ({', '.join(columns)}), got {len(row)}"
-                    )
-                else:
-                    yield row
-
-        yield attrs, rows()
-
-
-def read_tsv(
-    path: os.PathLike | str, kind: str, has_columns: bool = False
-) -> tuple[dict[str, str], list[list[str]]]:
-    """Read a whole versioned TSV: (header attrs, data rows); see ``tsv_rows``."""
-    with tsv_rows(path, kind, has_columns) as (attrs, rows):
-        return attrs, list(rows)
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            row = line.split("\t")
+            if has_columns and rows and len(row) != len(rows[0]):
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected {len(rows[0])} tab-separated"
+                    f" cells ({', '.join(rows[0])}), got {len(row)}"
+                )
+            rows.append(row)
+    return attrs, rows[1:] if has_columns else rows
 
 
 def sha256_file(path: os.PathLike | str) -> str:

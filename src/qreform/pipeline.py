@@ -249,6 +249,13 @@ def _check_section(cls, data: object, section: str) -> None:
             )
 
 
+_COUNT_FIELDS = (
+    "n_test_queries", "bi_feature_dim", "embed_dim", "cross_feature_dim",
+    "retriever_epochs", "ance_epochs_per_round", "reranker_epochs", "batch_size",
+    "ance_rounds", "top_k", "hard_negative_cap", "rerank_negative_cap", "eval_k", "n_max",
+)
+
+
 @dataclass
 class PipelineConfig:
     """Everything a full run needs; serializes to JSON for the CLI."""
@@ -280,11 +287,13 @@ class PipelineConfig:
     n_max: int = 10
 
     def __post_init__(self) -> None:
-        # The re-ranker trains on the final round's negatives and serving
-        # uses the final round's retriever, so a run needs one ANCE round.
-        _check_positive(
-            ance_rounds=self.ance_rounds, top_k=self.top_k, n_max=self.n_max
-        )
+        # A count below one fails a stage late or yields a meaningless
+        # artifact (a recall@0 report); the re-ranker and serving need a
+        # final ANCE round.  min_purchase and rich_threshold are checked by
+        # the stages that read them.
+        counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
+        counts.update((f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims))
+        _check_positive(**counts)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -306,11 +315,8 @@ class PipelineConfig:
         return cls(**data)
 
     def save_json(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load_json(cls, path) -> "PipelineConfig":
@@ -545,8 +551,10 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     Round r mines with the round r−1 model (round 1 with the weighted
     retriever), then fine-tunes it with the contrastive objective, whose
     in-batch pool each anchor's mined negatives augment, under seed
-    ``config.seed + r``.  Each round saves its negatives, checkpoint and
-    trace before the next begins.
+    ``config.seed + r``.  Each round saves its checkpoint and trace before
+    the next begins.  Only the final round's negatives are saved, each
+    anchor's cut to its first ``config.rerank_negative_cap``: exactly what
+    the re-ranker trains on.
     """
     corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
@@ -581,9 +589,15 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
             hard_negatives=ance_mod.negatives_by_anchor(records),
         )
         model_id = MODEL_RETRIEVER_ANCE.format(round=round_index)
-        ance_mod.save_hard_negatives(paths.negatives(round_index), records)
         save_checkpoint(model, paths.checkpoint(model_id))
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
+    # The cross-encoder sees each anchor once per epoch, so it can afford
+    # a much deeper slice of the mined sets than the retriever; the extra
+    # negatives teach it that shared filler tokens alone do not make a
+    # pair relevant.
+    cap = config.rerank_negative_cap
+    final = [dataclasses.replace(r, negatives=r.negatives[:cap]) for r in records]
+    ance_mod.save_hard_negatives(paths.negatives(config.ance_rounds), final)
 
 
 def _directed_examples(pairs) -> list[tuple[str, str, float]]:
@@ -632,13 +646,7 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     # circle loss on the final ANCE round's hard-negative sets.
     circle = load_checkpoint(paths.checkpoint(MODEL_RERANKER_POINTWISE))
     records = ance_mod.load_hard_negatives(paths.negatives(config.ance_rounds))
-    # The cross-encoder sees each anchor once per epoch, so it can afford
-    # a much deeper slice of the mined sets than the retriever; the extra
-    # negatives teach it that shared filler tokens alone do not make a
-    # pair relevant.
-    batches = ance_mod.build_rerank_batches(
-        _rerank_positive_sets(train_pairs), records, config.rerank_negative_cap
-    )
+    batches = ance_mod.build_rerank_batches(_rerank_positive_sets(train_pairs), records)
     circle_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_CIRCLE,
         epochs=config.reranker_epochs,
@@ -815,7 +823,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     ance_ids = [MODEL_RETRIEVER_ANCE.format(round=r) for r in rounds]
     ance_out = [
         *(paths.checkpoint(m) for m in ance_ids),
-        *(paths.negatives(r) for r in rounds),
+        paths.negatives(config.ance_rounds),
         *(paths.trace(m) for m in ance_ids),
     ]
     retriever_ids = (MODEL_RETRIEVER_BASELINE, MODEL_RETRIEVER_WEIGHTED)

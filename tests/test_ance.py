@@ -104,7 +104,9 @@ def test_negatives_by_anchor():
     assert negatives_by_anchor([a, b]) == {"a": ("x", "y"), "b": ()}
 
 
-def test_build_rerank_batches_caps_and_skips():
+def test_build_rerank_batches_pairs_every_negative_and_skips():
+    # The negatives file already holds only what the re-ranker trains on,
+    # so every loaded negative enters the batch.
     positives = {
         "a": (("p1", 0.9), ("p2", 0.5)),
         "b": (),
@@ -114,8 +116,8 @@ def test_build_rerank_batches_caps_and_skips():
         HardNegativeRecord("a", tuple(f"n{i}" for i in range(12)), 1, "c0ffee"),
         HardNegativeRecord("c", (), 1, "c0ffee"),
     ]
-    batches = build_rerank_batches(positives, records, hard_negative_cap=8)
+    batches = build_rerank_batches(positives, records)
     by_anchor = {b.anchor: b for b in batches}
     assert set(by_anchor) == {"a", "c"}  # "b" skipped: no positives
-    assert len(by_anchor["a"].hard_negatives) == 8
+    assert by_anchor["a"].hard_negatives == records[0].negatives
     assert by_anchor["c"].hard_negatives == ()

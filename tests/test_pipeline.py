@@ -3,6 +3,7 @@
 import ast
 import builtins
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import qreform
+from qreform import pipeline
 from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
 from qreform.encoders import load_checkpoint, params_checksum
@@ -166,10 +168,62 @@ def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
 
 
 @pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("name", ["top_k", "n_max"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "top_k",
+        "n_max",
+        "n_test_queries",
+        "bi_feature_dim",
+        "embed_dim",
+        "cross_feature_dim",
+        "retriever_epochs",
+        "ance_epochs_per_round",
+        "reranker_epochs",
+        "batch_size",
+        "hard_negative_cap",
+        "rerank_negative_cap",
+        "eval_k",
+    ],
+)
 def test_config_rejects_counts_below_one(tmp_path, name, value):
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         dataclasses.replace(tiny_config(tmp_path / "run"), **{name: value})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_hidden_dims_below_one(tmp_path, value):
+    with pytest.raises(ValueError, match=rf"hidden_dims\[1\] must be >= 1, got {value}"):
+        dataclasses.replace(tiny_config(tmp_path / "run"), hidden_dims=(64, value))
+
+
+def test_config_save_keeps_the_previous_file_when_a_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    tiny_config(tmp_path / "run").save_json(path)
+    previous = path.read_bytes()
+    real_open = builtins.open
+
+    def open_disk_full(file, mode="r", *args, **kwargs):
+        # A file opened for writing takes half of its first write, then
+        # fails as a full disk would.
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(data):
+                real_write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_disk_full)
+    monkeypatch.setattr(io, "open", open_disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        tiny_config(tmp_path / "run", seed=3).save_json(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 # --- the tiny end-to-end run ---
@@ -232,20 +286,31 @@ def test_pipeline_reruns_only_producer_after_deleting_intermediate(
     assert consumer in third.skipped
 
 
-def test_pipeline_input_change_cascades(tiny_run):
-    config, run = tiny_run
-    paths = PipelinePaths(run.out_dir)
-    original = paths.threshold.read_text(encoding="utf-8")
-    try:
-        # Corrupt a train-reranker output: that stage must rerun.
-        paths.threshold.write_text(
-            original.replace(original.splitlines()[-1], "0.999999"),
-            encoding="utf-8",
-        )
-        fourth = run_pipeline(config)
-        assert "train-reranker" in fourth.executed
-    finally:
-        run_pipeline(config)
+def _corrupt_and_resume(tiny_run, tmp_path, name: str) -> list[str]:
+    """Truncate one artifact of a copy of the tiny run and resume the copy;
+    return the stages that reran.  Every output comes back as it was."""
+    copy = copied_run(tiny_run, tmp_path)
+    paths = PipelinePaths(copy.out_dir)
+    original = json.loads(paths.manifest.read_text(encoding="utf-8"))
+    damaged = paths.root / name
+    text = damaged.read_text(encoding="utf-8")
+    damaged.write_text(text[: len(text) // 2], encoding="utf-8")
+    rerun = run_pipeline(copy)
+    for stage, entry in original["stages"].items():
+        assert rerun.manifest["stages"][stage]["outputs"] == entry["outputs"], stage
+    return rerun.executed
+
+
+def test_pipeline_input_change_cascades(tiny_run, tmp_path):
+    # Its producer rewrites the corrupt file byte for byte, so no
+    # consumer of it reruns.
+    assert _corrupt_and_resume(tiny_run, tmp_path, "rerank_threshold.tsv") == [
+        "train-reranker"
+    ]
+
+
+def test_corrupt_pair_file_reruns_only_mine(tiny_run, tmp_path):
+    assert _corrupt_and_resume(tiny_run, tmp_path, "pairs_train.tsv") == ["mine"]
 
 
 def test_pipeline_stage_failure_names_stage(tmp_path):
@@ -343,12 +408,34 @@ def test_tail_reformulation_rate_computable(tiny_run):
     assert 0.0 <= rate <= 1.0
 
 
-def test_each_ance_round_mines_with_the_previous_round_model(tiny_run):
-    config, run = tiny_run
-    paths = PipelinePaths(run.out_dir)
+@pytest.fixture(scope="module")
+def ance_mining(tiny_run, tmp_path_factory):
+    """Rerun the ance stage on a copy of the tiny run; return the copy's
+    config and, per mining call, the checksum of the model it mined with
+    and the records it returned (before any cap)."""
+    config = copied_run(tiny_run, tmp_path_factory.mktemp("ance"))
+    real_mine = pipeline.ance_mod.mine_hard_negatives
+    calls = []
+
+    def spy_mine(model, *args, **kwargs):
+        checksum = params_checksum(model)
+        records = real_mine(model, *args, **kwargs)
+        calls.append((checksum, records))
+        return records
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline.ance_mod, "mine_hard_negatives", spy_mine)
+        assert run_pipeline(config, force=True, stages=["ance"]).executed == ["ance"]
+    return config, calls
+
+
+def test_each_ance_round_mines_with_the_previous_round_model(ance_mining):
+    config, calls = ance_mining
+    paths = PipelinePaths(config.out_dir)
+    assert len(calls) == config.ance_rounds
     previous = params_checksum(load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED)))
-    for round_index in range(1, config.ance_rounds + 1):
-        records = load_hard_negatives(paths.negatives(round_index))
+    for round_index, (checksum, records) in enumerate(calls, start=1):
+        assert checksum == previous
         assert records
         for record in records:
             assert record.round_index == round_index
@@ -358,16 +445,31 @@ def test_each_ance_round_mines_with_the_previous_round_model(tiny_run):
         previous = current
 
 
-def test_no_hard_negative_shares_its_anchor_normalized_form(tiny_run):
+def test_negatives_file_holds_the_final_round_capped(ance_mining):
+    # The file holds exactly what the re-ranker trains on: each anchor's
+    # first rerank_negative_cap negatives of the final round, in rank order.
+    config, calls = ance_mining
+    cap = config.rerank_negative_cap
+    _, final = calls[-1]
+    assert any(len(record.negatives) > cap for record in final)
+    saved = load_hard_negatives(PipelinePaths(config.out_dir).negatives(config.ance_rounds))
+    assert saved == [
+        dataclasses.replace(record, negatives=record.negatives[:cap])
+        for record in final
+        if record.negatives
+    ]
+
+
+def test_no_hard_negative_shares_its_anchor_normalized_form(tiny_run, ance_mining):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
     corpus = load_corpus(paths.norm_queries, paths.corpus_events)
     form = {qid: record.normalized_text for qid, record in corpus.queries.items()}
     files = sorted(run.out_dir.glob("hard_negatives_round*.tsv"))
-    assert len(files) == config.ance_rounds
+    assert files == [paths.negatives(config.ance_rounds)]
     checked = 0
-    for path in files:
-        for record in load_hard_negatives(path):
+    for _, records in ance_mining[1]:
+        for record in records:
             for negative in record.negatives:
                 assert form[negative] != form[record.anchor], (record.anchor, negative)
                 checked += 1
@@ -454,7 +556,7 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
     monkeypatch.setattr(io, "open", spy_open)
     monkeypatch.setattr(np, "load", spy_load)
 
-    undeclared = {}
+    undeclared, unused = {}, {}
     for name, inputs, outputs, runner in _stage_specs(config, paths):
         opened.clear()
         renamed.clear()
@@ -472,10 +574,14 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
         assert writes, f"{name}: the spy saw no writes"
         declared_in = {Path(p).resolve() for p in inputs}
         declared_out = {Path(p).resolve() for p in outputs}
-        stray = sorted(
-            str(p.relative_to(root))
-            for p in (reads - declared_in - declared_out) | (writes - declared_out)
-        )
+        stray = (reads - declared_in - declared_out) | (writes - declared_out)
         if stray:
-            undeclared[name] = stray
+            undeclared[name] = sorted(str(p.relative_to(root)) for p in stray)
+        # The converse: a declared input the stage does not read reruns it
+        # for nothing, and a declared output it does not write lets a stale
+        # file pass as its output.
+        idle = (declared_in - reads) | (declared_out - writes)
+        if idle:
+            unused[name] = sorted(str(p.relative_to(root)) for p in idle)
     assert undeclared == {}
+    assert unused == {}

@@ -12,8 +12,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qreform import ance, corpus, evaluation, mining, normalize
-from qreform.files import format_header, read_tsv
+from qreform import ance, corpus, evaluation, mining, normalize, synthgen
+from qreform.files import format_header, read_tsv, write_tsv
 from qreform.pipeline import PipelineConfig, PipelinePaths, run_pipeline
 
 # Texts a comma- or colon-joined list cell would split, and scripts the log
@@ -162,6 +162,37 @@ def test_audit_labels_round_trip(rows):
         lambda p: evaluation.save_audit_labels(p, labels), evaluation.load_audit_labels
     )
     assert loaded == labels
+
+
+# A purchase names a product; a zero-purchase row may leave it empty.
+LOG_ROW = st.one_of(
+    st.tuples(TEXT, TEXT, st.integers(0, 5)), st.tuples(TEXT, st.just(""), st.just(0))
+)
+
+
+@example(
+    [
+        ("#1 mask", "p,1", 2),
+        ("#1 mask", "p,1", 3),
+        ("マスク", "", 0),
+        ("ﾏｽｸ", "p:2", 0),
+        ("\u091c\u093c\u0942\u0924\u093e", "p3", 1),
+    ]
+)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LOG_ROW, min_size=1, max_size=8))
+def test_behavior_log_round_trip(rows):
+    # Ingestion sums each (query, product)'s purchases and keeps every
+    # query, even one that bought nothing.
+    expected: dict[str, Counter] = {}
+    for query, product, purchases in rows:
+        counts = expected.setdefault(query, Counter())
+        if purchases:
+            counts[product] += purchases
+    loaded = _reloaded(lambda p: write_tsv(p, synthgen.LOG_KIND, rows), corpus.ingest_log)
+    assert {q: dict(loaded.raw_events(q)) for q in loaded.queries} == {
+        q: dict(counts) for q, counts in expected.items()
+    }
 
 
 MESSY_LOG = [
