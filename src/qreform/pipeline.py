@@ -14,6 +14,8 @@ each model's checkpoint, trace and report are named by its model id.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import json
 import random
@@ -947,6 +949,48 @@ def _stage_fresh(entry: dict | None, inputs: Sequence[Path], outputs: Sequence[P
     return True
 
 
+def _openblas_thread_calls():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or
+    None when numpy ships no library exporting them."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"
+    )):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and give the
+    caller's thread count back after it.
+
+    A GEMM sums in an order that depends on its thread count, so pinning
+    makes every output the same whatever ``OPENBLAS_NUM_THREADS`` the
+    caller set, and it leaves the second core to Adam's helper thread
+    rather than to idle BLAS workers.  Yields the count in force: 1, or
+    ``"unpinned"`` when numpy's OpenBLAS exposes no setter.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield "unpinned"
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(previous)
+
+
 @dataclass
 class PipelineRun:
     out_dir: Path
@@ -965,7 +1009,10 @@ def run_pipeline(
 
     A stage reruns when its outputs are missing, its recorded input or
     output checksums no longer match, or ``force`` is set.  The manifest
-    records the config hash, per-stage checksums, and timings.
+    records the config hash, per-stage checksums and timings, and the
+    BLAS thread count each stage ran with: the run holds numpy's OpenBLAS
+    to one thread (``_one_blas_thread``), so its outputs do not depend on
+    the caller's thread count.
     """
     paths = PipelinePaths(Path(config.out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
@@ -978,35 +1025,37 @@ def run_pipeline(
     executed: list[str] = []
     skipped: list[str] = []
     selected = set(stages) if stages is not None else None
-    for name, inputs, outputs, runner in _stage_specs(config, paths):
-        if selected is not None and name not in selected:
-            continue
-        entry = manifest["stages"].get(name)
-        if not force and _stage_fresh(entry, inputs, outputs):
-            skipped.append(name)
+    with _one_blas_thread() as blas_threads:
+        for name, inputs, outputs, runner in _stage_specs(config, paths):
+            if selected is not None and name not in selected:
+                continue
+            entry = manifest["stages"].get(name)
+            if not force and _stage_fresh(entry, inputs, outputs):
+                skipped.append(name)
+                if log:
+                    log(f"[{name}] up to date, skipped")
+                continue
+            started = time.perf_counter()
+            try:
+                runner(config, paths)
+            except Exception as exc:
+                raise StageFailure(name, exc) from exc
+            elapsed = time.perf_counter() - started
+            missing = [str(p) for p in outputs if not p.exists()]
+            if missing:
+                raise StageFailure(
+                    name, RuntimeError(f"did not produce declared outputs: {missing}")
+                )
+            manifest["stages"][name] = {
+                "inputs": _digests(list(inputs)),
+                "outputs": _digests(list(outputs)),
+                "seconds": round(elapsed, 3),
+                "blas_threads": blas_threads,
+            }
+            _save_manifest(paths, manifest)
+            executed.append(name)
             if log:
-                log(f"[{name}] up to date, skipped")
-            continue
-        started = time.perf_counter()
-        try:
-            runner(config, paths)
-        except Exception as exc:
-            raise StageFailure(name, exc) from exc
-        elapsed = time.perf_counter() - started
-        missing = [str(p) for p in outputs if not p.exists()]
-        if missing:
-            raise StageFailure(
-                name, RuntimeError(f"did not produce declared outputs: {missing}")
-            )
-        manifest["stages"][name] = {
-            "inputs": _digests(list(inputs)),
-            "outputs": _digests(list(outputs)),
-            "seconds": round(elapsed, 3),
-        }
-        _save_manifest(paths, manifest)
-        executed.append(name)
-        if log:
-            log(f"[{name}] done in {elapsed:.1f}s")
+                log(f"[{name}] done in {elapsed:.1f}s")
     return PipelineRun(paths.root, manifest, executed, skipped)
 
 
@@ -1016,19 +1065,22 @@ def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport
 
     A re-ranker's report needs the final retriever's lists, so that
     retriever is evaluated first.  An unknown model id raises before
-    anything is loaded.
+    anything is loaded.  Like ``run_pipeline``, it computes with numpy's
+    OpenBLAS on one thread, so the report equals the saved one whatever
+    thread count the caller set.
     """
     if model_id not in model_ids(config.ance_rounds):
         raise ValueError(f"unknown model id: {model_id!r}")
     paths = PipelinePaths(Path(config.out_dir))
-    inputs = _evaluation_inputs(paths)
-    final_lists = None
-    if model_id in RERANKER_IDS:
-        final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
-        final = load_checkpoint(paths.checkpoint(final_id))
-        _, final_lists = _model_report(final_id, final, *inputs, None, config.eval_k)
-    model = load_checkpoint(paths.checkpoint(model_id))
-    report, _ = _model_report(model_id, model, *inputs, final_lists, config.eval_k)
+    with _one_blas_thread():
+        inputs = _evaluation_inputs(paths)
+        final_lists = None
+        if model_id in RERANKER_IDS:
+            final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
+            final = load_checkpoint(paths.checkpoint(final_id))
+            _, final_lists = _model_report(final_id, final, *inputs, None, config.eval_k)
+        model = load_checkpoint(paths.checkpoint(model_id))
+        report, _ = _model_report(model_id, model, *inputs, final_lists, config.eval_k)
     return report
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Sequence
 
@@ -28,6 +29,9 @@ _MASK = -1e30
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Rows per block of an Adam step: the six arrays of a 64-wide block take
+# 1.5 MB, which fits a 2 MB L2 cache.  Blocks of 1024 rows measured the same.
+ADAM_BLOCK_ROWS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -233,9 +237,17 @@ class AdamOptimizer:
     ``ADAM_BETA2``, applied to the parameter arrays in place; lr 0 leaves
     parameters untouched.
 
-    Each step runs in two preallocated scratch arrays per parameter, in
-    the operation order of ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
-    so it allocates nothing and rounds exactly like that expression.
+    A step cuts every parameter into blocks of ``ADAM_BLOCK_ROWS`` rows
+    and runs the whole update on one block before the next, in the
+    operation order of ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
+    so a block's arrays stay in cache across the update's passes.  The
+    blocks are split in two halves of about equal size: one helper thread,
+    started and joined within the step, updates the second half while the
+    calling thread updates the first, each in two scratch arrays of its
+    own sized to one block; numpy releases the interpreter lock inside
+    each pass.  Every operation is elementwise and the blocks cover
+    disjoint rows, so the step rounds exactly like the whole-array
+    expression; an error in either half is raised from ``step``.
     """
 
     def __init__(self, shapes: Mapping[str, tuple], learning_rate: float) -> None:
@@ -243,9 +255,25 @@ class AdamOptimizer:
         self.step_count = 0
         self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self._scratch = {
-            name: (np.empty(shape), np.empty(shape)) for name, shape in shapes.items()
-        }
+        blocks = []
+        for name, shape in shapes.items():
+            rows = shape[0] if shape else 1
+            width = math.prod(shape[1:])
+            for start in range(0, rows, ADAM_BLOCK_ROWS):
+                # The last block's slice runs past the end, so a gradient
+                # with too many rows fails there, as on the whole array.
+                block = slice(start, start + ADAM_BLOCK_ROWS)
+                blocks.append((name, block, (min(rows, block.stop) - start) * width))
+        half = sum(size for _, _, size in blocks) / 2
+        split, done = 0, 0
+        while split < len(blocks) and done < half:
+            done += blocks[split][2]
+            split += 1
+        largest = max((size for _, _, size in blocks), default=0)
+        self._halves = tuple(
+            ([(name, block) for name, block, _ in part], np.empty(largest), np.empty(largest))
+            for part in (blocks[:split], blocks[split:])
+        )
 
     def step(
         self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
@@ -253,11 +281,32 @@ class AdamOptimizer:
         self.step_count += 1
         correct1 = 1.0 - ADAM_BETA1**self.step_count
         correct2 = 1.0 - ADAM_BETA2**self.step_count
-        for name, value in params.items():
-            grad = grads[name]
-            m = self.first[name]
-            v = self.second[name]
-            a, b = self._scratch[name]
+        own, other = self._halves
+        errors: list[Exception] = []
+
+        def update_other() -> None:
+            try:
+                self._update(*other, params, grads, correct1, correct2)
+            except Exception as exc:  # raised from step, after the join
+                errors.append(exc)
+
+        helper = threading.Thread(target=update_other)
+        helper.start()
+        try:
+            self._update(*own, params, grads, correct1, correct2)
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+
+    def _update(self, blocks, scratch_a, scratch_b, params, grads, correct1, correct2) -> None:
+        for name, rows in blocks:
+            value = np.atleast_1d(params[name])[rows]
+            grad = np.atleast_1d(grads[name])[rows]
+            m = np.atleast_1d(self.first[name])[rows]
+            v = np.atleast_1d(self.second[name])[rows]
+            a = scratch_a[: value.size].reshape(value.shape)
+            b = scratch_b[: value.size].reshape(value.shape)
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
             v *= ADAM_BETA2
@@ -321,7 +370,7 @@ def build_retrieval_batches(
                     # slicing its head, so repeated occurrences of an
                     # anchor spread gradient pressure over every retrieved
                     # negative rather than hammering the top few.
-                    rows.append(tuple(rng.sample(list(mined), hard_negative_cap)))
+                    rows.append(tuple(rng.sample(mined, hard_negative_cap)))
                 else:
                     rows.append(tuple(mined[:hard_negative_cap]))
             negs = tuple(rows)

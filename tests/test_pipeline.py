@@ -7,6 +7,8 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,8 @@ from qreform.pipeline import (
 )
 from qreform.synthgen import LOG_KIND, SynthConfig, generate
 from tests.conftest import copied_run, tiny_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # --- augmentation ---
@@ -257,6 +261,55 @@ def test_pipeline_produces_reports_and_artifacts(tiny_run):
     }
     for entry in manifest["stages"].values():
         assert "seconds" in entry and "inputs" in entry and "outputs" in entry
+
+
+def test_manifest_records_one_blas_thread_per_stage(tiny_run):
+    _, run = tiny_run
+    assert {entry["blas_threads"] for entry in run.manifest["stages"].values()} == {1}
+
+
+def test_manifest_records_unpinned_without_the_setter(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_openblas_thread_calls", lambda: None)
+    run = run_pipeline(tiny_config(tmp_path / "run"), stages=["synth-gen"])
+    assert run.manifest["stages"]["synth-gen"]["blas_threads"] == "unpinned"
+
+
+def test_blas_pin_restores_the_callers_thread_count():
+    calls = pipeline._openblas_thread_calls()
+    assert calls is not None, "numpy's OpenBLAS exports no thread-count setter"
+    get, set_ = calls
+    previous = get()
+    set_(2)
+    try:
+        with pipeline._one_blas_thread() as threads:
+            assert threads == get() == 1
+        assert get() == 2
+    finally:
+        set_(previous)
+
+
+RUN_AND_PRINT_DIGESTS = """
+import json, sys
+from qreform.pipeline import run_pipeline
+from tests.conftest import tiny_config
+run = run_pipeline(tiny_config(sys.argv[1]))
+print(json.dumps({name: entry["outputs"] for name, entry in run.manifest["stages"].items()}))
+"""
+
+
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)]),
+        }
+        command = [sys.executable, "-c", RUN_AND_PRINT_DIGESTS, str(tmp_path / threads)]
+        runs.append(subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate(timeout=600)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert json.loads(outputs[0]) == json.loads(outputs[1])
 
 
 def test_pipeline_rerun_skips_everything(tiny_run):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,10 @@ from qreform.corpus import canonical_pair
 from qreform.encoders import BiEncoderModel, CrossEncoderModel, Featurizer
 from qreform.files import read_tsv
 from qreform.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK_ROWS,
+    ADAM_EPS,
     OBJECTIVE_CIRCLE,
     OBJECTIVE_POINTWISE,
     OBJECTIVE_RETRIEVAL,
@@ -447,6 +453,149 @@ def test_adam_step_rounds_like_the_expression_form():
         assert np.array_equal(params[name], ref[name])
         assert np.array_equal(opt.first[name], m[name])
         assert np.array_equal(opt.second[name], v[name])
+
+
+class WholeArrayAdam:
+    """The reference step: the same operations as ``AdamOptimizer.step``,
+    in the same order, each over whole arrays in one thread."""
+
+    def __init__(self, shapes, learning_rate):
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self._scratch = {
+            name: (np.empty(shape), np.empty(shape)) for name, shape in shapes.items()
+        }
+
+    def step(self, params, grads):
+        self.step_count += 1
+        correct1 = 1.0 - ADAM_BETA1**self.step_count
+        correct2 = 1.0 - ADAM_BETA2**self.step_count
+        for name, value in params.items():
+            grad = grads[name]
+            m = self.first[name]
+            v = self.second[name]
+            a, b = self._scratch[name]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+            v *= ADAM_BETA2
+            np.square(grad, out=a)
+            v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
+            np.divide(m, correct1, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            value -= np.divide(a, b, out=a)
+
+
+# Row counts around the block edges, and arbitrary ones up to three blocks.
+_ADAM_ROWS = st.sampled_from(
+    [1, 2, ADAM_BLOCK_ROWS - 1, ADAM_BLOCK_ROWS, ADAM_BLOCK_ROWS + 1, 2 * ADAM_BLOCK_ROWS + 37]
+) | st.integers(1, 3 * ADAM_BLOCK_ROWS)
+
+
+@st.composite
+def adam_runs(draw):
+    """(shapes, learning rate, steps, seed): 0-d, 1-D and 2-D parameters."""
+    shapes = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["scalar", "bias", "matrix"]))
+        if kind == "scalar":
+            shapes[f"p{i}"] = ()
+        elif kind == "bias":
+            shapes[f"p{i}"] = (draw(_ADAM_ROWS),)
+        else:
+            shapes[f"p{i}"] = (draw(_ADAM_ROWS), draw(st.integers(1, 5)))
+    learning_rate = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    return shapes, learning_rate, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(adam_runs())
+def test_adam_step_is_bit_identical_to_the_whole_array_step(run):
+    shapes, learning_rate, steps, seed = run
+    rng = np.random.default_rng(seed)
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    ref_params = {name: value.copy() for name, value in params.items()}
+    initial = {name: value.copy() for name, value in params.items()}
+    opt = AdamOptimizer(shapes, learning_rate)
+    ref = WholeArrayAdam(shapes, learning_rate)
+    for _ in range(steps):
+        grads = {}
+        for name, shape in shapes.items():
+            grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)
+            if shape:
+                # All-zero rows, as in a batch that touches few hashed buckets.
+                keep = rng.random(shape[0]) < 0.3
+                grad *= keep.reshape(-1, *([1] * (len(shape) - 1)))
+            grads[name] = grad
+        opt.step(params, grads)
+        ref.step(ref_params, grads)
+    for name in shapes:
+        assert np.array_equal(params[name], ref_params[name]), name
+        assert np.array_equal(opt.first[name], ref.first[name]), name
+        assert np.array_equal(opt.second[name], ref.second[name]), name
+        if learning_rate == 0.0:
+            assert np.array_equal(params[name], initial[name]), name
+
+
+@pytest.mark.parametrize(
+    "grad_shape",
+    [(3 * ADAM_BLOCK_ROWS + 4, 2), (3 * ADAM_BLOCK_ROWS + 6, 2), (3 * ADAM_BLOCK_ROWS + 5, 3)],
+    ids=["row-short", "row-long", "wrong-width"],
+)
+def test_adam_step_raises_an_error_from_either_half(grad_shape):
+    # The helper thread updates the trailing blocks, so a gradient one row
+    # short or long fails in its half alone; a wrong width fails in both.
+    shape = (3 * ADAM_BLOCK_ROWS + 5, 2)
+    opt = AdamOptimizer({"w": shape}, learning_rate=0.1)
+    params = {"w": np.zeros(shape)}
+    threads = threading.active_count()
+    with pytest.raises(ValueError):
+        opt.step(params, {"w": np.ones(grad_shape)})
+    assert threading.active_count() == threads
+    if grad_shape[1] == shape[1]:
+        # The calling thread's half completed before the error surfaced.
+        assert np.all(params["w"][:ADAM_BLOCK_ROWS] < 0.0)
+
+
+def test_adam_steps_from_more_threads_than_cores_stay_bit_identical():
+    # Four callers, each with its own optimizer, step at once under a short
+    # switch interval; a lost or misplaced block update breaks equality.
+    shapes = {"w": (2 * ADAM_BLOCK_ROWS + 3, 4), "b": (4,)}
+    rng = np.random.default_rng(3)
+    starts = [{n: rng.standard_normal(s) for n, s in shapes.items()} for _ in range(4)]
+    grads = [{n: rng.standard_normal(s) for n, s in shapes.items()} for _ in range(6)]
+    results = {}
+
+    def run(i):
+        params = {name: value.copy() for name, value in starts[i].items()}
+        opt = AdamOptimizer(shapes, learning_rate=0.01 * (i + 1))
+        for grad in grads:
+            opt.step(params, grad)
+        results[i] = params
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        assert not any(caller.is_alive() for caller in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2, 3]
+    for i, params in results.items():
+        expected = {name: value.copy() for name, value in starts[i].items()}
+        ref = WholeArrayAdam(shapes, 0.01 * (i + 1))
+        for grad in grads:
+            ref.step(expected, grad)
+        for name in shapes:
+            assert np.array_equal(params[name], expected[name]), (i, name)
 
 
 def test_train_retrieval_reduces_loss():
