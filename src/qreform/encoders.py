@@ -38,13 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .files import FileFormatError, atomic_write
+from .files import FileFormatError, read_npz, write_npz
 
 NGRAM_SIZES = (2, 3, 4)
 _BOUNDARY_OPEN = "^"
@@ -553,25 +552,19 @@ def params_checksum(model) -> str:
 
 def save_checkpoint(model, path) -> str:
     """Write a versioned .npz checkpoint; returns the parameter checksum."""
-    meta_bytes = json.dumps(_model_meta(model), sort_keys=True).encode("utf-8")
     arrays = {f"param_{k}": v for k, v in model.parameters().items()}
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
+    write_npz(path, _model_meta(model), **arrays)
     return params_checksum(model)
 
 
 def load_checkpoint(path):
     """Load either encoder kind; rejects version or dimension mismatches."""
-    path = Path(path)
-    with np.load(path) as bundle:
-        if "meta" not in bundle:
-            raise FileFormatError(f"{path}: not an encoder checkpoint (no meta)")
-        meta = json.loads(bytes(bundle["meta"].tobytes()).decode("utf-8"))
-        params = {
-            name[len("param_"):]: bundle[name]
-            for name in bundle.files
-            if name.startswith("param_")
-        }
+    meta, arrays = read_npz(path)
+    params = {
+        name[len("param_"):]: array
+        for name, array in arrays.items()
+        if name.startswith("param_")
+    }
     if meta.get("version") != _CHECKPOINT_VERSION:
         raise FileFormatError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
     if meta.get("ngram_sizes") != list(NGRAM_SIZES):

@@ -10,10 +10,14 @@ escaping, and ``write_tsv`` refuses a cell that holds a tab or a newline.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 HEADER_PREFIX = "#qreform-"
 _HEADER_VERSION = "2"
@@ -119,6 +123,30 @@ def read_tsv(
                 )
             rows.append(row)
     return attrs, rows[1:] if has_columns else rows
+
+
+def write_npz(path: os.PathLike | str, meta: dict, **arrays: np.ndarray) -> None:
+    """Write ``meta`` as sorted-key JSON bytes in a ``meta`` array, then
+    ``arrays`` in their order, as one .npz, atomically."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
+
+
+def read_npz(path: os.PathLike | str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta dict and the other arrays of a ``write_npz`` file; one
+    that does not parse (an empty or truncated file) or has no ``meta``
+    raises ``FileFormatError`` naming it."""
+    try:
+        # np.load given a path leaves the file open when it fails.
+        with open(path, "rb") as fh, np.load(fh) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
+    except KeyError:
+        raise FileFormatError(f"{path}: no meta array") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FileFormatError(f"{path}: not a readable .npz file ({exc})") from None
+    return meta, arrays
 
 
 def sha256_file(path: os.PathLike | str) -> str:

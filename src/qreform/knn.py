@@ -9,14 +9,12 @@ oracle tests.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .encoders import params_checksum
-from .files import FileFormatError, atomic_write
+from .files import FileFormatError, read_npz, write_npz
 
 _UNIT_TOL = 1e-6
 _INDEX_VERSION = 1
@@ -92,25 +90,14 @@ def save_index(index: KnnIndex, path) -> None:
         "count": len(index),
         "model_checksum": index.model_checksum,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        np.savez(
-            fh,
-            meta=np.frombuffer(meta_bytes, dtype=np.uint8),
-            query_ids=np.array(index.query_ids),
-            embeddings=index.embeddings,
-        )
+    write_npz(path, meta, query_ids=np.array(index.query_ids), embeddings=index.embeddings)
 
 
 def load_index(path, expected_model_checksum: str | None = None) -> KnnIndex:
     """Load an index; rejects version, shape, or model-provenance mismatches."""
-    path = Path(path)
-    with np.load(path) as bundle:
-        if "meta" not in bundle:
-            raise FileFormatError(f"{path}: not an index file (no meta)")
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
-        ids = [str(q) for q in bundle["query_ids"]]
-        embeddings = np.asarray(bundle["embeddings"], dtype=np.float64)
+    meta, arrays = read_npz(path)
+    ids = [str(q) for q in arrays["query_ids"]]
+    embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
     if meta.get("version") != _INDEX_VERSION:
         raise FileFormatError(f"{path}: unsupported index version {meta.get('version')!r}")
     if embeddings.shape != (meta["count"], meta["dim"]):

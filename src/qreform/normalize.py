@@ -1,19 +1,20 @@
 """Query text canonicalization and behavior grouping.
 
-The pipeline is fixed-order: NFKC compatibility folding, lowercase,
-protected-entity masking, script mapping, tokenization, stop-word
-removal, suffix stemming, token sorting, and joining with "_".  NFKC
+The pipeline is fixed-order: NFKC compatibility folding and lowercase,
+a split at the protected entities, then script mapping, tokenization,
+stop-word removal and suffix stemming of each piece between the
+entities, and last the sorting of every token and joining with "_".  An
+entity is a token as it stands, so no later stage touches it.  NFKC
 makes precomposed and decomposed spellings (a nukta, an accent) and
 half-width katakana read alike.  Tokens split at whitespace,
-punctuation and script changes; a combining mark (a vowel sign, virama
-or nukta) continues the token it follows and is dropped where no token
-precedes it.  Script mapping and stemming iterate to a fixed
-point, and the whole pipeline is itself iterated to a fixed point (with a
-cycle guard), so normalization is idempotent for any configuration.
-Entity masking and script mapping rewrite the longest key that matches at
-each position, scanning left to right; each runs as one compiled regular
-expression built once per config, and empty keys are rejected because
-they would match everywhere.
+punctuation (the separator "_" too) and script changes; a combining
+mark (a vowel sign, virama or nukta) continues the token it follows and
+is dropped where no token precedes it.  Script mapping and stemming
+iterate to a fixed point, and the whole pipeline is itself iterated to a
+fixed point (with a cycle guard), so normalization is idempotent for any
+configuration.  The entity split and script mapping match the longest
+key at each position, scanning left to right; each runs as one compiled
+regular expression built once per config.
 Queries sharing a normalized form are grouped and their purchase counts
 summed, which lets product counts that are individually below the noise
 filter survive at the group level.  A query whose form is empty (only
@@ -35,12 +36,6 @@ if TYPE_CHECKING:
     from .corpus import Corpus
 
 SEPARATOR = "_"
-# Private-use sentinels bracket masked entities so no pipeline stage can
-# touch them; any pre-existing occurrence in raw text is stripped first.
-_MASK_OPEN = "\ue000"
-_MASK_CLOSE = "\ue001"
-# Splits a masked text into its masks (odd items) and the text between.
-_MASK_SPLIT = re.compile(f"({_MASK_OPEN}[0-9]+{_MASK_CLOSE})")
 
 
 def _fold(text: str) -> str:
@@ -50,15 +45,16 @@ def _fold(text: str) -> str:
 
 
 def _longest_first(keys: Iterable[str]) -> re.Pattern[str]:
-    """One alternation over the literal ``keys``, longest first.
+    """One capturing alternation over the literal ``keys``, longest first.
 
     ``re`` takes the first alternative that matches at a position, so the
     ``(-len(key), key)`` order is what makes it pick the longest key there;
-    the rewriter depends on that order and on no key being empty.  With no
-    keys the pattern never matches.
+    the matchers depend on that order and on no key being empty.  The group
+    makes ``split`` keep the matches.  With no keys the pattern never
+    matches.
     """
     ordered = sorted(keys, key=lambda key: (-len(key), key))
-    return re.compile("|".join(map(re.escape, ordered)) or "(?!)")
+    return re.compile("(" + ("|".join(map(re.escape, ordered)) or "(?!)") + ")")
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,12 @@ class NormalizationConfig:
     ``stemmer_rules`` are (suffix, replacement) pairs tried
     longest-suffix-first.  ``protected_entities`` pass through every stage
     verbatim.  Script-map keys and entities are matched longest key first
-    at each position; an empty key or entity raises ``ValueError``.  All
-    resources are NFKC-folded and lowercased on construction because they
-    apply after those stages, and the matchers are compiled once here.
+    at each position.  All resources are NFKC-folded and lowercased on
+    construction because they apply after those stages, and the matchers
+    are compiled once here.  ``ValueError`` names an entry that would
+    match everywhere or never let the pipeline settle: an empty key or
+    entity, a key or entity holding the separator (it matches across the
+    previous pass's tokens), or a replacement longer than its suffix.
     """
 
     stopwords: frozenset[str] = frozenset()
@@ -91,6 +90,10 @@ class NormalizationConfig:
         entities = frozenset(map(_fold, self.protected_entities))
         if "" in entities:
             raise ValueError("protected entities contain an empty entry ''")
+        for role, keys in (("script map key", script_map), ("protected entity", entities)):
+            for key in keys:
+                if SEPARATOR in key:
+                    raise ValueError(f"{role} {key!r} contains the separator {SEPARATOR!r}")
         object.__setattr__(self, "protected_entities", entities)
         rules = tuple((_fold(s), _fold(r)) for s, r in self.stemmer_rules)
         object.__setattr__(self, "stemmer_rules", rules)
@@ -101,6 +104,12 @@ class NormalizationConfig:
         suffix_rules = sorted(
             (kv for kv in rules if kv[0]), key=lambda kv: (-len(kv[0]), kv[0])
         )
+        for suffix, replacement in suffix_rules:
+            if len(replacement) > len(suffix):
+                raise ValueError(
+                    f"stemmer rule {(suffix, replacement)!r} has a replacement"
+                    " longer than its suffix"
+                )
         object.__setattr__(self, "_suffix_rules", tuple(suffix_rules))
         for source, target in script_map.items():
             mapped = self._map_script_once(target)
@@ -112,19 +121,6 @@ class NormalizationConfig:
     def _map_script_once(self, text: str) -> str:
         """Replace the longest script-map key at each position, left to right."""
         return self._script_pattern.sub(lambda m: self.script_map[m.group()], text)
-
-    def _mask_entities(self, text: str) -> tuple[str, list[str]]:
-        """Replace each protected entity, longest first, by an indexed mask.
-
-        Returns the masked text and the entities in mask-index order.
-        """
-        masked: list[str] = []
-
-        def mask(match: re.Match[str]) -> str:
-            masked.append(match.group())
-            return f"{_MASK_OPEN}{len(masked) - 1}{_MASK_CLOSE}"
-
-        return self._entity_pattern.sub(mask, text), masked
 
 
 def load_config(
@@ -220,54 +216,21 @@ def _char_class(ch: str) -> str:
     return "other"
 
 
-def _split_script_boundaries(chunk: str) -> list[str]:
-    tokens: list[str] = []
-    current: list[str] = []
-    current_class = None
-
-    def flush() -> None:
-        nonlocal current, current_class
-        if current:
-            tokens.append("".join(current))
-        current, current_class = [], None
-
-    i = 0
-    while i < len(chunk):
-        ch = chunk[i]
-        if ch == _MASK_OPEN:
-            # Masked entities tokenize as one opaque token.
-            end = chunk.find(_MASK_CLOSE, i)
-            if end == -1:
-                i += 1
-                continue
-            flush()
-            tokens.append(chunk[i:end + 1])
-            i = end + 1
-            continue
-        cls = _char_class(ch)
-        if cls == "other":
-            flush()
-        elif cls == "mark":
-            if current:
-                current.append(ch)
-        elif current_class is None or cls == current_class:
-            current.append(ch)
-            current_class = cls
-        else:
-            flush()
-            current.append(ch)
-            current_class = cls
-        i += 1
-    flush()
-    return tokens
-
-
 def _tokenize(text: str) -> list[str]:
-    # "_" is a separator so that already-normalized output re-tokenizes
-    # into the same tokens.
+    """Runs of one script class, in order.  A mark continues the run it
+    follows; any other character, the separator among them, ends a run
+    and starts none, so normalized output re-tokenizes into its tokens."""
     tokens: list[str] = []
-    for chunk in text.replace(SEPARATOR, " ").split():
-        tokens.extend(_split_script_boundaries(chunk))
+    start, current = 0, None
+    for i, ch in enumerate(text):
+        cls = _char_class(ch)
+        if cls == current or (cls == "mark" and current is not None):
+            continue
+        if current is not None:
+            tokens.append(text[start:i])
+        start, current = i, None if cls in ("mark", "other") else cls
+    if current is not None:
+        tokens.append(text[start:])
     return tokens
 
 
@@ -282,25 +245,17 @@ def _stem(token: str, ordered_rules: Sequence[tuple[str, str]]) -> str:
 
 
 def _pipeline_pass(raw: str, config: NormalizationConfig) -> str:
-    text = _fold(raw).replace(_MASK_OPEN, "").replace(_MASK_CLOSE, "")
-
-    text, masked = config._mask_entities(text)
-    # The script map must not reach a mask's index: a digit key would
-    # rewrite it.
-    parts = _MASK_SPLIT.split(text)
-    parts[::2] = [_fixed_point(part, config._map_script_once) for part in parts[::2]]
-    text = "".join(parts)
-
-    tokens = [t for t in _tokenize(text) if t not in config.stopwords]
-
-    processed: list[str] = []
-    for token in tokens:
-        if token.startswith(_MASK_OPEN) and token.endswith(_MASK_CLOSE):
-            processed.append(masked[int(token[1:-1])])
-        else:
-            processed.append(_stem(token, config._suffix_rules))
-
-    return SEPARATOR.join(sorted(processed))
+    # The odd pieces are the entities; the even ones lie between them.
+    pieces = config._entity_pattern.split(_fold(raw))
+    tokens = pieces[1::2]
+    for piece in pieces[::2]:
+        mapped = _fixed_point(piece, config._map_script_once)
+        tokens.extend(
+            _stem(token, config._suffix_rules)
+            for token in _tokenize(mapped)
+            if token not in config.stopwords
+        )
+    return SEPARATOR.join(sorted(tokens))
 
 
 def normalize(raw: str, config: NormalizationConfig) -> str:

@@ -182,28 +182,20 @@ def select_threshold(
     """
     if not positive_scores or not negative_scores:
         raise ValueError("threshold selection needs scores from both classes")
-    pos = np.asarray(positive_scores, dtype=np.float64)
-    neg = np.asarray(negative_scores, dtype=np.float64)
-    observed = sorted(set(pos.tolist()) | set(neg.tolist()))
-    best_f1 = -1.0
-    best_threshold = 0.0
-    for candidate in observed:
-        tp = int(np.sum(pos >= candidate))
-        fp = int(np.sum(neg >= candidate))
-        fn = len(pos) - tp
-        denom = 2 * tp + fp + fn
-        f1 = 2 * tp / denom if denom else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = candidate
+    pos = np.sort(np.asarray(positive_scores, dtype=np.float64))
+    neg = np.sort(np.asarray(negative_scores, dtype=np.float64))
+    observed = np.unique(np.concatenate([pos, neg]))
+    tp = len(pos) - np.searchsorted(pos, observed)
+    fp = len(neg) - np.searchsorted(neg, observed)
+    fn = len(pos) - tp
+    best = int(np.argmax(2 * tp / (2 * tp + fp + fn)))
     # Cutting exactly at an observed score rejects anything even a hair
     # weaker than the weakest accepted example; place the cut midway
     # between the boundary score and the next one below, as a decision
     # stump would.
-    below = [s for s in observed if s < best_threshold]
-    if below:
-        best_threshold = (best_threshold + below[-1]) / 2.0
-    return float(best_threshold)
+    if best:
+        return (float(observed[best]) + float(observed[best - 1])) / 2.0
+    return float(observed[best])
 
 
 def _fits(value: object, default: object) -> bool:
@@ -703,7 +695,12 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
 
 def load_threshold(paths: PipelinePaths) -> float:
     _, rows = read_tsv(paths.threshold, THRESHOLD_KIND)
-    return float(rows[0][0])
+    try:
+        return float(rows[0][0])
+    except (IndexError, ValueError):
+        raise files_mod.FileFormatError(
+            f"{paths.threshold}: expected a row holding the threshold, got {rows[:1]!r}"
+        ) from None
 
 
 def _stage_index(config: PipelineConfig, paths: PipelinePaths) -> None:

@@ -63,5 +63,11 @@ def copied_run(tiny_run, tmp_path) -> PipelineConfig:
     return dataclasses.replace(config, out_dir=str(out_dir))
 
 
+def truncate(path) -> None:
+    """Cut a file to half its length."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
 def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
     return dataclasses.replace(config, seed=seed)

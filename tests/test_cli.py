@@ -9,7 +9,7 @@ from qreform.encoders import load_checkpoint
 from qreform.evaluation import load_report
 from qreform.knn import build_index, load_index, save_index
 from qreform.pipeline import MODEL_RETRIEVER_WEIGHTED, PipelinePaths, model_ids
-from tests.conftest import copied_run, tiny_config
+from tests.conftest import copied_run, tiny_config, truncate
 
 
 def _config_args(config, tmp_path):
@@ -124,6 +124,30 @@ def test_reformulate_command_rejects_index_of_another_model(tiny_run, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: reformulate:")
     assert str(paths.index_file) in err
+
+
+def _keep_header_only(path):
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "artifact, damage",
+    [
+        (lambda paths: paths.threshold, _keep_header_only),
+        (lambda paths: paths.index_file, truncate),
+        (lambda paths: paths.reranker_circle, lambda path: path.write_bytes(b"")),
+    ],
+    ids=["threshold-without-row", "truncated-index", "empty-checkpoint"],
+)
+def test_reformulate_command_names_a_damaged_file(tiny_run, tmp_path, capsys, artifact, damage):
+    config = copied_run(tiny_run, tmp_path)
+    path = artifact(PipelinePaths(config.out_dir))
+    damage(path)
+    code = main(["reformulate", *_config_args(config, tmp_path), "--query", "mask"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reformulate:")
+    assert str(path) in err
 
 
 def test_augment_command_worked_example(capsys):

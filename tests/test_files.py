@@ -17,6 +17,7 @@ from qreform.files import (
     write_tsv,
 )
 from qreform.pipeline import PipelineConfig
+from tests.conftest import truncate
 
 
 def test_header_round_trip():
@@ -192,3 +193,39 @@ def test_write_failing_midway_keeps_old_file(tmp_path, monkeypatch, write):
         write(path)
     assert path.read_bytes() == b"old contents"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _drop_meta(path):
+    with np.load(path) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files if name != "meta"}
+    np.savez(path, **arrays)
+
+
+_NPZ_ARTIFACTS = [
+    (_save_checkpoint, encoders.load_checkpoint),
+    (_save_index, knn.load_index),
+]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(truncate, "not a readable .npz"), (_empty, "not a readable .npz"), (_drop_meta, "no meta")],
+    ids=["truncated", "empty", "no-meta"],
+)
+@pytest.mark.parametrize("save, load", _NPZ_ARTIFACTS, ids=["checkpoint", "index"])
+def test_damaged_npz_names_the_file(tmp_path, save, load, damage, message):
+    path = tmp_path / "artifact.npz"
+    save(path)
+    damage(path)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: {message}"):
+        load(path)
+
+
+@pytest.mark.parametrize("save, load", _NPZ_ARTIFACTS, ids=["checkpoint", "index"])
+def test_missing_npz_stays_file_not_found(tmp_path, save, load):
+    with pytest.raises(FileNotFoundError):
+        load(tmp_path / "absent.npz")

@@ -1,17 +1,23 @@
 """Normalization pipeline: canonical forms, idempotence, grouping."""
 
+import re
+import signal
+from contextlib import contextmanager
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qreform.corpus import Corpus
 from qreform.files import format_header
 from qreform.normalize import (
-    _MASK_CLOSE,
-    _MASK_OPEN,
+    SEPARATOR,
     NormalizationConfig,
+    _char_class,
+    _fixed_point,
+    _fold,
+    _stem,
     group_queries,
     load_config,
     load_groups,
@@ -83,9 +89,12 @@ def test_stopword_removal():
         ("caf\u00e9", "caf\u00e9"),
         # A mark with no token before it is dropped.
         ("\u0301mask", "mask"),
+        # Private-use characters are symbols like any other.
+        ("ab\ue000cd", "ab_cd"),
+        ("ab\ue001cd", "ab_cd"),
     ],
     ids=["hindi", "nukta-precomposed", "nukta-mark", "half-width", "decomposed",
-         "precomposed", "leading-mark"],
+         "precomposed", "leading-mark", "private-use-e000", "private-use-e001"],
 )
 def test_unicode_worked_examples(raw, expected):
     assert normalize(raw, PLAIN) == expected
@@ -168,6 +177,41 @@ def test_config_round_trip(tmp_path):
         assert normalize(sample, loaded) == normalize(sample, PLAIN)
 
 
+@contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "resources, raw, message",
+    [
+        # Each strip appends an "a": ba, baa, baaa, ...
+        ({"stemmer_rules": (("a", "aa"),)}, "ba", "stemmer rule ('a', 'aa')"),
+        # Each pass turns every separator into an entity token: 0_q, 0___q, ...
+        ({"protected_entities": frozenset({"_"})}, "0Q", "protected entity '_'"),
+        # Each pass maps the separator into the letter token: 0_q, 0_xq, ...
+        ({"script_map": {"_": "x"}}, "0Q", "script map key '_'"),
+    ],
+    ids=["growing-stemmer-rule", "separator-entity", "separator-script-map-key"],
+)
+def test_config_rejects_resources_that_never_reach_a_fixed_point(resources, raw, message):
+    # The deadline turns a config that is accepted, and then hangs, into a
+    # failure.
+    with _deadline(0.5), pytest.raises(ValueError, match=re.escape(message)):
+        normalize(raw, NormalizationConfig(**resources))
+
+
 def test_config_rejects_empty_script_map_key():
     with pytest.raises(ValueError, match="empty key .*'x'"):
         NormalizationConfig(script_map={"": "x"})
@@ -212,23 +256,20 @@ def _apply_script_map_once(text: str, ordered_map: Sequence[tuple[str, str]]) ->
     return "".join(out)
 
 
-def _mask_entities_by_scan(text: str, entities: Sequence[str]) -> tuple[str, list[str]]:
-    masked: list[str] = []
-    if entities:
-        buf = []
-        i = 0
-        while i < len(text):
-            for entity in entities:
-                if text.startswith(entity, i):
-                    buf.append(f"{_MASK_OPEN}{len(masked)}{_MASK_CLOSE}")
-                    masked.append(entity)
-                    i += len(entity)
-                    break
-            else:
-                buf.append(text[i])
-                i += 1
-        text = "".join(buf)
-    return text, masked
+def _split_entities_by_scan(text: str, entities: Sequence[str]) -> list[str]:
+    """The text between entities at even indices, the entities at odd ones."""
+    pieces = [""]
+    i = 0
+    while i < len(text):
+        for entity in entities:
+            if text.startswith(entity, i):
+                pieces += [entity, ""]
+                i += len(entity)
+                break
+        else:
+            pieces[-1] += text[i]
+            i += 1
+    return pieces
 
 
 def _longest_first(keys):
@@ -245,9 +286,9 @@ _rewrite_texts = st.text(alphabet=_REWRITE_ALPHABET + "xy ", max_size=24)
 
 @settings(max_examples=300, deadline=None)
 @given(st.sets(_rewrite_keys, max_size=8), _rewrite_texts)
-def test_entity_masking_matches_scanner(entities, text):
+def test_entity_split_matches_scanner(entities, text):
     config = NormalizationConfig(protected_entities=frozenset(entities))
-    assert config._mask_entities(text) == _mask_entities_by_scan(
+    assert config._entity_pattern.split(text) == _split_entities_by_scan(
         text, _longest_first(entities)
     )
 
@@ -273,8 +314,7 @@ def test_protected_entity_containing_script_map_key_passes_unmapped():
 
 
 def test_digit_script_map_key_leaves_entity_masks_alone():
-    # Each mask holds its entity's index in digits, which a digit key
-    # must not rewrite.
+    # A digit key rewrites the digits around entities and never an entity.
     config = NormalizationConfig(
         script_map={"0": "o"}, protected_entities=frozenset({"sonax"})
     )
@@ -283,6 +323,131 @@ def test_digit_script_map_key_leaves_entity_masks_alone():
         script_map={"1": "2"}, protected_entities=frozenset({"acme", "sonax"})
     )
     assert normalize("acme sonax 1", config) == "2_acme_sonax"
+
+
+# --- the sentinel normalizer that the entity split replaced ---
+#
+# It masked each entity with a private-use sentinel around a digit index,
+# kept the script map off the masks, tokenized a mask as one opaque token
+# and decoded the masks last.  It deleted U+E000 and U+E001 from its input,
+# which the entity split leaves as symbols, so the property below draws
+# neither.
+
+_REF_OPEN = "\ue000"
+_REF_CLOSE = "\ue001"
+_REF_MASK_SPLIT = re.compile(f"({_REF_OPEN}[0-9]+{_REF_CLOSE})")
+
+
+def _reference_split_script_boundaries(chunk: str) -> list[str]:
+    tokens: list[str] = []
+    current: list[str] = []
+    current_class = None
+
+    def flush() -> None:
+        nonlocal current, current_class
+        if current:
+            tokens.append("".join(current))
+        current, current_class = [], None
+
+    i = 0
+    while i < len(chunk):
+        ch = chunk[i]
+        if ch == _REF_OPEN:
+            end = chunk.find(_REF_CLOSE, i)
+            if end == -1:
+                i += 1
+                continue
+            flush()
+            tokens.append(chunk[i:end + 1])
+            i = end + 1
+            continue
+        cls = _char_class(ch)
+        if cls == "other":
+            flush()
+        elif cls == "mark":
+            if current:
+                current.append(ch)
+        elif current_class is None or cls == current_class:
+            current.append(ch)
+            current_class = cls
+        else:
+            flush()
+            current.append(ch)
+            current_class = cls
+        i += 1
+    flush()
+    return tokens
+
+
+def _reference_pipeline_pass(raw: str, config: NormalizationConfig) -> str:
+    text = _fold(raw).replace(_REF_OPEN, "").replace(_REF_CLOSE, "")
+    masked: list[str] = []
+
+    def mask(match: re.Match[str]) -> str:
+        masked.append(match.group())
+        return f"{_REF_OPEN}{len(masked) - 1}{_REF_CLOSE}"
+
+    text = config._entity_pattern.sub(mask, text)
+    parts = _REF_MASK_SPLIT.split(text)
+    parts[::2] = [_fixed_point(part, config._map_script_once) for part in parts[::2]]
+    text = "".join(parts)
+    tokens = []
+    for chunk in text.replace(SEPARATOR, " ").split():
+        tokens.extend(_reference_split_script_boundaries(chunk))
+    processed = []
+    for token in tokens:
+        if token in config.stopwords:
+            continue
+        if token.startswith(_REF_OPEN) and token.endswith(_REF_CLOSE):
+            processed.append(masked[int(token[1:-1])])
+        else:
+            processed.append(_stem(token, config._suffix_rules))
+    return SEPARATOR.join(sorted(processed))
+
+
+def _reference_normalize(raw: str, config: NormalizationConfig) -> str:
+    return _fixed_point(raw, lambda value: _reference_pipeline_pass(value, config))
+
+
+# Katakana and hiragana (with full-width and half-width voicing marks),
+# half-width forms, an ideograph, Devanagari with a nukta (precomposed and
+# as a mark), combining accents, digits, Latin letters, the separator and
+# other symbols.
+_SCRIPT_ALPHABET = "マスクますｽﾏﾎﾞﾟ\u3099子फ\u095e\u093cो\u094d\u0301\u030801abesz_-. "
+_resource_words = st.text(alphabet=_SCRIPT_ALPHABET, max_size=3)
+# Keys and entities holding the separator are rejected by the config.
+_resource_keys = st.text(alphabet=_SCRIPT_ALPHABET.replace(SEPARATOR, ""), min_size=1, max_size=3)
+
+
+@st.composite
+def _configs(draw) -> NormalizationConfig:
+    try:
+        return NormalizationConfig(
+            stopwords=frozenset(draw(st.sets(_resource_keys, max_size=3))),
+            script_map=draw(st.dictionaries(_resource_keys, _resource_words, max_size=3)),
+            protected_entities=frozenset(draw(st.sets(_resource_keys, max_size=3))),
+            stemmer_rules=tuple(
+                draw(st.lists(st.tuples(_resource_words, _resource_words), max_size=3))
+            ),
+        )
+    except ValueError:
+        # A map that is not idempotent, or a rule that grows its token.
+        reject()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from(_SCRIPT_ALPHABET),
+            st.characters(exclude_characters=_REF_OPEN + _REF_CLOSE),
+        ),
+        max_size=16,
+    ),
+    _configs(),
+)
+def test_normalize_matches_the_sentinel_reference(raw, config):
+    assert normalize(raw, config) == _reference_normalize(raw, config)
 
 
 # --- grouping ---

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qreform
 from qreform import pipeline
@@ -105,6 +107,47 @@ def test_select_threshold_picks_best_f1():
 def test_select_threshold_needs_both_classes():
     with pytest.raises(ValueError):
         select_threshold([0.5], [])
+
+
+def _select_threshold_by_loop(positive_scores, negative_scores):
+    """The one-candidate-at-a-time search that ``select_threshold`` replaced."""
+    pos = np.asarray(positive_scores, dtype=np.float64)
+    neg = np.asarray(negative_scores, dtype=np.float64)
+    observed = sorted(set(pos.tolist()) | set(neg.tolist()))
+    best_f1 = -1.0
+    best_threshold = 0.0
+    for candidate in observed:
+        tp = int(np.sum(pos >= candidate))
+        fp = int(np.sum(neg >= candidate))
+        fn = len(pos) - tp
+        denom = 2 * tp + fp + fn
+        f1 = 2 * tp / denom if denom else 0.0
+        if f1 > best_f1:
+            best_f1 = f1
+            best_threshold = candidate
+    below = [s for s in observed if s < best_threshold]
+    if below:
+        best_threshold = (best_threshold + below[-1]) / 2.0
+    return float(best_threshold)
+
+
+# A few shared values make ties within and across the classes common.
+_scores = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scores, _scores)
+def test_select_threshold_matches_the_loop(positive_scores, negative_scores):
+    assert select_threshold(positive_scores, negative_scores) == _select_threshold_by_loop(
+        positive_scores, negative_scores
+    )
 
 
 # --- config serialization ---
