@@ -4,8 +4,11 @@ A behavior log is a line-delimited TSV of (query, product, purchases)
 records.  Ingestion aggregates duplicate rows, applies the low-purchase
 noise filter, and keeps every query it saw, including those whose events
 were all filtered away: behavior-impoverished queries are exactly the
-ones that need reformulations.  Co-purchase candidates come from a
-self-join on product, realized as a product-keyed inverted map.
+ones that need reformulations.  A record holds only what the log says
+about its query: whether a query is rich depends on the threshold a
+caller passes to ``rich_queries``, and its normalized form lives in the
+groups file.  Co-purchase candidates come from a self-join on product,
+realized as a product-keyed inverted map.
 """
 
 from __future__ import annotations
@@ -28,18 +31,14 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
 
 @dataclass
 class QueryRecord:
-    """One query with its aggregate behavior and derived annotations.
+    """One query and its total surviving purchases.
 
     ``query_id`` is the query's text as the log spells it; it is both the
-    key and what the encoders read.  ``normalized_text`` is filled by the
-    normalizer and ``traffic_tier`` by the rich/impoverished split; both
-    stay None until then.
+    key and what the encoders read.
     """
 
     query_id: str
     total_purchases: int = 0
-    normalized_text: str | None = None
-    traffic_tier: str | None = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class Corpus:
         if min_purchase < 1:
             raise ValueError(f"min_purchase must be >= 1, got {min_purchase}")
         self.min_purchase = min_purchase
-        self.rich_threshold: int | None = None
         self.queries: dict[str, QueryRecord] = {}
         self._raw_events: dict[str, dict[str, int]] = {}
 
@@ -91,9 +89,6 @@ class Corpus:
             for product, count in self._raw_events[query_id].items()
             if count >= self.min_purchase
         }
-
-    def products(self, query_id: str) -> frozenset[str]:
-        return frozenset(self.events(query_id))
 
 
 def ingest_log(path, min_purchase: int = 2) -> Corpus:
@@ -130,26 +125,14 @@ def ingest_log(path, min_purchase: int = 2) -> Corpus:
     return corpus
 
 
-def split_rich_impoverished(
-    corpus: Corpus, rich_threshold: int
-) -> tuple[set[str], set[str]]:
-    """Partition queries by total surviving purchases; annotates records."""
-    if rich_threshold < 1:
-        raise ValueError(
-            "rich_threshold must be >= 1: at 0 every query is rich and there "
-            "is nothing to reformulate"
-        )
-    rich: set[str] = set()
-    impoverished: set[str] = set()
-    for query_id, record in corpus.queries.items():
-        if record.total_purchases >= rich_threshold:
-            record.traffic_tier = TIER_RICH
-            rich.add(query_id)
-        else:
-            record.traffic_tier = TIER_IMPOVERISHED
-            impoverished.add(query_id)
-    corpus.rich_threshold = rich_threshold
-    return rich, impoverished
+def rich_queries(corpus: Corpus, rich_threshold: int) -> list[str]:
+    """The sorted queries with at least ``rich_threshold`` surviving
+    purchases: the pool that reformulations are drawn from."""
+    return sorted(
+        query_id
+        for query_id, record in corpus.queries.items()
+        if record.total_purchases >= rich_threshold
+    )
 
 
 def copurchase_from_product_sets(
@@ -217,34 +200,17 @@ def split_validation(pairs: Sequence, rng: random.Random) -> tuple[list, list]:
 
 QUERIES_KIND = "queries"
 EVENTS_KIND = "events"
-_TIER_NONE = "none"
-
-
-def _corpus_attrs(corpus: Corpus) -> dict:
-    attrs = {"min_purchase": corpus.min_purchase}
-    if corpus.rich_threshold is not None:
-        attrs["rich_threshold"] = corpus.rich_threshold
-    return attrs
 
 
 def save_queries(corpus: Corpus, path) -> None:
-    """Persist the query table as a versioned TSV (``load_corpus`` pairs it
-    with an events file written by ``save_events``)."""
-    query_rows = (
-        (
-            query_id,
-            record.normalized_text or "",
-            "0" if record.normalized_text is None else "1",
-            record.traffic_tier or _TIER_NONE,
-        )
-        for query_id, record in sorted(corpus.queries.items())
-    )
+    """Persist the sorted query ids as a versioned TSV (``load_corpus``
+    pairs it with an events file written by ``save_events``)."""
     write_tsv(
         path,
         QUERIES_KIND,
-        query_rows,
-        columns=("query_id", "normalized_text", "norm_set", "tier"),
-        **_corpus_attrs(corpus),
+        ((query_id,) for query_id in sorted(corpus.queries)),
+        columns=("query_id",),
+        min_purchase=corpus.min_purchase,
     )
 
 
@@ -259,7 +225,7 @@ def save_events(corpus: Corpus, path) -> None:
         EVENTS_KIND,
         event_rows,
         columns=("query_id", "product_id", "purchases"),
-        **_corpus_attrs(corpus),
+        min_purchase=corpus.min_purchase,
     )
 
 
@@ -271,15 +237,8 @@ def load_corpus(queries_path, events_path) -> Corpus:
             f"{queries_path} and {events_path} disagree on min_purchase"
         )
     corpus = Corpus(int(q_attrs["min_purchase"]))
-    if "rich_threshold" in q_attrs:
-        corpus.rich_threshold = int(q_attrs["rich_threshold"])
-    for query_id, normalized, norm_set, tier in query_rows:
-        record = QueryRecord(query_id=query_id)
-        if norm_set == "1":
-            record.normalized_text = normalized
-        if tier != _TIER_NONE:
-            record.traffic_tier = tier
-        corpus.queries[query_id] = record
+    for (query_id,) in query_rows:
+        corpus.queries[query_id] = QueryRecord(query_id=query_id)
         corpus._raw_events[query_id] = {}
     for query_id, product, count in event_rows:
         if query_id not in corpus.queries:

@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .files import FileFormatError, read_npz, write_npz
+from .files import FileFormatError, read_npz, require_keys, write_npz
 
 NGRAM_SIZES = (2, 3, 4)
 _BOUNDARY_OPEN = "^"
@@ -550,15 +550,14 @@ def params_checksum(model) -> str:
     return digest.hexdigest()
 
 
-def save_checkpoint(model, path) -> str:
-    """Write a versioned .npz checkpoint; returns the parameter checksum."""
+def save_checkpoint(model, path) -> None:
+    """Write a versioned .npz checkpoint."""
     arrays = {f"param_{k}": v for k, v in model.parameters().items()}
     write_npz(path, _model_meta(model), **arrays)
-    return params_checksum(model)
 
 
 def load_checkpoint(path):
-    """Load either encoder kind; rejects version or dimension mismatches."""
+    """Load either encoder kind; rejects missing keys and version or dimension mismatches."""
     meta, arrays = read_npz(path)
     params = {
         name[len("param_"):]: array
@@ -574,6 +573,7 @@ def load_checkpoint(path):
         )
     kind = meta.get("kind")
     if kind == BiEncoderModel.kind:
+        require_keys(path, "checkpoint meta", meta, ("feature_dim", "embed_dim", "seed"))
         projection = params.get("projection")
         if projection is None or projection.ndim != 2:
             raise FileFormatError(f"{path}: missing or malformed projection matrix")
@@ -584,6 +584,7 @@ def load_checkpoint(path):
             )
         return BiEncoderModel(projection, meta["seed"])
     if kind == CrossEncoderModel.kind:
+        require_keys(path, "checkpoint meta", meta, ("feature_dim", "hidden_dims", "seed"))
         n_layers = len(meta["hidden_dims"]) + 1
         try:
             weights = [params[f"w{i}"] for i in range(n_layers)]

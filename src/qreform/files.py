@@ -15,12 +15,12 @@ import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 HEADER_PREFIX = "#qreform-"
-_HEADER_VERSION = "2"
+_HEADER_VERSION = "3"
 
 
 class FileFormatError(ValueError):
@@ -147,6 +147,16 @@ def read_npz(path: os.PathLike | str) -> tuple[dict, dict[str, np.ndarray]]:
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FileFormatError(f"{path}: not a readable .npz file ({exc})") from None
     return meta, arrays
+
+
+def require_keys(
+    path: os.PathLike | str, what: str, mapping: Mapping, keys: Iterable[str]
+) -> None:
+    """Raise ``FileFormatError`` naming ``path`` and the first of ``keys``
+    that ``mapping``, the meta or the arrays of a ``read_npz`` file, lacks."""
+    for key in keys:
+        if key not in mapping:
+            raise FileFormatError(f"{path}: {what} has no {key!r}")
 
 
 def sha256_file(path: os.PathLike | str) -> str:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoders import params_checksum
-from .files import FileFormatError, read_npz, write_npz
+from .files import FileFormatError, read_npz, require_keys, write_npz
 
 _UNIT_TOL = 1e-6
 _INDEX_VERSION = 1
@@ -94,12 +94,14 @@ def save_index(index: KnnIndex, path) -> None:
 
 
 def load_index(path, expected_model_checksum: str | None = None) -> KnnIndex:
-    """Load an index; rejects version, shape, or model-provenance mismatches."""
+    """Load an index; rejects missing keys and version, shape, or model mismatches."""
     meta, arrays = read_npz(path)
-    ids = [str(q) for q in arrays["query_ids"]]
-    embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
     if meta.get("version") != _INDEX_VERSION:
         raise FileFormatError(f"{path}: unsupported index version {meta.get('version')!r}")
+    require_keys(path, "index meta", meta, ("count", "dim"))
+    require_keys(path, "index", arrays, ("query_ids", "embeddings"))
+    ids = [str(q) for q in arrays["query_ids"]]
+    embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
     if embeddings.shape != (meta["count"], meta["dim"]):
         raise FileFormatError(
             f"{path}: embedding block {embeddings.shape} does not match header "

@@ -3,8 +3,7 @@
 Retrieval training weights each positive pair by a symmetric
 divergence-derived importance (1 - JSD), re-ranking regresses onto the
 directed one-sided variant (1 - KLD of the target distribution against
-the pair mixture), and the legacy set-overlap score is kept around as the
-baseline it replaces.  All divergences use base-2 logarithms so every
+the pair mixture).  All divergences use base-2 logarithms so every
 score lives in [0, 1].  The kin relation, which shields related queries
 from negative sampling, is unscored.
 """
@@ -91,20 +90,6 @@ def rerank_target(d_source: BehaviorDistribution, d_target: BehaviorDistribution
     m = _mixture(d_source, d_target)
     value = 1.0 - _kld2_against_mixture(d_target, m)
     return min(max(value, 0.0), 1.0)
-
-
-def legacy_score(pp1: frozenset[str] | set[str], pp2: frozenset[str] | set[str]) -> float:
-    """Set-overlap relevance used by the previous mining generation.
-
-    (|A∩B| / min(|A|, |B|)) * (|A∩B| / |A∪B|).  Blind to how purchases are
-    distributed inside the sets, which is the pathology the divergence
-    scores fix.
-    """
-    if not pp1 or not pp2:
-        raise ValueError("legacy_score requires non-empty product sets")
-    inter = len(pp1 & pp2)
-    union = len(pp1 | pp2)
-    return (inter / min(len(pp1), len(pp2))) * (inter / union)
 
 
 @dataclass(frozen=True)

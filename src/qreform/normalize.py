@@ -18,8 +18,10 @@ regular expression built once per config.
 Queries sharing a normalized form are grouped and their purchase counts
 summed, which lets product counts that are individually below the noise
 filter survive at the group level.  A query whose form is empty (only
-stop-words or punctuation) joins no group.  A groups file records
-membership only; loading it sums the counts from the corpus again.
+stop-words or punctuation) joins no group.  Grouping leaves the corpus
+as it was: a query's form is recorded only in its group.  A groups file
+records membership only; loading it sums the counts from the corpus
+again.
 """
 
 from __future__ import annotations
@@ -292,14 +294,12 @@ def _query_group(corpus: "Corpus", normalized_text: str, members: Sequence[str])
 def group_queries(corpus: "Corpus", config: NormalizationConfig) -> list[QueryGroup]:
     """Partition the corpus by normalized form, summing raw purchase counts.
 
-    Also fills each QueryRecord's ``normalized_text`` as a side effect of
-    the normalization pass.  Queries whose form is empty share nothing
+    The corpus is only read.  Queries whose form is empty share nothing
     but the absence of words, so they are left out of every group.
     """
     buckets: dict[str, list[str]] = {}
-    for query_id, record in corpus.queries.items():
+    for query_id in corpus.queries:
         normalized = normalize(query_id, config)
-        record.normalized_text = normalized
         if normalized:
             buckets.setdefault(normalized, []).append(query_id)
     return [_query_group(corpus, form, buckets[form]) for form in sorted(buckets)]

@@ -247,6 +247,7 @@ _COUNT_FIELDS = (
     "n_test_queries", "bi_feature_dim", "embed_dim", "cross_feature_dim",
     "retriever_epochs", "ance_epochs_per_round", "reranker_epochs", "batch_size",
     "ance_rounds", "top_k", "hard_negative_cap", "rerank_negative_cap", "eval_k", "n_max",
+    "rich_threshold",
 )
 
 
@@ -282,9 +283,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # A count below one fails a stage late or yields a meaningless
-        # artifact (a recall@0 report); the re-ranker and serving need a
-        # final ANCE round.  min_purchase and rich_threshold are checked by
-        # the stages that read them.
+        # artifact (a recall@0 report, or a rich pool of every query and
+        # nothing to reformulate); the re-ranker and serving need a final
+        # ANCE round.  min_purchase is checked by the ingest stage.
         counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
         counts.update((f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims))
         _check_positive(**counts)
@@ -349,7 +350,9 @@ class PipelinePaths:
         self.stemmer = root / "stemmer_rules.tsv"
         self.corpus_queries = root / "corpus_queries.tsv"
         self.corpus_events = root / "corpus_events.tsv"
-        self.norm_queries = root / "corpus_queries_normalized.tsv"
+        # The benchmark loads the corpus through this name; the alias goes
+        # at its next declared change (ROADMAP item 6).
+        self.norm_queries = self.corpus_queries
         self.groups = root / "groups.tsv"
         self.pairs_ungrouped = root / "pairs_ungrouped.tsv"
         self.pairs_exclusion = root / "pairs_exclusion.tsv"
@@ -391,7 +394,6 @@ def _stage_synth(config: PipelineConfig, paths: PipelinePaths) -> None:
 
 def _stage_ingest(config: PipelineConfig, paths: PipelinePaths) -> None:
     corpus = corpus_mod.ingest_log(paths.log, config.min_purchase)
-    corpus_mod.split_rich_impoverished(corpus, config.rich_threshold)
     corpus_mod.save_queries(corpus, paths.corpus_queries)
     corpus_mod.save_events(corpus, paths.corpus_events)
 
@@ -410,7 +412,6 @@ def _stage_normalize(config: PipelineConfig, paths: PipelinePaths) -> None:
     norm_config = _load_norm_config(paths)
     groups = norm_mod.group_queries(corpus, norm_config)
     norm_mod.save_groups(paths.groups, groups)
-    corpus_mod.save_queries(corpus, paths.norm_queries)
 
 
 def _group_copurchase(
@@ -427,7 +428,7 @@ def _group_copurchase(
 
 
 def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     groups = norm_mod.load_groups(paths.groups, corpus)
     scored = mining_mod.mine_pairs(
         groups,
@@ -531,14 +532,6 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
 
 
-def _rich_pool(corpus: corpus_mod.Corpus) -> list[str]:
-    return sorted(
-        qid
-        for qid, record in corpus.queries.items()
-        if record.traffic_tier == corpus_mod.TIER_RICH
-    )
-
-
 def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     """Hard-negative rounds on the weighted retriever.
 
@@ -550,10 +543,10 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     anchor's cut to its first ``config.rerank_negative_cap``: exactly what
     the re-ranker trains on.
     """
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
     kin = mining_mod.load_kin(paths.pairs_exclusion)
-    pool = _rich_pool(corpus)
+    pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
     train_examples = _retrieval_examples(
         _trained_pairs(paths.pairs_train, config.train_floor)
     )
@@ -661,13 +654,13 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     positives = _directed_examples(mining_mod.load_pairs(paths.pairs_val))
     if not positives:
         positives = _directed_examples(mining_mod.load_pairs(paths.pairs_train))
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
     anchors = sorted({source for source, _, _ in positives})
     mined = ance_mod.mine_hard_negatives(
         final,
         anchors,
-        _rich_pool(corpus),
+        corpus_mod.rich_queries(corpus, config.rich_threshold),
         mining_mod.load_kin(paths.pairs_exclusion),
         config.top_k,
     )
@@ -704,9 +697,9 @@ def load_threshold(paths: PipelinePaths) -> float:
 
 
 def _stage_index(config: PipelineConfig, paths: PipelinePaths) -> None:
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     model = load_checkpoint(paths.retriever_ance(config.ance_rounds))
-    index = knn_mod.build_index(model, _rich_pool(corpus))
+    index = knn_mod.build_index(model, corpus_mod.rich_queries(corpus, config.rich_threshold))
     knn_mod.save_index(index, paths.index_file)
 
 
@@ -725,10 +718,10 @@ def _ground_truth(
     return truth
 
 
-def _evaluation_inputs(paths: PipelinePaths):
+def _evaluation_inputs(config: PipelineConfig, paths: PipelinePaths):
     """The rich pool, the behavior truth and the audit labels of a run."""
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
-    pool = _rich_pool(corpus)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
+    pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
     truth = _ground_truth(paths, set(pool))
     return pool, truth, eval_mod.load_audit_labels(paths.audit)
 
@@ -791,7 +784,7 @@ def _model_report(
 def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
     """Save every model's report; the re-rankers score what the final
     ANCE retriever, reported before them, surfaces."""
-    inputs = _evaluation_inputs(paths)
+    inputs = _evaluation_inputs(config, paths)
     final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
     final_lists = None
     for model_id in model_ids(config.ance_rounds):
@@ -833,12 +826,12 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
         (
             "normalize",
             [paths.corpus_queries, paths.corpus_events, *norm_files],
-            [paths.norm_queries, paths.groups],
+            [paths.groups],
             _stage_normalize,
         ),
         (
             "mine",
-            [paths.norm_queries, paths.corpus_events, paths.groups],
+            [paths.corpus_queries, paths.corpus_events, paths.groups],
             mine_out,
             _stage_mine,
         ),
@@ -864,7 +857,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.pairs_train,
                 paths.pairs_val,
                 paths.pairs_exclusion,
-                paths.norm_queries,
+                paths.corpus_queries,
                 paths.corpus_events,
             ],
             ance_out,
@@ -878,7 +871,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.pairs_exclusion,
                 paths.negatives(config.ance_rounds),
                 paths.retriever_ance(config.ance_rounds),
-                paths.norm_queries,
+                paths.corpus_queries,
                 paths.corpus_events,
             ],
             [
@@ -892,7 +885,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
             "index",
             [
                 paths.retriever_ance(config.ance_rounds),
-                paths.norm_queries,
+                paths.corpus_queries,
                 paths.corpus_events,
             ],
             [paths.index_file],
@@ -901,7 +894,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
         (
             "evaluate",
             [
-                paths.norm_queries,
+                paths.corpus_queries,
                 paths.corpus_events,
                 paths.test_queries,
                 paths.pairs_test,
@@ -1070,7 +1063,7 @@ def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport
         raise ValueError(f"unknown model id: {model_id!r}")
     paths = PipelinePaths(Path(config.out_dir))
     with _one_blas_thread():
-        inputs = _evaluation_inputs(paths)
+        inputs = _evaluation_inputs(config, paths)
         final_lists = None
         if model_id in RERANKER_IDS:
             final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
@@ -1135,7 +1128,7 @@ def load_serving_state(config: PipelineConfig) -> ServingState:
 def tail_reformulation_rate(config: PipelineConfig) -> float:
     """Share of tail queries whose reformulations include their own intent."""
     paths = PipelinePaths(Path(config.out_dir))
-    corpus = corpus_mod.load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     truth = synth_mod.load_ground_truth(paths.intents, paths.relations)
     state = load_serving_state(config)
 

@@ -21,6 +21,14 @@ def build_corpus(rows, min_purchase=2) -> Corpus:
     return corpus
 
 
+def set_overlap(pp1: set[str], pp2: set[str]) -> float:
+    """The set-overlap relevance that divergence scoring replaced:
+    (|A∩B| / min(|A|, |B|)) * (|A∩B| / |A∪B|).  It is blind to how
+    purchases spread inside the sets, and tests use it to show that trap."""
+    inter = len(pp1 & pp2)
+    return (inter / min(len(pp1), len(pp2))) * (inter / len(pp1 | pp2))
+
+
 def tiny_config(out_dir, seed=0) -> PipelineConfig:
     return PipelineConfig(
         out_dir=str(out_dir),

@@ -1,7 +1,9 @@
-"""The benchmark's tracer (bench/phases.py) still finds the hooks it times.
+"""The benchmark (bench/phases.py) still finds the hooks it times and the
+run files it loads.
 
-A refactor that renames a traced function or moves a traced argument
-fails here, in tier 1, rather than only in the benchmark's smoke run.
+A refactor that renames a traced function, moves a traced argument, or
+renames a file the serving phase reads fails here, in tier 1, rather than
+only in the benchmark's smoke run.
 """
 
 import importlib.util
@@ -9,8 +11,10 @@ import math
 import sys
 from pathlib import Path
 
-from qreform import training
+from qreform import pipeline, training
+from qreform.corpus import load_corpus, rich_queries
 from qreform.encoders import BiEncoderModel
+from tests.conftest import copied_run
 
 PHASES = Path(__file__).resolve().parent.parent / "bench" / "phases.py"
 
@@ -56,3 +60,19 @@ def test_trace_plan_counts_training_examples_and_adam_rows(monkeypatch):
     layers = phases.layer_metrics(tracer)
     assert layers["training.examples_per_s"] > 0.0
     assert 0.0 < layers["training.adam_useful_row_ratio"] < 1.0
+
+
+def test_serving_loader_reads_the_tail_and_the_threshold(monkeypatch, tiny_run, tmp_path):
+    phases = _load_phases(monkeypatch)
+    config = copied_run(tiny_run, tmp_path)
+    state = phases._load_serving(config, "0")
+
+    paths = pipeline.PipelinePaths(config.out_dir)
+    corpus = load_corpus(paths.corpus_queries, paths.corpus_events)
+    tail = pipeline.tail_queries(corpus)
+    assert tail and not set(tail) & set(rich_queries(corpus, config.rich_threshold))
+    assert state["probes"].tail == tail
+    assert state["warmup"].tail == tail
+    probe, intent = state["probes"].next()
+    assert probe not in corpus.queries and intent is not None
+    assert state["threshold"] == pipeline.load_threshold(paths)

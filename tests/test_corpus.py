@@ -1,4 +1,4 @@
-"""Log ingestion, tiers, co-purchase graph, splits."""
+"""Log ingestion, the rich pool, co-purchase graph, splits."""
 
 import random
 
@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from qreform.files import FileFormatError
 from qreform.corpus import (
-    TIER_IMPOVERISHED,
-    TIER_RICH,
     copurchase_from_product_sets,
     ingest_log,
     load_corpus,
     make_split,
+    rich_queries,
     save_events,
     save_queries,
-    split_rich_impoverished,
     split_validation,
 )
 from qreform.mining import QueryPair
@@ -105,27 +103,21 @@ def test_ingest_row_order_invariance(order):
     }
 
 
-# --- tiers ---
+# --- the rich pool ---
 
 
-def test_split_rich_impoverished():
-    corpus = build_corpus([("rich", "pA", 25), ("tail", "pB", 3)])
-    rich, poor = split_rich_impoverished(corpus, rich_threshold=20)
-    assert rich == {"rich"} and poor == {"tail"}
-    assert corpus.queries["rich"].traffic_tier == TIER_RICH
-    assert corpus.queries["tail"].traffic_tier == TIER_IMPOVERISHED
+def test_rich_queries_counts_surviving_purchases():
+    corpus = build_corpus(
+        [("rich", "pA", 25), ("tail", "pB", 3), ("also rich", "pC", 30), ("noisy", "pD", 1)]
+    )
+    # "noisy" bought 1 < min_purchase, so it has no surviving purchases.
+    assert rich_queries(corpus, rich_threshold=20) == ["also rich", "rich"]
+    assert rich_queries(corpus, rich_threshold=1) == ["also rich", "rich", "tail"]
 
 
 def test_rich_threshold_boundary_is_inclusive():
-    corpus = build_corpus([("edge", "pA", 20)])
-    rich, _ = split_rich_impoverished(corpus, rich_threshold=20)
-    assert rich == {"edge"}
-
-
-def test_rich_threshold_zero_rejected():
-    corpus = build_corpus([("q", "pA", 5)])
-    with pytest.raises(ValueError, match="nothing to reformulate"):
-        split_rich_impoverished(corpus, rich_threshold=0)
+    corpus = build_corpus([("edge", "pA", 20), ("below", "pA", 19)])
+    assert rich_queries(corpus, rich_threshold=20) == ["edge"]
 
 
 # --- co-purchase graph ---
@@ -134,7 +126,7 @@ def test_rich_threshold_zero_rejected():
 def query_copurchase(corpus):
     """Co-purchase records over individual queries (post-filter behavior)."""
     return copurchase_from_product_sets(
-        {query_id: corpus.products(query_id) for query_id in corpus.queries}
+        {query_id: frozenset(corpus.events(query_id)) for query_id in corpus.queries}
     )
 
 
@@ -232,15 +224,14 @@ def test_split_validation_ignores_input_order():
 
 
 def test_corpus_round_trip(tmp_path):
-    corpus = build_corpus([("q1", "pA", 5), ("q1", "pB", 1), ("q2", "pC", 30)])
-    split_rich_impoverished(corpus, rich_threshold=20)
+    corpus = build_corpus([("q1", "pA", 5), ("q1", "pB", 1), ("q2", "pC", 30), ("q3", None, 0)])
     qpath, epath = tmp_path / "q.tsv", tmp_path / "e.tsv"
     save_queries(corpus, qpath)
     save_events(corpus, epath)
+    assert qpath.read_text(encoding="utf-8").splitlines()[1:] == ["query_id", "q1", "q2", "q3"]
     loaded = load_corpus(qpath, epath)
-    assert set(loaded.queries) == {"q1", "q2"}
-    assert loaded.queries["q2"].traffic_tier == TIER_RICH
-    assert loaded.queries["q1"].traffic_tier == TIER_IMPOVERISHED
+    assert loaded.queries == corpus.queries
+    assert rich_queries(loaded, rich_threshold=20) == ["q2"]
     assert loaded.events("q1") == corpus.events("q1")
     assert loaded.raw_events("q1") == corpus.raw_events("q1")
     assert loaded.queries["q1"].total_purchases == corpus.queries["q1"].total_purchases

@@ -23,7 +23,7 @@ from tests.conftest import truncate
 def test_header_round_trip():
     line = format_header("pairs", floor="0.01", mode="proposed")
     attrs = parse_header(line, "pairs", "in-memory")
-    assert attrs == {"version": "2", "floor": "0.01", "mode": "proposed"}
+    assert attrs == {"version": "3", "floor": "0.01", "mode": "proposed"}
 
 
 def test_header_rejects_wrong_kind():
@@ -50,7 +50,7 @@ def test_tsv_round_trip(tmp_path):
     assert attrs["extra"] == "yes"
     assert loaded == [["a", "1"], ["b", "2"]]
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first_line.startswith("#qreform-demo v2")
+    assert first_line.startswith("#qreform-demo v3")
 
 
 def test_tsv_missing_header(tmp_path):
@@ -87,18 +87,19 @@ def _hard_negatives(path):
     return ance.load_hard_negatives
 
 
-def _corpus_queries(path):
+def _corpus_events(path):
+    # The query file has one column, so only its events file has a row to cut.
     records = corpus.Corpus(min_purchase=1)
     records.add_row("a", "p", 1)
     records.finalize()
-    events = path.with_name("events.tsv")
-    corpus.save_queries(records, path)
-    corpus.save_events(records, events)
-    return lambda queries: corpus.load_corpus(queries, events)
+    queries = path.with_name("queries.tsv")
+    corpus.save_queries(records, queries)
+    corpus.save_events(records, path)
+    return lambda events: corpus.load_corpus(queries, events)
 
 
 @pytest.mark.parametrize(
-    "save", [_pairs, _kin, _groups, _audit_labels, _hard_negatives, _corpus_queries]
+    "save", [_pairs, _kin, _groups, _audit_labels, _hard_negatives, _corpus_events]
 )
 def test_truncated_row_names_file_and_line(tmp_path, save):
     path = tmp_path / "artifact.tsv"
@@ -123,7 +124,7 @@ def test_version_1_file_is_rejected_naming_it(tmp_path):
 
 def test_config_hash_covers_format_version(monkeypatch):
     before = PipelineConfig().config_hash()
-    monkeypatch.setattr(files, "_HEADER_VERSION", "3")
+    monkeypatch.setattr(files, "_HEADER_VERSION", str(int(files._HEADER_VERSION) + 1))
     assert PipelineConfig().config_hash() != before
 
 
@@ -180,6 +181,10 @@ def _save_checkpoint(path):
     encoders.save_checkpoint(encoders.BiEncoderModel.initialize(16, 2), path)
 
 
+def _save_cross_checkpoint(path):
+    encoders.save_checkpoint(encoders.CrossEncoderModel.initialize(16, (2,)), path)
+
+
 def _save_index(path):
     knn.save_index(knn.KnnIndex(["a"], np.ones((1, 2)) / np.sqrt(2.0)), path)
 
@@ -199,24 +204,62 @@ def _empty(path):
     path.write_bytes(b"")
 
 
-def _drop_meta(path):
-    with np.load(path) as bundle:
-        arrays = {name: bundle[name] for name in bundle.files if name != "meta"}
-    np.savez(path, **arrays)
+def _drop_array(name):
+    def damage(path):
+        with np.load(path) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files if key != name}
+        np.savez(path, **arrays)
+
+    return damage
 
 
-_NPZ_ARTIFACTS = [
-    (_save_checkpoint, encoders.load_checkpoint),
-    (_save_index, knn.load_index),
+def _drop_meta_key(key):
+    def damage(path):
+        meta, arrays = files.read_npz(path)
+        del meta[key]
+        files.write_npz(path, meta, **arrays)
+
+    return damage
+
+
+_LOADERS = {
+    "checkpoint": (_save_checkpoint, encoders.load_checkpoint),
+    "cross_checkpoint": (_save_cross_checkpoint, encoders.load_checkpoint),
+    "index": (_save_index, knn.load_index),
+}
+_WHOLE_FILE_DAMAGE = [
+    ("truncated", truncate, "not a readable .npz"),
+    ("empty", _empty, "not a readable .npz"),
+    ("no-meta", _drop_array("meta"), "no meta"),
+]
+_MISSING_KEYS = [
+    ("index", "index", _drop_array, "query_ids"),
+    ("index", "index", _drop_array, "embeddings"),
+    ("index", "index meta", _drop_meta_key, "count"),
+    ("index", "index meta", _drop_meta_key, "dim"),
+    ("checkpoint", "checkpoint meta", _drop_meta_key, "feature_dim"),
+    ("checkpoint", "checkpoint meta", _drop_meta_key, "embed_dim"),
+    ("checkpoint", "checkpoint meta", _drop_meta_key, "seed"),
+    ("cross_checkpoint", "checkpoint meta", _drop_meta_key, "feature_dim"),
+    ("cross_checkpoint", "checkpoint meta", _drop_meta_key, "hidden_dims"),
+    ("cross_checkpoint", "checkpoint meta", _drop_meta_key, "seed"),
 ]
 
 
 @pytest.mark.parametrize(
-    "damage, message",
-    [(truncate, "not a readable .npz"), (_empty, "not a readable .npz"), (_drop_meta, "no meta")],
-    ids=["truncated", "empty", "no-meta"],
+    "save, load, damage, message",
+    [
+        pytest.param(*_LOADERS[artifact], damage, message, id=f"{artifact}-{damage_id}")
+        for artifact in ("checkpoint", "index")
+        for damage_id, damage, message in _WHOLE_FILE_DAMAGE
+    ]
+    + [
+        pytest.param(
+            *_LOADERS[artifact], drop(key), f"{what} has no '{key}'", id=f"{artifact}-no-{key}"
+        )
+        for artifact, what, drop, key in _MISSING_KEYS
+    ],
 )
-@pytest.mark.parametrize("save, load", _NPZ_ARTIFACTS, ids=["checkpoint", "index"])
 def test_damaged_npz_names_the_file(tmp_path, save, load, damage, message):
     path = tmp_path / "artifact.npz"
     save(path)
@@ -225,7 +268,9 @@ def test_damaged_npz_names_the_file(tmp_path, save, load, damage, message):
         load(path)
 
 
-@pytest.mark.parametrize("save, load", _NPZ_ARTIFACTS, ids=["checkpoint", "index"])
+@pytest.mark.parametrize(
+    "save, load", [_LOADERS["checkpoint"], _LOADERS["index"]], ids=["checkpoint", "index"]
+)
 def test_missing_npz_stays_file_not_found(tmp_path, save, load):
     with pytest.raises(FileNotFoundError):
         load(tmp_path / "absent.npz")

@@ -14,7 +14,6 @@ from qreform.mining import (
     importance,
     jsd,
     kin_pairs,
-    legacy_score,
     load_kin,
     load_pairs,
     mine_pairs,
@@ -23,6 +22,7 @@ from qreform.mining import (
     save_pairs,
 )
 from qreform.normalize import QueryGroup
+from tests.conftest import set_overlap
 
 
 def dist(**probs):
@@ -101,32 +101,11 @@ def test_rerank_target_hand_computed():
     assert rerank_target(tgt, src) != pytest.approx(rerank_target(src, tgt), abs=1e-6)
 
 
-# --- legacy overlap score ---
-
-
-def test_legacy_score_identical():
-    assert legacy_score({"a", "b"}, {"a", "b"}) == 1.0
-
-
-def test_legacy_score_hand_computed():
-    assert legacy_score({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(
-        (2 / 3) * (2 / 4), abs=1e-12
-    )
-
-
-def test_legacy_score_containment_pathology():
-    assert legacy_score({"a"}, {f"p{i}" for i in range(9)} | {"a"}) == pytest.approx(
-        0.1, abs=1e-12
-    )
-
-
-def test_legacy_score_empty_error():
-    with pytest.raises(ValueError):
-        legacy_score(set(), {"a"})
+# --- the set-overlap trap ---
 
 
 def test_containment_beats_importance():
-    # Nested product sets: legacy stays at |pp1|/|pp2| while importance of
+    # Nested product sets: set overlap stays at |pp1|/|pp2| while importance of
     # maximally skewed distributions over the same sets is much smaller.
     small = {"a", "b"}
     large = {f"p{i}" for i in range(8)} | small
@@ -134,7 +113,7 @@ def test_containment_beats_importance():
     skew_large = BehaviorDistribution.from_counts(
         {p: 99 if p.startswith("p") else 1 for p in large}
     )
-    legacy = legacy_score(small, large)
+    legacy = set_overlap(small, large)
     imp = importance(skew_small, skew_large)
     assert legacy == pytest.approx(len(small) / len(large), abs=1e-12)
     assert imp < legacy

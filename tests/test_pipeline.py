@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 import qreform
 from qreform import pipeline
 from qreform.ance import load_hard_negatives
-from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus
+from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus, rich_queries
 from qreform.encoders import load_checkpoint, params_checksum
 from qreform.evaluation import load_report
 from qreform.files import read_tsv
 from qreform.knn import load_index
 from qreform.mining import load_pairs
+from qreform.normalize import normalize
 from qreform.pipeline import (
     MODEL_RETRIEVER_WEIGHTED,
     AugmentationParams,
@@ -231,6 +232,7 @@ def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
         "hard_negative_cap",
         "rerank_negative_cap",
         "eval_k",
+        "rich_threshold",
     ],
 )
 def test_config_rejects_counts_below_one(tmp_path, name, value):
@@ -411,7 +413,7 @@ def test_corrupt_pair_file_reruns_only_mine(tiny_run, tmp_path):
 
 def test_pipeline_stage_failure_names_stage(tmp_path):
     config = tiny_config(tmp_path / "run")
-    config = dataclasses.replace(config, rich_threshold=0)
+    config = dataclasses.replace(config, min_purchase=0)
     with pytest.raises(StageFailure, match="ingest"):
         run_pipeline(config)
 
@@ -437,7 +439,8 @@ def test_reformulate_excludes_self_and_respects_threshold(tiny_run):
 def test_reformulate_targets_are_rich(tiny_run):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
-    corpus = load_corpus(paths.norm_queries, paths.corpus_events)
+    corpus = load_corpus(paths.corpus_queries, paths.corpus_events)
+    rich = set(rich_queries(corpus, config.rich_threshold))
     bi_encoder = load_checkpoint(paths.retriever_ance(config.ance_rounds))
     cross_encoder = load_checkpoint(paths.reranker_circle)
     index = load_index(paths.index_file)
@@ -445,8 +448,15 @@ def test_reformulate_targets_are_rich(tiny_run):
     result = reformulate(
         "mask", bi_encoder, index, cross_encoder, top_k=20, threshold=threshold
     )
+    assert result.targets
     for target, _ in result.targets:
-        assert corpus.queries[target].traffic_tier == TIER_RICH
+        assert target in rich
+
+
+def test_fresh_run_writes_no_normalized_query_file(tiny_run):
+    _, run = tiny_run
+    assert PipelinePaths(run.out_dir).corpus_queries.exists()
+    assert not (run.out_dir / "corpus_queries_normalized.tsv").exists()
 
 
 def test_reformulate_rejects_empty_query(tiny_run):
@@ -559,8 +569,9 @@ def test_negatives_file_holds_the_final_round_capped(ance_mining):
 def test_no_hard_negative_shares_its_anchor_normalized_form(tiny_run, ance_mining):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
-    corpus = load_corpus(paths.norm_queries, paths.corpus_events)
-    form = {qid: record.normalized_text for qid, record in corpus.queries.items()}
+    norm_config = pipeline._load_norm_config(paths)
+    corpus = load_corpus(paths.corpus_queries, paths.corpus_events)
+    form = {qid: normalize(qid, norm_config) for qid in corpus.queries}
     files = sorted(run.out_dir.glob("hard_negatives_round*.tsv"))
     assert files == [paths.negatives(config.ance_rounds)]
     checked = 0

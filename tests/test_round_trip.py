@@ -127,20 +127,11 @@ def test_hard_negatives_round_trip(negatives, round_index):
     assert loaded == [record for record in records if record.negatives]
 
 
-@example([("#1 mask", "p,1", 2), ("マスク", None, 0)], {"#1 mask": "1_mask"}, 20)
+@example([("#1 mask", "p,1", 2), ("マスク", None, 0)])
 @settings(max_examples=60, deadline=None)
-@given(
-    EVENTS,
-    st.dictionaries(TEXT, st.one_of(st.just(""), TEXT), max_size=4),
-    st.one_of(st.none(), st.integers(1, 9)),
-)
-def test_queries_and_events_round_trip(events, forms, rich_threshold):
+@given(EVENTS)
+def test_queries_and_events_round_trip(events):
     records = _corpus(events)
-    for query, form in forms.items():
-        if query in records.queries:
-            records.queries[query].normalized_text = form
-    if rich_threshold is not None:
-        corpus.split_rich_impoverished(records, rich_threshold)
 
     def save(path):
         corpus.save_queries(records, path)
@@ -148,7 +139,7 @@ def test_queries_and_events_round_trip(events, forms, rich_threshold):
 
     loaded = _reloaded(save, lambda p: corpus.load_corpus(p, p.with_name("events.tsv")))
     assert loaded.queries == records.queries
-    assert loaded.rich_threshold == records.rich_threshold
+    assert loaded.min_purchase == records.min_purchase
     for query in records.queries:
         assert loaded.raw_events(query) == records.raw_events(query)
 

@@ -5,7 +5,7 @@ import statistics
 import pytest
 
 from qreform.corpus import ingest_log
-from qreform.mining import BehaviorDistribution, importance, jsd, legacy_score
+from qreform.mining import BehaviorDistribution, importance, jsd
 from qreform.normalize import normalize
 from qreform.synthgen import (
     RELATION_CONFUSABLE,
@@ -16,6 +16,7 @@ from qreform.synthgen import (
     load_ground_truth,
     write_all,
 )
+from tests.conftest import set_overlap
 
 SMALL = SynthConfig(
     n_intents=16, queries_per_intent=12, products_per_catalog=14, n_audit_pairs=150
@@ -111,7 +112,7 @@ def test_containment_pathology_realized():
     for parent, child in sorted(result.ground_truth.confusable_intents):
         if child not in by_intent or parent not in by_intent:
             continue
-        legacy = legacy_score(set(by_intent[parent]), set(by_intent[child]))
+        legacy = set_overlap(set(by_intent[parent]), set(by_intent[child]))
         imp = importance(
             BehaviorDistribution.from_counts(by_intent[parent]),
             BehaviorDistribution.from_counts(by_intent[child]),
