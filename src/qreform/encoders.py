@@ -18,9 +18,17 @@ The encoders operate on raw text, not normalized text, so they must
 learn surface invariance instead of inheriting it.
 
 Serving path.  ``BiEncoderModel.embed(text)`` and a one-source
-``CrossEncoderModel.joint_matrix`` call hash their text without storing
-its features, so the tables hold only batch texts (training, the index,
-candidates) and a stream of distinct queries does not grow them.
+``CrossEncoderModel.joint_matrix`` call featurize their text without
+storing it, so the tables hold only batch texts (training, the index,
+candidates) and a stream of distinct queries does not grow them.  A
+request hashes its query once: the caller passes the ``_ngram_digests``
+to ``embed`` and to ``score_many``, and they are read only for a text the
+table lacks.  ``embed`` builds no scipy matrix: it scales the query's
+projection rows by their counts and sums them with ``np.cumsum`` in
+bucket order, which is the order in which scipy's CSR product adds
+``count * row`` to a zero row, so it equals ``embed_many`` bit for bit.
+A running sum fixes that order; a reduction such as ``np.sum`` leaves it
+to numpy.
 Forward-only ``score_many`` reads each target's T·W_t row from a
 per-model cache filled on first use; ``score_many_with_backward``
 computes that term afresh.  Both are
@@ -64,9 +72,17 @@ def _ngram_digests(text: str) -> np.ndarray:
     return np.frombuffer(joined, dtype=">u8").astype(np.uint64)
 
 
-def _bucket_counts(text: str, feature_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted bucket indices of the text's n-grams and how often each occurs."""
-    buckets = np.sort(_ngram_digests(text) % np.uint64(feature_dim))
+def _bucket_counts(
+    text: str, feature_dim: int, digests: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted bucket indices of the text's n-grams and how often each occurs.
+
+    ``digests``, if given, must be ``_ngram_digests(text)``; the text is
+    then not hashed again.
+    """
+    if digests is None:
+        digests = _ngram_digests(text)
+    buckets = np.sort(digests % np.uint64(feature_dim))
     edge = np.empty(len(buckets) + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(buckets[1:], buckets[:-1], out=edge[1:-1])
@@ -160,12 +176,15 @@ class Featurizer:
         """CSR arrays (indptr, indices, data) of the given row ids."""
         return _gather_rows(self._indptr, self._indices, self._data, rows)
 
-    def row(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+    def row(
+        self, text: str, digests: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sorted bucket indices and counts for one text, which is not
-        stored if the table does not hold it already."""
+        stored if the table does not hold it already.  ``digests`` (see
+        ``_bucket_counts``) are used only for a text the table lacks."""
         row = self._ids.get(text)
         if row is None:
-            return _bucket_counts(text, self.feature_dim)
+            return _bucket_counts(text, self.feature_dim, digests)
         start, end = self._indptr[row], self._indptr[row + 1]
         return self._indices[start:end], self._data[start:end]
 
@@ -217,11 +236,17 @@ class BiEncoderModel:
         units, _ = self.embed_many_with_backward(texts)
         return units
 
-    def embed(self, text: str) -> np.ndarray:
-        """``embed_many([text])[0]`` bit for bit, without storing the text."""
-        columns, counts = self.featurizer.row(text)
-        features = _csr((np.array([0, len(columns)]), columns, counts), self.feature_dim)
-        units, _ = self._unit_rows(features @ self.projection, [text])
+    def embed(self, text: str, digests: np.ndarray | None = None) -> np.ndarray:
+        """``embed_many([text])[0]`` bit for bit, without storing the text.
+
+        ``digests`` are the text's ``_ngram_digests``, if the caller has
+        them already.  The row is summed entry by entry in bucket order, as
+        scipy's CSR product sums it; ``+ 0.0`` turns the -0.0 a running
+        sum can start from into the product's 0.0.
+        """
+        columns, counts = self.featurizer.row(text, digests)
+        raw = np.cumsum(self.projection[columns] * counts[:, None], axis=0)[-1] + 0.0
+        units, _ = self._unit_rows(raw[None, :], [text])
         return units[0]
 
     def _unit_rows(
@@ -364,8 +389,9 @@ class CrossEncoderModel:
         size = len(self.featurizer)
         self._term_rows = _grown(self._term_rows, size)
         self._term_filled = _grown(self._term_filled, size)
-        missing = np.unique(ids[~self._term_filled[ids]])
+        missing = ids[~self._term_filled[ids]]
         if missing.size:
+            missing = np.unique(missing)
             first = self.weights[0]
             if first.flags.writeable:
                 first.flags.writeable = False
@@ -375,54 +401,67 @@ class CrossEncoderModel:
             self._term_filled[missing] = True
         return self._term_rows[ids]
 
-    def joint_matrix(self, pairs: Sequence[tuple[str, str]]) -> PairBlocks:
-        """The pairs' first-layer inputs, block by block (see PairBlocks)."""
-        source_texts = [s for s, _ in pairs]
-        target_texts = [t for _, t in pairs]
+    def joint_matrix(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        source_digests: np.ndarray | None = None,
+    ) -> PairBlocks:
+        """The pairs' first-layer inputs, block by block (see PairBlocks).
+
+        ``source_digests`` are the ``_ngram_digests`` of the source of
+        pairs that all share one; they are used only if the featurizer
+        table does not hold that source.
+        """
+        source_texts, target_texts = zip(*pairs) if pairs else ((), ())
         if not all(source_texts) or not all(target_texts):
             raise ValueError("cannot score a pair with empty text")
-        distinct = dict.fromkeys(source_texts)  # in order of first appearance
-        one_source = len(distinct) == 1
-        if one_source:
-            source_of_pair = np.zeros(len(pairs), dtype=np.int64)
-            # Not stored, so a stream of distinct sources leaves the table
-            # as it was.
-            columns, counts = self.featurizer.row(source_texts[0])
-        else:
-            row_of = {s: i for i, s in enumerate(distinct)}
-            source_of_pair = np.fromiter(
-                map(row_of.__getitem__, source_texts), dtype=np.int64, count=len(pairs)
-            )
+        one_source = bool(pairs) and source_texts.count(source_texts[0]) == len(pairs)
+        if source_digests is not None and not one_source:
+            raise ValueError("source_digests need pairs that share one source")
         target_ids = self.featurizer.ids(target_texts)
         targets = self.featurizer.gather(target_ids)
         t_ptr, t_cols, t_counts = targets
-        target_rows = _row_of_entry(t_ptr)
         if one_source:
             # Dense on the source's buckets: M and R are zero elsewhere.
             # This beats the CSR form below on one-source calls (serve
             # runs in BENCH_6.json); with many sources, dense rows over
-            # all their buckets would cost more than CSR.
-            position = np.full(self.feature_dim, -1, dtype=np.int64)
-            position[columns] = np.arange(len(columns))
-            at = position[t_cols]
-            hit = at >= 0
-            on_source = np.zeros((len(pairs), len(columns)))
-            on_source[target_rows[hit], at[hit]] = t_counts[hit]
+            # all their buckets would cost more than CSR.  The source is
+            # not stored, so a stream of distinct sources leaves the table
+            # as it was.
+            columns, counts = self.featurizer.row(source_texts[0], source_digests)
+            # Each target entry goes to its bucket's place among the
+            # source's buckets, or to a spare last column that is dropped.
+            width = len(columns) + 1
+            place = np.full(self.feature_dim, len(columns), dtype=np.int64)
+            place[columns] = np.arange(len(columns))
+            slots = place.take(t_cols)
+            slots += np.repeat(np.arange(0, len(pairs) * width, width), np.diff(t_ptr))
+            on_source = np.zeros((len(pairs), width))
+            on_source.ravel()[slots] = t_counts
+            on_source = on_source[:, :-1]
+            surplus = counts - on_source
+            np.maximum(surplus, 0.0, out=surplus)
             return PairBlocks(
                 counts[None, :],
-                source_of_pair,
+                np.zeros(len(pairs), dtype=np.int64),
                 target_ids,
                 targets,
                 columns,
                 np.minimum(on_source, counts),
-                np.maximum(counts - on_source, 0.0),
+                surplus,
             )
         # Sparse: each pair's source entries, matched against its target's.
+        distinct = dict.fromkeys(source_texts)  # in order of first appearance
+        row_of = {s: i for i, s in enumerate(distinct)}
+        source_of_pair = np.fromiter(
+            map(row_of.__getitem__, source_texts), dtype=np.int64, count=len(pairs)
+        )
         sources = self.featurizer.matrix(list(distinct))
         s_ptr, s_cols, s_counts = _gather_rows(
             sources.indptr, sources.indices, sources.data, source_of_pair
         )
         s_rows = _row_of_entry(s_ptr)
+        target_rows = _row_of_entry(t_ptr)
         t_keys = target_rows * self.feature_dim + t_cols
         s_keys = s_rows * self.feature_dim + s_cols
         at = np.minimum(np.searchsorted(t_keys, s_keys), len(t_keys) - 1)
@@ -489,9 +528,14 @@ class CrossEncoderModel:
             raise FloatingPointError("cross-encoder produced a non-finite score")
         return scores, hidden
 
-    def score_many(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        """Scores of the pairs, with each target's T·W_t row from the cache."""
-        blocks = self.joint_matrix(pairs)
+    def score_many(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        source_digests: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Scores of the pairs, with each target's T·W_t row from the cache.
+        ``source_digests`` are passed to ``joint_matrix``."""
+        blocks = self.joint_matrix(pairs, source_digests)
         scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
         return scores
 

@@ -69,11 +69,13 @@ class KnnIndex:
                 f"probe dimension {probes.shape[-1]} does not match index dim {self.dim}"
             )
         sims = probes @ self.embeddings.T
+        ids = self.query_ids
         results = []
         for row in sims:
             # Entries are id-sorted, so a stable sort on -sim settles ties.
             order = np.argsort(-row, kind="stable")[:k]
-            results.append([(self.query_ids[i], float(row[i])) for i in order])
+            hits = [ids[i] for i in order.tolist()]
+            results.append(list(zip(hits, row[order].tolist())))
         return results
 
 

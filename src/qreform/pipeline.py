@@ -18,6 +18,7 @@ import contextlib
 import ctypes
 import dataclasses
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import ance as ance_mod
 from . import corpus as corpus_mod
+from . import encoders as enc_mod
 from . import evaluation as eval_mod
 from . import files as files_mod
 from . import knn as knn_mod
@@ -152,23 +154,28 @@ def reformulate(
 
     The query itself is excluded; targets are ranked by squashed
     cross-encoder score (ties by id) and truncated to n_max.  An empty
-    result is valid: it means no reformulation is offered.
+    result is valid: it means no reformulation is offered.  The query is
+    hashed once, and both encoders read those n-gram digests; only the
+    candidates that pass the threshold are sorted.
     """
     if not query:
         raise ValueError("cannot reformulate an empty query")
     _check_positive(top_k=top_k, n_max=n_max)
-    probe = bi_encoder.embed(query)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    digests = enc_mod._ngram_digests(query)
+    probe = bi_encoder.embed(query, digests=digests)
     hits = index.knn(probe, top_k)
     candidates = [qid for qid, _ in hits if qid != query]
     if not candidates:
         return ReformulationResult(query, (), threshold)
-    scores = _sigmoid(cross_encoder.score_many([(query, c) for c in candidates]))
-    passed = [
-        (candidate, float(score))
-        for candidate, score in zip(candidates, scores)
-        if score >= threshold
-    ]
-    passed.sort(key=lambda pair: (-pair[1], pair[0]))
+    pairs = [(query, c) for c in candidates]
+    scores = _sigmoid(cross_encoder.score_many(pairs, source_digests=digests))
+    keep = np.flatnonzero(scores >= threshold).tolist()
+    passed = sorted(
+        zip([candidates[i] for i in keep], scores[keep].tolist()),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
     return ReformulationResult(query, tuple(passed[:n_max]), threshold)
 
 
@@ -689,11 +696,16 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
 def load_threshold(paths: PipelinePaths) -> float:
     _, rows = read_tsv(paths.threshold, THRESHOLD_KIND)
     try:
-        return float(rows[0][0])
+        threshold = float(rows[0][0])
     except (IndexError, ValueError):
         raise files_mod.FileFormatError(
             f"{paths.threshold}: expected a row holding the threshold, got {rows[:1]!r}"
         ) from None
+    if not math.isfinite(threshold):
+        raise files_mod.FileFormatError(
+            f"{paths.threshold}: the threshold must be finite, got {rows[0][0]!r}"
+        )
+    return threshold
 
 
 def _stage_index(config: PipelineConfig, paths: PipelinePaths) -> None:

@@ -1,6 +1,7 @@
 """End-to-end exercises of the command line front end."""
 
 import json
+import re
 
 import pytest
 
@@ -90,15 +91,19 @@ def test_reformulate_command_output_format(tiny_run, tmp_path, capsys):
         float(score)
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("option", ["--top-k", "--n-max"])
+@pytest.mark.parametrize(
+    "option, value",
+    [(option, value) for option in ("--top-k", "--n-max") for value in ("0", "-1")]
+    + [("--threshold", value) for value in ("nan", "inf")],
+)
 def test_reformulate_command_rejects_counts_below_one(tiny_run, tmp_path, capsys, option, value):
     config, _ = tiny_run
     argv = ["reformulate", *_config_args(config, tmp_path), "--query", "mask", option, value]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: reformulate:")
-    assert f"{option[2:].replace('-', '_')} must be >= 1, got {value}" in err
+    name = option[2:].replace("-", "_")
+    assert re.search(f"{name} must be (>= 1|finite), got {value}", err)
 
 
 def test_reformulate_command_can_return_nothing(tiny_run, tmp_path, capsys):
@@ -130,14 +135,19 @@ def _keep_header_only(path):
     path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
 
 
+def _hold_nan(path):
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\nnan\n", encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "artifact, damage",
     [
         (lambda paths: paths.threshold, _keep_header_only),
+        (lambda paths: paths.threshold, _hold_nan),
         (lambda paths: paths.index_file, truncate),
         (lambda paths: paths.reranker_circle, lambda path: path.write_bytes(b"")),
     ],
-    ids=["threshold-without-row", "truncated-index", "empty-checkpoint"],
+    ids=["threshold-without-row", "threshold-nan", "truncated-index", "empty-checkpoint"],
 )
 def test_reformulate_command_names_a_damaged_file(tiny_run, tmp_path, capsys, artifact, damage):
     config = copied_run(tiny_run, tmp_path)

@@ -187,10 +187,13 @@ def test_bi_encoder_norm_invariant_fuzz(text):
 @given(st.one_of(st.text(min_size=1, max_size=24), SERVED_TEXTS), st.integers(1, 9), st.integers(0, 3))
 def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
     model = BiEncoderModel.initialize(1 << 8, embed_dim, seed=seed)
+    digests = encoders._ngram_digests(text)
     one = model.embed(text)  # from features the table does not keep
+    assert model.embed(text, digests=digests).tobytes() == one.tobytes()
     assert len(model.featurizer) == 0
     assert one.tobytes() == model.embed_many([text])[0].tobytes()
     assert model.embed(text).tobytes() == one.tobytes()  # now from the table
+    assert model.embed(text, digests=digests).tobytes() == one.tobytes()
 
 
 def test_bi_encoder_similarity_is_cosine():
@@ -297,10 +300,18 @@ def one_source_calls(draw):
 @given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3))
 def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed):
     model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
-    first = model.score_many(pairs)  # fills the T·W_t cache
+    # A source that is also a target is read from the table, any other
+    # from its digests.
+    source_digests = encoders._ngram_digests(pairs[0][0])
+    if len({s for s, _ in pairs}) > 1:
+        with pytest.raises(ValueError, match="one source"):
+            model.score_many(pairs, source_digests=source_digests)
+        source_digests = None
+    first = model.score_many(pairs, source_digests=source_digests)  # fills the T·W_t cache
     fresh, _ = model.score_many_with_backward(pairs)
     assert first.tobytes() == fresh.tobytes()
     assert model.score_many(pairs).tobytes() == fresh.tobytes()  # from the cache
+    assert model.score_many(pairs, source_digests=source_digests).tobytes() == fresh.tobytes()
     assert np.count_nonzero(model._term_filled) == len({t for _, t in pairs})
 
 

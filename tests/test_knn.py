@@ -41,6 +41,10 @@ def test_knn_ties_break_by_ascending_id():
     probe = np.array([1.0, 0.0, 0.0, 0.0])
     got = index.knn(probe, 3)
     assert [g[0] for g in got] == ["aa", "zz", "mm"]
+    first, second = index.knn_many(np.array([probe, [0.0, 1.0, 0.0, 0.0]]), 3)
+    assert first == got
+    assert second == [("mm", 1.0), ("aa", 0.0), ("zz", 0.0)]
+    assert all(type(sim) is float for _, sim in first + second)
 
 
 def test_knn_k_larger_than_pool_returns_all():

@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import qreform
-from qreform import pipeline
+from qreform import encoders, pipeline
 from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus, rich_queries
 from qreform.encoders import load_checkpoint, params_checksum
@@ -476,17 +478,96 @@ def _serving_models(config, run):
     return bi_encoder, load_index(paths.index_file), cross_encoder
 
 
-@pytest.mark.parametrize("value", [0, -1, -3])
-@pytest.mark.parametrize("name", ["top_k", "n_max"])
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in ("top_k", "n_max") for value in (0, -1, -3)]
+    + [("threshold", value) for value in (math.nan, math.inf, -math.inf)],
+)
 def test_reformulate_rejects_counts_below_one(tiny_run, monkeypatch, name, value):
     bi_encoder, index, cross_encoder = _serving_models(*tiny_run)
 
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("reformulate did work before checking its arguments")
 
+    monkeypatch.setattr(encoders, "_ngram_digests", no_work)
     monkeypatch.setattr(bi_encoder, "embed", no_work)
-    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+    with pytest.raises(ValueError, match=f"{name} must be (>= 1|finite), got {value}"):
         reformulate("mask", bi_encoder, index, cross_encoder, **{name: value})
+
+
+def reference_reformulate(query, bi_encoder, index, cross_encoder, top_k, threshold, n_max):
+    """The request path before the hash hand-off: each encoder hashes the
+    query, the probe is a one-row CSR product, and every candidate is
+    sorted."""
+    columns, counts = bi_encoder.featurizer.row(query)
+    features = sparse.csr_matrix(
+        (counts, columns, [0, len(columns)]), shape=(1, bi_encoder.feature_dim)
+    )
+    probe = bi_encoder._unit_rows(features @ bi_encoder.projection, [query])[0][0]
+    candidates = [qid for qid, _ in index.knn(probe, top_k) if qid != query]
+    if not candidates:
+        return pipeline.ReformulationResult(query, (), threshold)
+    scores = pipeline._sigmoid(cross_encoder.score_many([(query, c) for c in candidates]))
+    passed = [
+        (candidate, float(score))
+        for candidate, score in zip(candidates, scores)
+        if score >= threshold
+    ]
+    passed.sort(key=lambda pair: (-pair[1], pair[0]))
+    return pipeline.ReformulationResult(query, tuple(passed[:n_max]), threshold)
+
+
+@st.composite
+def requests(draw, pool):
+    def script(first, last):
+        letters = st.characters(min_codepoint=first, max_codepoint=last)
+        return st.text(letters, min_size=1, max_size=12)
+
+    probe = draw(
+        st.one_of(
+            st.text(min_size=1, max_size=24),
+            script(0x30A1, 0x30FA),  # katakana
+            script(0x0900, 0x097F),  # Devanagari
+            st.sampled_from(pool),  # excluded from its own candidates
+        )
+    )
+    return {
+        "query": probe,
+        "top_k": draw(st.integers(1, len(pool) + 5)),
+        "n_max": draw(st.integers(1, 12)),
+        "threshold": draw(st.floats(0.0, 1.0)),
+    }
+
+
+def test_reformulate_equals_the_two_hash_reference(tiny_run):
+    bi_encoder, index, cross_encoder = _serving_models(*tiny_run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(requests(index.query_ids))
+    def check(request):
+        models = {"bi_encoder": bi_encoder, "index": index, "cross_encoder": cross_encoder}
+        assert reformulate(**request, **models) == reference_reformulate(**request, **models)
+
+    check()
+
+
+def test_reformulate_hashes_the_query_once(tiny_run, monkeypatch):
+    bi_encoder, index, cross_encoder = _serving_models(*tiny_run)
+    # The first request interns every candidate the table will ever hold.
+    reformulate("warm up", bi_encoder, index, cross_encoder, top_k=len(index), threshold=0.0)
+    hashed = []
+    digests = encoders._ngram_digests
+
+    def counted(text):
+        hashed.append(text)
+        return digests(text)
+
+    monkeypatch.setattr(encoders, "_ngram_digests", counted)
+    result = reformulate(
+        "maskz sheet", bi_encoder, index, cross_encoder, top_k=len(index), threshold=0.0
+    )
+    assert result.targets
+    assert hashed == ["maskz sheet"]
 
 
 def test_serving_memory_is_bounded(tiny_run):
