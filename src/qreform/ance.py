@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
-from .encoders import params_checksum
 from .files import read_tsv, write_tsv
 from .knn import build_index
 from .training import RerankBatch
@@ -57,7 +56,6 @@ def mine_hard_negatives(
     skips them.
     """
     index = build_index(model, candidates)
-    checksum = params_checksum(model)
     anchor_list = sorted(anchors)
     probes = model.embed_many(anchor_list)
     ranked = index.knn_many(probes, top_k)
@@ -70,7 +68,7 @@ def mine_hard_negatives(
             if candidate != anchor and candidate not in partners
         ]
         records.append(
-            HardNegativeRecord(anchor, tuple(kept), round_index, checksum)
+            HardNegativeRecord(anchor, tuple(kept), round_index, index.model_checksum)
         )
     return records
 

@@ -17,27 +17,33 @@ module only ever sees parameter dicts and same-shaped gradient dicts.
 The encoders operate on raw text, not normalized text, so they must
 learn surface invariance instead of inheriting it.
 
-Serving path.  ``BiEncoderModel.embed(text)`` and a one-source
-``CrossEncoderModel.joint_matrix`` call featurize their text without
-storing it, so the tables hold only batch texts (training, the index,
-candidates) and a stream of distinct queries does not grow them.  A
-request hashes its query once: the caller passes the ``_ngram_digests``
-to ``embed`` and to ``score_many``, and they are read only for a text the
-table lacks.  ``embed`` builds no scipy matrix: it scales the query's
-projection rows by their counts and sums them with ``np.cumsum`` in
-bucket order, which is the order in which scipy's CSR product adds
-``count * row`` to a zero row, so it equals ``embed_many`` bit for bit.
-A running sum fixes that order; a reduction such as ``np.sum`` leaves it
-to numpy.
-Forward-only ``score_many`` reads each target's T·W_t row from a
-per-model cache filled on first use; ``score_many_with_backward``
-computes that term afresh.  Both are
+Serving path.  ``BiEncoderModel.embed(text)`` and the one-source
+scoring featurize their source without storing it, so the tables hold only
+batch texts (training, the index, candidates) and a stream of distinct
+queries does not grow them.  A request hashes its query once: the caller
+passes the ``_ngram_digests`` to ``embed`` and to ``score_pool``, and they
+are read only for a text the table lacks.  ``embed`` builds no scipy
+matrix: it scales the query's projection rows by their counts and sums
+them with ``np.cumsum`` in bucket order, which is the order in which
+scipy's CSR product adds ``count * row`` to a zero row, so it equals
+``embed_many`` bit for bit.  A running sum fixes that order; a reduction
+such as ``np.sum`` leaves it to numpy.
+The re-ranker scores a request by pool position, not by text.
+``CrossEncoderModel.pool`` builds a ``CandidatePool`` for an index's
+``query_ids`` on first use and holds one pool at a time, so a request's
+index positions are pool positions.  The pool lists its texts' entries by
+bucket, so the candidates' counts on the query's buckets are read from the
+query's buckets only.  ``score_many`` scores pairs that share one source
+on a pool of their targets through the same ``_one_source_blocks``, so
+there is one one-source implementation.  It reads each target's T·W_t
+row from a per-model cache filled on first use;
+``score_many_with_backward`` computes that term afresh.  Both are
 row-wise CSR products, so cached and fresh scores agree bit for bit.
 ``parameters()`` and ``set_parameters()`` drop the cache, because the
 arrays ``parameters()`` hands out are the live ones an optimizer updates
 in place; while the cache holds rows, the first-layer array is read-only,
 so a write through an older reference raises instead of leaving stale
-rows behind.  The tables and the cache are unsynchronized: a model serves
+rows behind.  The tables and the caches are unsynchronized: a model serves
 one thread at a time.
 """
 
@@ -64,11 +70,21 @@ def _ngram_digests(text: str) -> np.ndarray:
     if not text:
         raise ValueError("cannot featurize empty text")
     padded = _BOUNDARY_OPEN + text + _BOUNDARY_CLOSE
-    joined = b"".join(
-        hashlib.blake2b(padded[i:i + size].encode("utf-8"), digest_size=8).digest()
-        for size in NGRAM_SIZES
-        for i in range(len(padded) - size + 1)
-    )
+    if padded.isascii():
+        # One byte per character: slices of one encoding are the n-grams'.
+        encoded = padded.encode("ascii")
+        grams = (
+            encoded[i:i + size]
+            for size in NGRAM_SIZES
+            for i in range(len(encoded) - size + 1)
+        )
+    else:
+        grams = (
+            padded[i:i + size].encode("utf-8")
+            for size in NGRAM_SIZES
+            for i in range(len(padded) - size + 1)
+        )
+    joined = b"".join(hashlib.blake2b(gram, digest_size=8).digest() for gram in grams)
     return np.frombuffer(joined, dtype=">u8").astype(np.uint64)
 
 
@@ -193,6 +209,48 @@ class Featurizer:
         return _csr(self.gather(rows), self.feature_dim)
 
 
+class CandidatePool:
+    """Candidate texts as featurizer rows, with their entries by bucket.
+
+    ``rows`` are the texts' featurizer row ids, in order; a text may
+    repeat.  The postings list every entry of those rows sorted by bucket:
+    bucket ``b`` owns ``[bucket_ptr[b], bucket_ptr[b + 1])`` of
+    ``positions`` (the text's place in the pool) and ``counts``.  So the
+    texts' counts on a query's buckets cost a read of those buckets'
+    postings, not a pass over every candidate's n-grams.
+    """
+
+    def __init__(self, featurizer: Featurizer, texts: Sequence[str]) -> None:
+        self.texts = texts
+        self.rows = featurizer.ids(texts)
+        postings = _csr(featurizer.gather(self.rows), featurizer.feature_dim).tocsc()
+        self.bucket_ptr = postings.indptr
+        self.positions = postings.indices
+        self.counts = postings.data
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def counts_on(self, positions: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Counts of the texts at distinct ``positions`` on the distinct
+        buckets ``columns``, dense: ``(len(positions), len(columns))``."""
+        n, width = len(positions), len(columns)
+        starts = self.bucket_ptr[columns]
+        lengths = self.bucket_ptr[columns + 1] - starts
+        offsets = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        entries = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        # A posting goes to its text's row and its bucket's column; the
+        # postings of texts not asked for go to a spare row after the block.
+        row_of = np.full(len(self.rows), n, dtype=np.int64)
+        row_of[positions] = np.arange(n)
+        slots = row_of.take(self.positions.take(entries)) * width
+        slots += np.repeat(np.arange(width), lengths)
+        block = np.zeros((n + 1) * width)
+        block[slots] = self.counts.take(entries)
+        return block[:n * width].reshape(n, width)
+
+
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -283,19 +341,17 @@ class PairBlocks:
 
     ``sources`` holds one row per distinct source and ``source_of_pair``
     maps each pair to its row.  ``target_ids`` are the targets' featurizer
-    row ids and ``targets`` their gathered CSR arrays (indptr, indices,
-    data), one row per pair; a scipy matrix is built from them only for a
-    backward pass.  The min and surplus blocks ``both``/``surplus`` are
-    non-zero only on their pair's source buckets.  With one distinct
-    source, ``columns`` lists that source's buckets and ``sources``,
-    ``both`` and ``surplus`` are dense on them; otherwise ``columns`` is
-    ``slice(None)`` and those blocks are CSR over every bucket.
+    row ids; a backward pass builds their scipy matrix.  The min and
+    surplus blocks ``both``/``surplus`` are non-zero only on their pair's
+    source buckets.  With one distinct source, ``columns`` lists that
+    source's buckets and ``sources``, ``both`` and ``surplus`` are dense on
+    them; otherwise ``columns`` is ``slice(None)`` and those blocks are CSR
+    over every bucket.
     """
 
     sources: np.ndarray | sparse.csr_matrix
     source_of_pair: np.ndarray
     target_ids: np.ndarray
-    targets: tuple[np.ndarray, np.ndarray, np.ndarray]
     columns: np.ndarray | slice
     both: np.ndarray | sparse.csr_matrix
     surplus: np.ndarray | sparse.csr_matrix
@@ -339,6 +395,8 @@ class CrossEncoderModel:
         self._term_rows = np.zeros((0, self.weights[0].shape[1]))
         self._term_filled = np.zeros(0, dtype=bool)
         self._term_lock: np.ndarray | None = None
+        # The candidate pool of the last ``pool`` call.
+        self._pool: CandidatePool | None = None
 
     @classmethod
     def initialize(
@@ -401,6 +459,38 @@ class CrossEncoderModel:
             self._term_filled[missing] = True
         return self._term_rows[ids]
 
+    def pool(self, texts: tuple[str, ...]) -> CandidatePool:
+        """The candidate pool of ``texts``, such as an index's
+        ``query_ids``, built on first use.  The model holds one pool at a
+        time, keyed by the tuple."""
+        if self._pool is None or (self._pool.texts is not texts and self._pool.texts != texts):
+            self._pool = CandidatePool(self.featurizer, texts)
+        return self._pool
+
+    def _one_source_blocks(
+        self,
+        source: str,
+        pool: CandidatePool,
+        positions: np.ndarray,
+        source_digests: np.ndarray | None,
+    ) -> PairBlocks:
+        """Blocks of one source against the texts at distinct pool
+        positions, dense on the source's buckets: M and R are zero
+        elsewhere.  This beats the CSR form on one-source calls (serve runs
+        in BENCH_6.json); with many sources, dense rows over all their
+        buckets would cost more.  The source is not stored, so a stream of
+        distinct sources leaves the table as it was."""
+        columns, counts = self.featurizer.row(source, source_digests)
+        both = np.minimum(pool.counts_on(positions, columns), counts)
+        return PairBlocks(
+            counts[None, :],
+            np.zeros(len(positions), dtype=np.int64),
+            pool.rows[positions],
+            columns,
+            both,
+            counts - both,  # (S - T)+ exactly, since counts are whole numbers
+        )
+
     def joint_matrix(
         self,
         pairs: Sequence[tuple[str, str]],
@@ -418,39 +508,13 @@ class CrossEncoderModel:
         one_source = bool(pairs) and source_texts.count(source_texts[0]) == len(pairs)
         if source_digests is not None and not one_source:
             raise ValueError("source_digests need pairs that share one source")
-        target_ids = self.featurizer.ids(target_texts)
-        targets = self.featurizer.gather(target_ids)
-        t_ptr, t_cols, t_counts = targets
         if one_source:
-            # Dense on the source's buckets: M and R are zero elsewhere.
-            # This beats the CSR form below on one-source calls (serve
-            # runs in BENCH_6.json); with many sources, dense rows over
-            # all their buckets would cost more than CSR.  The source is
-            # not stored, so a stream of distinct sources leaves the table
-            # as it was.
-            columns, counts = self.featurizer.row(source_texts[0], source_digests)
-            # Each target entry goes to its bucket's place among the
-            # source's buckets, or to a spare last column that is dropped.
-            width = len(columns) + 1
-            place = np.full(self.feature_dim, len(columns), dtype=np.int64)
-            place[columns] = np.arange(len(columns))
-            slots = place.take(t_cols)
-            slots += np.repeat(np.arange(0, len(pairs) * width, width), np.diff(t_ptr))
-            on_source = np.zeros((len(pairs), width))
-            on_source.ravel()[slots] = t_counts
-            on_source = on_source[:, :-1]
-            surplus = counts - on_source
-            np.maximum(surplus, 0.0, out=surplus)
-            return PairBlocks(
-                counts[None, :],
-                np.zeros(len(pairs), dtype=np.int64),
-                target_ids,
-                targets,
-                columns,
-                np.minimum(on_source, counts),
-                surplus,
-            )
+            pool = CandidatePool(self.featurizer, target_texts)
+            positions = np.arange(len(pool))
+            return self._one_source_blocks(source_texts[0], pool, positions, source_digests)
         # Sparse: each pair's source entries, matched against its target's.
+        target_ids = self.featurizer.ids(target_texts)
+        t_ptr, t_cols, t_counts = self.featurizer.gather(target_ids)
         distinct = dict.fromkeys(source_texts)  # in order of first appearance
         row_of = {s: i for i, s in enumerate(distinct)}
         source_of_pair = np.fromiter(
@@ -478,7 +542,6 @@ class CrossEncoderModel:
             sources,
             source_of_pair,
             target_ids,
-            targets,
             slice(None),
             csr(np.minimum(s_counts, on_source), hit),
             csr(surplus, surplus > 0.0),
@@ -486,12 +549,20 @@ class CrossEncoderModel:
 
     def _first_layer(self, blocks: PairBlocks, target_term: np.ndarray) -> np.ndarray:
         """b0 plus the four block products, with T·W_t given."""
-        w_s, _, w_m, w_r = self._blocks_of(self.weights[0])
-        cols = blocks.columns
-        value = (blocks.sources @ w_s[cols])[blocks.source_of_pair]
-        value += target_term
-        value += blocks.both @ w_m[cols]
-        value += blocks.surplus @ w_r[cols]
+        if isinstance(blocks.columns, slice):
+            w_s, _, w_m, w_r = self._blocks_of(self.weights[0])
+            value = (blocks.sources @ w_s)[blocks.source_of_pair]
+            value += target_term
+        else:
+            # The source's S, M and R weight rows in one gather; its one
+            # S·W_s row reaches every pair by broadcasting.
+            f = self.feature_dim
+            cols = blocks.columns
+            rows = np.concatenate((cols, cols + 2 * f, cols + 3 * f))
+            w_s, w_m, w_r = self.weights[0][rows].reshape(3, len(cols), -1)
+            value = target_term + blocks.sources @ w_s
+        value += blocks.both @ w_m
+        value += blocks.surplus @ w_r
         value += self.biases[0]
         return value
 
@@ -528,13 +599,29 @@ class CrossEncoderModel:
             raise FloatingPointError("cross-encoder produced a non-finite score")
         return scores, hidden
 
+    def score_pool(
+        self,
+        source: str,
+        pool: CandidatePool,
+        positions: np.ndarray,
+        source_digests: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Scores of one source against the texts at distinct ``positions``
+        of ``pool``, each T·W_t row from the cache.  ``source_digests`` are
+        the source's ``_ngram_digests``, read only if the table lacks the
+        source."""
+        blocks = self._one_source_blocks(source, pool, positions, source_digests)
+        scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
+        return scores
+
     def score_many(
         self,
         pairs: Sequence[tuple[str, str]],
         source_digests: np.ndarray | None = None,
     ) -> np.ndarray:
         """Scores of the pairs, with each target's T·W_t row from the cache.
-        ``source_digests`` are passed to ``joint_matrix``."""
+        ``source_digests`` are passed to ``joint_matrix``, which builds the
+        blocks of pairs that share one source as ``score_pool`` does."""
         blocks = self.joint_matrix(pairs, source_digests)
         scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
         return scores
@@ -544,7 +631,7 @@ class CrossEncoderModel:
     ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
         """Scores plus a closure mapping dL/dscores to dL/dparams."""
         blocks = self.joint_matrix(pairs)
-        targets = _csr(blocks.targets, self.feature_dim)
+        targets = _csr(self.featurizer.gather(blocks.target_ids), self.feature_dim)
         scores, hidden = self._forward(blocks, targets @ self._blocks_of(self.weights[0])[1])
 
         def backward(grad_scores: np.ndarray) -> dict[str, np.ndarray]:
@@ -590,7 +677,7 @@ def params_checksum(model) -> str:
     for name in sorted(params):
         array = np.ascontiguousarray(params[name], dtype=np.float64)
         digest.update(name.encode("utf-8"))
-        digest.update(array.tobytes())
+        digest.update(array)  # the contiguous buffer itself, not a copy
     return digest.hexdigest()
 
 

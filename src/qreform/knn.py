@@ -44,6 +44,7 @@ class KnnIndex:
             )
         order = sorted(range(len(query_ids)), key=lambda i: query_ids[i])
         self.query_ids: tuple[str, ...] = tuple(query_ids[i] for i in order)
+        self.position_of: dict[str, int] = {q: i for i, q in enumerate(self.query_ids)}
         self.embeddings = embeddings[order]
         self.model_checksum = model_checksum
 
@@ -54,13 +55,10 @@ class KnnIndex:
     def __len__(self) -> int:
         return len(self.query_ids)
 
-    def knn(self, probe: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Exact top-k by dot product, ties broken by ascending query_id."""
-        return self.knn_many(np.asarray(probe)[None, :], k)[0]
-
-    def knn_many(
-        self, probes: np.ndarray, k: int
-    ) -> list[list[tuple[str, float]]]:
+    def top_k(self, probes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each probe's exact top-k entry positions and their similarities,
+        by descending dot product.  Entries are id-sorted, so a stable sort
+        breaks ties by ascending position, which is ascending query_id."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         probes = np.asarray(probes, dtype=np.float64)
@@ -69,14 +67,22 @@ class KnnIndex:
                 f"probe dimension {probes.shape[-1]} does not match index dim {self.dim}"
             )
         sims = probes @ self.embeddings.T
+        positions = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        return positions, np.take_along_axis(sims, positions, axis=1)
+
+    def knn(self, probe: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """Exact top-k by dot product, ties broken by ascending query_id."""
+        return self.knn_many(np.asarray(probe)[None, :], k)[0]
+
+    def knn_many(
+        self, probes: np.ndarray, k: int
+    ) -> list[list[tuple[str, float]]]:
+        positions, sims = self.top_k(probes, k)
         ids = self.query_ids
-        results = []
-        for row in sims:
-            # Entries are id-sorted, so a stable sort on -sim settles ties.
-            order = np.argsort(-row, kind="stable")[:k]
-            hits = [ids[i] for i in order.tolist()]
-            results.append(list(zip(hits, row[order].tolist())))
-        return results
+        return [
+            list(zip([ids[i] for i in row], values))
+            for row, values in zip(positions.tolist(), sims.tolist())
+        ]
 
 
 def build_index(model, texts: Sequence[str]) -> KnnIndex:

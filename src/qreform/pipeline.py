@@ -155,8 +155,11 @@ def reformulate(
     The query itself is excluded; targets are ranked by squashed
     cross-encoder score (ties by id) and truncated to n_max.  An empty
     result is valid: it means no reformulation is offered.  The query is
-    hashed once, and both encoders read those n-gram digests; only the
-    candidates that pass the threshold are sorted.
+    hashed once, and both encoders read those n-gram digests.  Candidates
+    stay index positions throughout: the cross-encoder scores them as
+    positions of the pool it holds for the index, and only the kept
+    targets become text.  Positions follow id order, so ordering by
+    (-score, position) is ordering by (-score, id).
     """
     if not query:
         raise ValueError("cannot reformulate an empty query")
@@ -165,18 +168,23 @@ def reformulate(
         raise ValueError(f"threshold must be finite, got {threshold}")
     digests = enc_mod._ngram_digests(query)
     probe = bi_encoder.embed(query, digests=digests)
-    hits = index.knn(probe, top_k)
-    candidates = [qid for qid, _ in hits if qid != query]
-    if not candidates:
+    positions = index.top_k(probe[None, :], top_k)[0][0]
+    own = index.position_of.get(query)
+    if own is not None:
+        positions = positions[positions != own]
+    if not positions.size:
         return ReformulationResult(query, (), threshold)
-    pairs = [(query, c) for c in candidates]
-    scores = _sigmoid(cross_encoder.score_many(pairs, source_digests=digests))
-    keep = np.flatnonzero(scores >= threshold).tolist()
-    passed = sorted(
-        zip([candidates[i] for i in keep], scores[keep].tolist()),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ReformulationResult(query, tuple(passed[:n_max]), threshold)
+    pool = cross_encoder.pool(index.query_ids)
+    scores = _sigmoid(cross_encoder.score_pool(query, pool, positions, source_digests=digests))
+    keep = np.flatnonzero(scores >= threshold)
+    if keep.size > n_max:
+        # The n_max-th best score, and every passing score equal to it.
+        cut = np.partition(scores[keep], keep.size - n_max)[keep.size - n_max]
+        keep = keep[scores[keep] >= cut]
+    keep = keep[np.lexsort((positions[keep], -scores[keep]))[:n_max]]
+    ids = index.query_ids
+    targets = zip([ids[p] for p in positions[keep].tolist()], scores[keep].tolist())
+    return ReformulationResult(query, tuple(targets), threshold)
 
 
 def select_threshold(
@@ -635,6 +643,9 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     train_mod.save_trace(
         paths.trace(MODEL_RERANKER_POINTWISE), result, model=MODEL_RERANKER_POINTWISE
     )
+    # Circle training is where a build peaks; the pointwise model's arrays
+    # need not be held through it, since circle starts from the checkpoint.
+    del pointwise
 
     # Learn-from-teacher: fine-tune a copy of the pointwise model with
     # circle loss on the final ANCE round's hard-negative sets.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qreform import knn
 from qreform.ance import (
     HardNegativeRecord,
     build_rerank_batches,
@@ -66,6 +67,21 @@ def test_mining_records_provenance_checksum():
     m = model(2)
     records = mine_hard_negatives(m, ["red mask"], CANDIDATES, {}, top_k=3)
     assert records[0].source_checkpoint == params_checksum(m)
+
+
+def test_mining_hashes_the_model_once(monkeypatch):
+    calls = []
+    real = knn.params_checksum
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(knn, "params_checksum", counted)
+    m = model(2)
+    records = mine_hard_negatives(m, ["red mask", "blue towel"], CANDIDATES, {}, top_k=3)
+    assert calls == [m]
+    assert {r.source_checkpoint for r in records} == {params_checksum(m)}
 
 
 def test_mining_orders_anchors_and_ranks():

@@ -23,6 +23,7 @@ from qreform.encoders import (
     save_checkpoint,
 )
 from tests.gradcheck import finite_difference_grads, max_relative_error
+from tests.one_source_reference import one_source_blocks, one_source_scores
 
 TEXTS = st.text(
     alphabet=st.sampled_from("abcdef マスク"), min_size=1, max_size=12
@@ -309,10 +310,54 @@ def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed):
         source_digests = None
     first = model.score_many(pairs, source_digests=source_digests)  # fills the T·W_t cache
     fresh, _ = model.score_many_with_backward(pairs)
-    assert first.tobytes() == fresh.tobytes()
-    assert model.score_many(pairs).tobytes() == fresh.tobytes()  # from the cache
-    assert model.score_many(pairs, source_digests=source_digests).tobytes() == fresh.tobytes()
+    if source_digests is not None:
+        # One source: the path before row-id scoring, T·W_t fresh.
+        want = one_source_scores(model, pairs[0][0], [t for _, t in pairs])
+        assert fresh.tobytes() == want.tobytes()
+    else:
+        want = fresh
+    assert first.tobytes() == want.tobytes()
+    assert model.score_many(pairs).tobytes() == want.tobytes()  # from the cache
+    assert model.score_many(pairs, source_digests=source_digests).tobytes() == want.tobytes()
     assert np.count_nonzero(model._term_filled) == len({t for _, t in pairs})
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_source_calls(), st.booleans())
+def test_one_source_blocks_equal_the_reference_bitwise(pairs, intern_source):
+    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=0)
+    source, targets = pairs[0][0], [t for _, t in pairs]
+    if intern_source:
+        model.featurizer.ids([source])
+    pool = encoders.CandidatePool(model.featurizer, targets)
+    blocks = model._one_source_blocks(
+        source, pool, np.arange(len(pool)), encoders._ngram_digests(source)
+    )
+    columns, counts, both, surplus = one_source_blocks(model, source, targets)
+    assert np.array_equal(blocks.columns, columns)
+    assert blocks.sources.tobytes() == counts.tobytes()
+    for got, want in ((blocks.both, both), (blocks.surplus, surplus)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(TEXTS, min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), unique=True, max_size=8),
+    st.lists(st.integers(0, (1 << 6) - 1), min_size=1, max_size=10, unique=True),
+)
+def test_pool_counts_on_reads_the_texts_densely(texts, picks, buckets):
+    feat = Featurizer(1 << 6)
+    feat.ids(["unrelated text", *texts[::-1]])  # pool rows need not be contiguous
+    pool = encoders.CandidatePool(feat, texts)  # texts may repeat
+    dense = feat.matrix(texts).toarray()
+    positions = np.array([p for p in picks if p < len(texts)][::-1], dtype=np.int64)
+    columns = np.array(sorted(buckets), dtype=np.int32)
+    got = pool.counts_on(positions, columns)
+    assert got.shape == (len(positions), len(columns)) and got.flags.c_contiguous
+    assert np.array_equal(got, dense[positions][:, columns])
+    assert np.array_equal(pool.rows, feat.ids(texts))
 
 
 def _copy_of(model):
@@ -421,6 +466,26 @@ def test_checkpoint_rejects_other_ngram_sizes(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: n-gram sizes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_params_checksum_hashes_each_array_as_its_bytes(order):
+    model = BiEncoderModel(
+        np.asarray(np.random.default_rng(0).standard_normal((16, 3)), order=order)
+    )
+    assert model.projection.flags.c_contiguous == (order == "C")
+    digest = hashlib.sha256()
+    digest.update(json.dumps(encoders._model_meta(model), sort_keys=True).encode("utf-8"))
+    digest.update(b"projection")
+    digest.update(np.ascontiguousarray(model.projection, dtype=np.float64).tobytes())
+    assert params_checksum(model) == digest.hexdigest()
+    cross = CrossEncoderModel.initialize(1 << 4, (3,), seed=1)
+    digest = hashlib.sha256()
+    digest.update(json.dumps(encoders._model_meta(cross), sort_keys=True).encode("utf-8"))
+    for name, array in sorted(cross.parameters().items()):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    assert params_checksum(cross) == digest.hexdigest()
 
 
 def test_checkpoint_checksum_tracks_parameters(tmp_path):

@@ -102,3 +102,24 @@ def test_index_load_rejects_wrong_checksum(tmp_path):
     save_index(index, path)
     with pytest.raises(FileFormatError, match="built from model"):
         load_index(path, expected_model_checksum="deadbeef")
+
+
+def test_top_k_gives_the_positions_and_similarities_of_the_hits():
+    rng = np.random.default_rng(3)
+    ids = [f"q{i:02d}" for i in range(15)][::-1]
+    emb = unit_rows(rng, 15, 4)
+    emb[3] = emb[7]  # a tie, broken by ascending id
+    index = KnnIndex(ids, emb)
+    assert [index.position_of[q] for q in index.query_ids] == list(range(15))
+    probes = np.vstack([unit_rows(rng, 2, 4), emb[3]])
+    positions, sims = index.top_k(probes, 6)
+    assert positions.shape == sims.shape == (3, 6)
+    for row, values, hits in zip(positions, sims, index.knn_many(probes, 6)):
+        assert [index.query_ids[p] for p in row] == [q for q, _ in hits]
+        assert values.tolist() == [s for _, s in hits]
+    tied = [index.query_ids[p] for p in positions[2][:2]]
+    assert tied == sorted([ids[3], ids[7]])
+    one_positions, one_sims = index.top_k(probes[:1], 6)
+    hits = index.knn(probes[0], 6)
+    assert [index.query_ids[p] for p in one_positions[0]] == [q for q, _ in hits]
+    assert one_sims[0].tolist() == [s for _, s in hits]

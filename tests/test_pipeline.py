@@ -45,6 +45,7 @@ from qreform.pipeline import (
 )
 from qreform.synthgen import LOG_KIND, SynthConfig, generate
 from tests.conftest import copied_run, tiny_config
+from tests.one_source_reference import one_source_scores
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -496,18 +497,21 @@ def test_reformulate_rejects_counts_below_one(tiny_run, monkeypatch, name, value
 
 
 def reference_reformulate(query, bi_encoder, index, cross_encoder, top_k, threshold, n_max):
-    """The request path before the hash hand-off: each encoder hashes the
-    query, the probe is a one-row CSR product, and every candidate is
-    sorted."""
+    """The request path before the hash hand-off and pool-position scoring: each
+    encoder hashes the query, the probe is a one-row CSR product, the
+    candidates are texts scored by the old one-source path, and every
+    passing candidate is sorted."""
     columns, counts = bi_encoder.featurizer.row(query)
     features = sparse.csr_matrix(
         (counts, columns, [0, len(columns)]), shape=(1, bi_encoder.feature_dim)
     )
     probe = bi_encoder._unit_rows(features @ bi_encoder.projection, [query])[0][0]
-    candidates = [qid for qid, _ in index.knn(probe, top_k) if qid != query]
+    sims = (probe[None, :] @ index.embeddings.T)[0]
+    hits = np.argsort(-sims, kind="stable")[:top_k]  # id-sorted entries settle ties
+    candidates = [index.query_ids[i] for i in hits if index.query_ids[i] != query]
     if not candidates:
         return pipeline.ReformulationResult(query, (), threshold)
-    scores = pipeline._sigmoid(cross_encoder.score_many([(query, c) for c in candidates]))
+    scores = pipeline._sigmoid(one_source_scores(cross_encoder, query, candidates))
     passed = [
         (candidate, float(score))
         for candidate, score in zip(candidates, scores)
@@ -583,10 +587,36 @@ def test_serving_memory_is_bounded(tiny_run):
 
     rows = serve(probes[0])
     cached = len(cross_encoder._term_rows)
+    pool = cross_encoder._pool
+    assert pool.texts is index.query_ids and len(pool) == len(index)
     for probe in probes[1:]:
         assert serve(probe) == rows
         assert np.count_nonzero(cross_encoder._term_filled) <= rows[1]
     assert len(cross_encoder._term_rows) == cached
+    assert cross_encoder._pool is pool  # built once, on the first request
+
+
+def test_reformulate_breaks_score_ties_by_id(tiny_run):
+    bi_encoder, index, trained = _serving_models(*tiny_run)
+    # A zero last layer gives every pair the score sigmoid(0) = 0.5.
+    cross_encoder = encoders.CrossEncoderModel(
+        [w.copy() for w in trained.weights[:-1]] + [np.zeros_like(trained.weights[-1])],
+        [b.copy() for b in trained.biases[:-1]] + [np.zeros_like(trained.biases[-1])],
+        trained.feature_dim,
+    )
+    ids = index.query_ids
+    query = ids[1]  # a pool query, among the smallest ids
+    retrieved = [q for q, _ in index.knn(bi_encoder.embed(query), len(index)) if q != query]
+    want = [ids[0], *ids[2:7]]
+    assert retrieved[:6] != want  # retrieval order would give other targets
+    for top_k in (len(index), len(index) + 3):
+        result = reformulate(
+            query, bi_encoder, index, cross_encoder, top_k=top_k, threshold=0.5, n_max=6
+        )
+        assert result.targets == tuple((q, 0.5) for q in want)
+    nearest = retrieved[:20]  # the query itself, similarity 1, fills the 21st place
+    result = reformulate(query, bi_encoder, index, cross_encoder, top_k=21, threshold=0.5, n_max=6)
+    assert [q for q, _ in result.targets] == sorted(nearest)[:6]
 
 
 def test_tail_reformulation_rate_computable(tiny_run):
