@@ -3,10 +3,11 @@
 Usage:
     python3 scripts/digest_gate.py --parent DIR --change DIR [--work DIR]
 
-Each checkout runs ``run_pipeline`` with its own ``src`` at seed 0, once
-on the default ``PipelineConfig()`` and once on the tiny config of the test
-suite (``TINY``, the same as ``tests/conftest.py::tiny_config``).  Every
-run starts from an empty directory.  The script then lists each output
+Each checkout runs ``run_pipeline`` with its own ``src`` at seed 0 on
+three configs: the default ``PipelineConfig()``, the tiny config of the
+test suite (``TINY``, the same as ``tests/conftest.py::tiny_config``) and
+the benchmark's base run (``BASE``, the same as ``bench/run.py::BASE``).
+Every run starts from an empty directory.  The script then lists each output
 whose manifest digest differs between the two sides, or that only one side
 wrote, and exits non-zero if there is any.  This is the gate for a change
 that claims to leave every output byte for byte the same.
@@ -38,7 +39,16 @@ TINY = {
     "reranker_epochs": 1,
     "eval_k": 10,
 }
-CONFIGS = {"default": {}, "tiny": TINY}
+# The reduced run the benchmark's serve workload builds and resumes.
+BASE = {
+    "synth": {"n_intents": 14, "queries_per_intent": 14},
+    "n_test_queries": 30,
+    "rich_threshold": 8,
+    "reranker_epochs": 1,
+    "bi_feature_dim": 4096,
+    "cross_feature_dim": 2048,
+}
+CONFIGS = {"default": {}, "tiny": TINY, "base": BASE}
 OUT_DIR = "run"
 
 # Runs in a checkout's interpreter and prints the manifest's outputs.

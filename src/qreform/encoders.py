@@ -2,10 +2,17 @@
 
 Texts become bags of boundary-marked character 2-, 3- and 4-grams
 (``NGRAM_SIZES``) hashed into a fixed bucket space.  Checkpoints record
-these sizes, and loading rejects a checkpoint made with others.  Each
-model keeps an interned ``Featurizer`` table, so it featurizes a
-distinct batch text once.  The bi-encoder projects the bag
-linearly and L2-normalizes, so cosine similarity is a plain dot product.
+these sizes, and loading rejects a checkpoint made with others.  A model
+reads its features from an interned ``Featurizer`` table, so a distinct
+batch text is featurized once per table.  During a build the tables are
+owned by the run: ``run_pipeline`` holds one ``{feature_dim: Featurizer}``
+map and passes it to every model it builds or loads (``featurizers=``),
+so a batch text is featurized once per ``feature_dim`` for the whole
+build, and the map is dropped when the run returns.  A model made without
+that map, as for serving, keeps a table of its own.  There is no
+process-wide table.  The bi-encoder projects the bag linearly and
+L2-normalizes, so cosine similarity is a plain dot product; it projects
+each distinct text of a batch once and copies its row to each occurrence.
 The cross-encoder scores an ordered pair through a small MLP over four
 feature blocks: source bag S, target bag T, elementwise min
 M = min(S, T) and surplus R = (S - T)+, which makes it position-aware by
@@ -209,6 +216,30 @@ class Featurizer:
         return _csr(self.gather(rows), self.feature_dim)
 
 
+# A run's featurizer tables, one per feature_dim.
+Featurizers = dict[int, Featurizer]
+
+
+def table_for(featurizers: Featurizers | None, feature_dim: int) -> Featurizer:
+    """The table for ``feature_dim`` in a run's ``featurizers`` map, added
+    to the map on first use; a new table of its own without a map."""
+    if featurizers is None:
+        return Featurizer(feature_dim)
+    table = featurizers.get(feature_dim)
+    if table is None:
+        table = featurizers[feature_dim] = Featurizer(feature_dim)
+    return table
+
+
+def _distinct(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts in order of first appearance, and each text's
+    slot among them."""
+    distinct = list(dict.fromkeys(texts))
+    slot_of = {text: slot for slot, text in enumerate(distinct)}
+    slots = np.fromiter(map(slot_of.__getitem__, texts), dtype=np.int64, count=len(texts))
+    return distinct, slots
+
+
 class CandidatePool:
     """Candidate texts as featurizer rows, with their entries by bucket.
 
@@ -257,24 +288,37 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.nda
 
 
 class BiEncoderModel:
-    """Linear projection of hashed n-grams onto the unit sphere."""
+    """Linear projection of hashed n-grams onto the unit sphere.
+
+    ``featurizers`` is a run's table map (see ``table_for``); without it
+    the model keeps a table of its own.
+    """
 
     kind = "bi-encoder"
 
-    def __init__(self, projection: np.ndarray, seed: int = 0) -> None:
+    def __init__(
+        self,
+        projection: np.ndarray,
+        seed: int = 0,
+        featurizers: Featurizers | None = None,
+    ) -> None:
         self.projection = np.asarray(projection, dtype=np.float64)
         if self.projection.ndim != 2:
             raise ValueError("projection must be a 2-d matrix")
         self.seed = int(seed)
-        self.featurizer = Featurizer(self.projection.shape[0])
+        self.featurizer = table_for(featurizers, self.projection.shape[0])
 
     @classmethod
     def initialize(
-        cls, feature_dim: int, embed_dim: int, seed: int = 0
+        cls,
+        feature_dim: int,
+        embed_dim: int,
+        seed: int = 0,
+        featurizers: Featurizers | None = None,
     ) -> "BiEncoderModel":
         rng = np.random.default_rng(seed)
         projection = _uniform_init(rng, feature_dim, (feature_dim, embed_dim))
-        return cls(projection, seed)
+        return cls(projection, seed, featurizers)
 
     @property
     def feature_dim(self) -> int:
@@ -322,9 +366,20 @@ class BiEncoderModel:
     def embed_many_with_backward(
         self, texts: Sequence[str]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
-        """Unit embeddings plus a closure mapping dL/dunits to dL/dparams."""
+        """Unit embeddings plus a closure mapping dL/dunits to dL/dparams.
+
+        Each distinct text is projected and normalized once, and its rows
+        are copied to each occurrence.  A CSR product computes each row on
+        its own, so the rows equal a product over every occurrence bit for
+        bit; the backward product still runs over every occurrence.
+        """
         features = self.featurizer.matrix(texts)
-        units, norms = self._unit_rows(features @ self.projection, texts)
+        distinct, slots = _distinct(texts)
+        # Slots are numbered in order of first appearance, so a text first
+        # appears where the running maximum of the slots grows.
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(slots), prepend=-1))
+        units, norms = self._unit_rows(features[first] @ self.projection, distinct)
+        units, norms = units[slots], norms[slots]
 
         def backward(grad_units: np.ndarray) -> dict[str, np.ndarray]:
             # Through row normalization: g_raw = (g - (g.u)u) / ||raw||.
@@ -364,6 +419,7 @@ class CrossEncoderModel:
     source counts, target counts, elementwise min, and the positive part
     of source minus target.  Swapping the pair permutes the first two
     blocks and changes the fourth, so scores are direction-sensitive.
+    ``featurizers`` is a run's table map, as for ``BiEncoderModel``.
     """
 
     kind = "cross-encoder"
@@ -375,6 +431,7 @@ class CrossEncoderModel:
         biases: Sequence[np.ndarray],
         feature_dim: int,
         seed: int = 0,
+        featurizers: Featurizers | None = None,
     ) -> None:
         if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up")
@@ -389,7 +446,7 @@ class CrossEncoderModel:
             raise ValueError("final layer must produce a scalar score")
         self.feature_dim = int(feature_dim)
         self.seed = int(seed)
-        self.featurizer = Featurizer(self.feature_dim)
+        self.featurizer = table_for(featurizers, self.feature_dim)
         # T·W_t rows by featurizer row id, and the first-layer array this
         # model made read-only while they are cached.
         self._term_rows = np.zeros((0, self.weights[0].shape[1]))
@@ -404,6 +461,7 @@ class CrossEncoderModel:
         feature_dim: int,
         hidden_dims: Sequence[int] = (64, 16),
         seed: int = 0,
+        featurizers: Featurizers | None = None,
     ) -> "CrossEncoderModel":
         rng = np.random.default_rng(seed)
         dims = [cls.N_BLOCKS * feature_dim, *hidden_dims, 1]
@@ -412,7 +470,7 @@ class CrossEncoderModel:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(_uniform_init(rng, fan_in, (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(weights, biases, feature_dim, seed)
+        return cls(weights, biases, feature_dim, seed, featurizers)
 
     @property
     def hidden_dims(self) -> tuple[int, ...]:
@@ -515,12 +573,8 @@ class CrossEncoderModel:
         # Sparse: each pair's source entries, matched against its target's.
         target_ids = self.featurizer.ids(target_texts)
         t_ptr, t_cols, t_counts = self.featurizer.gather(target_ids)
-        distinct = dict.fromkeys(source_texts)  # in order of first appearance
-        row_of = {s: i for i, s in enumerate(distinct)}
-        source_of_pair = np.fromiter(
-            map(row_of.__getitem__, source_texts), dtype=np.int64, count=len(pairs)
-        )
-        sources = self.featurizer.matrix(list(distinct))
+        distinct, source_of_pair = _distinct(source_texts)
+        sources = self.featurizer.matrix(distinct)
         s_ptr, s_cols, s_counts = _gather_rows(
             sources.indptr, sources.indices, sources.data, source_of_pair
         )
@@ -569,7 +623,8 @@ class CrossEncoderModel:
     def _first_layer_grad(
         self, blocks: PairBlocks, targets: sparse.csr_matrix, delta: np.ndarray
     ) -> np.ndarray:
-        grad = np.zeros_like(self.weights[0])
+        # np.zeros takes pages that are zero already; zeros_like writes them.
+        grad = np.zeros(self.weights[0].shape)
         g_s, g_t, g_m, g_r = self._blocks_of(grad)
         cols = blocks.columns
         per_source = np.zeros((blocks.sources.shape[0], delta.shape[1]))
@@ -687,8 +742,10 @@ def save_checkpoint(model, path) -> None:
     write_npz(path, _model_meta(model), **arrays)
 
 
-def load_checkpoint(path):
-    """Load either encoder kind; rejects missing keys and version or dimension mismatches."""
+def load_checkpoint(path, featurizers: Featurizers | None = None):
+    """Load either encoder kind; rejects missing keys and version or
+    dimension mismatches.  ``featurizers`` is a run's table map, which the
+    model reads its features from; without it the model has its own."""
     meta, arrays = read_npz(path)
     params = {
         name[len("param_"):]: array
@@ -713,7 +770,7 @@ def load_checkpoint(path):
                 f"{path}: projection shape {projection.shape} does not match "
                 f"header dims ({meta['feature_dim']}, {meta['embed_dim']})"
             )
-        return BiEncoderModel(projection, meta["seed"])
+        return BiEncoderModel(projection, meta["seed"], featurizers)
     if kind == CrossEncoderModel.kind:
         require_keys(path, "checkpoint meta", meta, ("feature_dim", "hidden_dims", "seed"))
         n_layers = len(meta["hidden_dims"]) + 1
@@ -733,5 +790,7 @@ def load_checkpoint(path):
                     f"{path}: layer {i} shape {w.shape} does not match header "
                     f"dims ({expected[i]}, {expected[i + 1]})"
                 )
-        return CrossEncoderModel(weights, biases, meta["feature_dim"], meta["seed"])
+        return CrossEncoderModel(
+            weights, biases, meta["feature_dim"], meta["seed"], featurizers
+        )
     raise FileFormatError(f"{path}: unknown checkpoint kind {kind!r}")

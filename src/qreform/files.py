@@ -58,7 +58,9 @@ def atomic_write(path: os.PathLike | str, mode: str = "w", **open_args) -> Itera
     """Open a sibling temp file for writing; on success rename it onto ``path``.
 
     A write that raises, or a process killed mid-write, leaves the previous
-    file whole; a failed write also removes its temp file.
+    file whole; a failed write also removes its temp file.  Nothing is
+    ``fsync``ed, so this promises nothing across power loss or a machine
+    crash: the rename may reach the disk before the data it names.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -40,6 +40,7 @@ from . import training as train_mod
 from .encoders import (
     BiEncoderModel,
     CrossEncoderModel,
+    Featurizers,
     load_checkpoint,
     params_checksum,
     save_checkpoint,
@@ -402,12 +403,16 @@ TESTQ_KIND = "test-queries"
 THRESHOLD_KIND = "rerank-threshold"
 
 
-def _stage_synth(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_synth(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     result = synth_mod.generate(config.synth, config.seed)
     synth_mod.write_all(result, paths.root)
 
 
-def _stage_ingest(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_ingest(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     corpus = corpus_mod.ingest_log(paths.log, config.min_purchase)
     corpus_mod.save_queries(corpus, paths.corpus_queries)
     corpus_mod.save_events(corpus, paths.corpus_events)
@@ -422,7 +427,9 @@ def _load_norm_config(paths: PipelinePaths) -> norm_mod.NormalizationConfig:
     )
 
 
-def _stage_normalize(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_normalize(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     norm_config = _load_norm_config(paths)
     groups = norm_mod.group_queries(corpus, norm_config)
@@ -442,7 +449,9 @@ def _group_copurchase(
     )
 
 
-def _stage_mine(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_mine(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     groups = norm_mod.load_groups(paths.groups, corpus)
     scored = mining_mod.mine_pairs(
@@ -518,7 +527,9 @@ def _trained_pairs(path, floor: float):
     return [p for p in mining_mod.load_pairs(path) if p.importance >= floor]
 
 
-def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_train_retriever(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     train_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_RETRIEVAL,
@@ -534,7 +545,7 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
     )
     for model_id, train_path, val_path in runs:
         model = BiEncoderModel.initialize(
-            config.bi_feature_dim, config.embed_dim, seed=config.seed
+            config.bi_feature_dim, config.embed_dim, config.seed, featurizers
         )
         result = train_mod.train(
             model,
@@ -547,7 +558,9 @@ def _stage_train_retriever(config: PipelineConfig, paths: PipelinePaths) -> None
         train_mod.save_trace(paths.trace(model_id), result, model=model_id)
 
 
-def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_ance(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     """Hard-negative rounds on the weighted retriever.
 
     Round r mines with the round r−1 model (round 1 with the weighted
@@ -559,7 +572,7 @@ def _stage_ance(config: PipelineConfig, paths: PipelinePaths) -> None:
     the re-ranker trains on.
     """
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
-    model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED))
+    model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED), featurizers)
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
     train_examples = _retrieval_examples(
@@ -619,12 +632,14 @@ def _rerank_positive_sets(pairs) -> dict[str, tuple[tuple[str, float], ...]]:
     }
 
 
-def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_train_reranker(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     train_pairs = _trained_pairs(paths.pairs_train, config.train_floor)
     val_pairs = _trained_pairs(paths.pairs_val, config.train_floor)
 
     pointwise = CrossEncoderModel.initialize(
-        config.cross_feature_dim, config.hidden_dims, seed=config.seed
+        config.cross_feature_dim, config.hidden_dims, config.seed, featurizers
     )
     pointwise_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_POINTWISE,
@@ -649,7 +664,7 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
 
     # Learn-from-teacher: fine-tune a copy of the pointwise model with
     # circle loss on the final ANCE round's hard-negative sets.
-    circle = load_checkpoint(paths.checkpoint(MODEL_RERANKER_POINTWISE))
+    circle = load_checkpoint(paths.checkpoint(MODEL_RERANKER_POINTWISE), featurizers)
     records = ance_mod.load_hard_negatives(paths.negatives(config.ance_rounds))
     batches = ance_mod.build_rerank_batches(_rerank_positive_sets(train_pairs), records)
     circle_config = train_mod.TrainConfig(
@@ -673,7 +688,7 @@ def _stage_train_reranker(config: PipelineConfig, paths: PipelinePaths) -> None:
     if not positives:
         positives = _directed_examples(mining_mod.load_pairs(paths.pairs_train))
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
-    final = load_checkpoint(paths.retriever_ance(config.ance_rounds))
+    final = load_checkpoint(paths.retriever_ance(config.ance_rounds), featurizers)
     anchors = sorted({source for source, _, _ in positives})
     mined = ance_mod.mine_hard_negatives(
         final,
@@ -719,9 +734,11 @@ def load_threshold(paths: PipelinePaths) -> float:
     return threshold
 
 
-def _stage_index(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_index(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
-    model = load_checkpoint(paths.retriever_ance(config.ance_rounds))
+    model = load_checkpoint(paths.retriever_ance(config.ance_rounds), featurizers)
     index = knn_mod.build_index(model, corpus_mod.rich_queries(corpus, config.rich_threshold))
     knn_mod.save_index(index, paths.index_file)
 
@@ -804,14 +821,16 @@ def _model_report(
     return eval_mod.EvalReport(model_id, metrics), retrieved
 
 
-def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
+def _stage_evaluate(
+    config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
+) -> None:
     """Save every model's report; the re-rankers score what the final
     ANCE retriever, reported before them, surfaces."""
     inputs = _evaluation_inputs(config, paths)
     final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
     final_lists = None
     for model_id in model_ids(config.ance_rounds):
-        model = load_checkpoint(paths.checkpoint(model_id))
+        model = load_checkpoint(paths.checkpoint(model_id), featurizers)
         report, lists = _model_report(
             model_id, model, *inputs, final_lists, config.eval_k
         )
@@ -821,7 +840,8 @@ def _stage_evaluate(config: PipelineConfig, paths: PipelinePaths) -> None:
 
 
 def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
-    """Declarative stage table: name, inputs, outputs, runner."""
+    """Declarative stage table: name, inputs, outputs, runner.  A runner
+    takes the config, the paths and the run's featurizer tables."""
     norm_files = [paths.stopwords, paths.script_map, paths.entities, paths.stemmer]
     synth_out = [paths.log, paths.intents, paths.relations, paths.audit, *norm_files]
     mine_out = [
@@ -1025,7 +1045,8 @@ def run_pipeline(
     records the config hash, per-stage checksums and timings, and the
     BLAS thread count each stage ran with: the run holds numpy's OpenBLAS
     to one thread (``_one_blas_thread``), so its outputs do not depend on
-    the caller's thread count.
+    the caller's thread count.  The stages share one map of featurizer
+    tables, which the run drops when it returns.
     """
     paths = PipelinePaths(Path(config.out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
@@ -1037,6 +1058,9 @@ def run_pipeline(
 
     executed: list[str] = []
     skipped: list[str] = []
+    # The run's feature tables: every model the stages build or load reads
+    # them, so a batch text is featurized once per feature_dim per run.
+    featurizers: Featurizers = {}
     selected = set(stages) if stages is not None else None
     with _one_blas_thread() as blas_threads:
         for name, inputs, outputs, runner in _stage_specs(config, paths):
@@ -1050,7 +1074,7 @@ def run_pipeline(
                 continue
             started = time.perf_counter()
             try:
-                runner(config, paths)
+                runner(config, paths, featurizers)
             except Exception as exc:
                 raise StageFailure(name, exc) from exc
             elapsed = time.perf_counter() - started
@@ -1078,21 +1102,23 @@ def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport
 
     A re-ranker's report needs the final retriever's lists, so that
     retriever is evaluated first.  An unknown model id raises before
-    anything is loaded.  Like ``run_pipeline``, it computes with numpy's
+    anything is loaded.  Its models share one map of featurizer tables,
+    as a run's do.  Like ``run_pipeline``, it computes with numpy's
     OpenBLAS on one thread, so the report equals the saved one whatever
     thread count the caller set.
     """
     if model_id not in model_ids(config.ance_rounds):
         raise ValueError(f"unknown model id: {model_id!r}")
     paths = PipelinePaths(Path(config.out_dir))
+    featurizers: Featurizers = {}
     with _one_blas_thread():
         inputs = _evaluation_inputs(config, paths)
         final_lists = None
         if model_id in RERANKER_IDS:
             final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
-            final = load_checkpoint(paths.checkpoint(final_id))
+            final = load_checkpoint(paths.checkpoint(final_id), featurizers)
             _, final_lists = _model_report(final_id, final, *inputs, None, config.eval_k)
-        model = load_checkpoint(paths.checkpoint(model_id))
+        model = load_checkpoint(paths.checkpoint(model_id), featurizers)
         report, _ = _model_report(model_id, model, *inputs, final_lists, config.eval_k)
     return report
 

@@ -1,12 +1,15 @@
 """The digest comparison of scripts/digest_gate.py, on hand-made manifests."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from qreform.pipeline import PipelineConfig
 from tests.conftest import tiny_config
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "digest_gate.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "digest_gate.py"
+BENCH_RUN = ROOT / "bench" / "run.py"
 
 
 def load_script():
@@ -67,3 +70,14 @@ def test_the_tiny_config_is_the_test_suites():
     assert PipelineConfig.from_dict({**gate.CONFIGS["default"], "out_dir": gate.OUT_DIR}) == (
         PipelineConfig(out_dir=gate.OUT_DIR)
     )
+
+
+def test_the_base_config_is_the_benchmarks(monkeypatch):
+    gate = load_script()
+    # run.py puts bench/ on sys.path; undo that after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    assert gate.BASE == bench_run.BASE
+    assert gate.CONFIGS["base"] is gate.BASE

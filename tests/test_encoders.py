@@ -24,6 +24,7 @@ from qreform.encoders import (
 )
 from tests.gradcheck import finite_difference_grads, max_relative_error
 from tests.one_source_reference import one_source_blocks, one_source_scores
+from tests.per_occurrence_reference import embed_many_with_backward as per_occurrence
 
 TEXTS = st.text(
     alphabet=st.sampled_from("abcdef マスク"), min_size=1, max_size=12
@@ -195,6 +196,41 @@ def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
     assert one.tobytes() == model.embed_many([text])[0].tobytes()
     assert model.embed(text).tobytes() == one.tobytes()  # now from the table
     assert model.embed(text, digests=digests).tobytes() == one.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["mask", "red mask", "マスク", "mask", "towel x"]), min_size=1,
+             max_size=30),
+    st.integers(0, 3),
+)
+def test_repeated_texts_embed_and_backpropagate_as_each_occurrence(texts, seed):
+    model = BiEncoderModel.initialize(1 << 8, 6, seed=seed)
+    units, backward = model.embed_many_with_backward(texts)
+    want_units, want_backward = per_occurrence(model, texts)
+    assert units.tobytes() == want_units.tobytes()
+    grad_units = np.random.default_rng(seed).normal(size=units.shape)
+    grads, want = backward(grad_units), want_backward(grad_units)
+    assert grads.keys() == want.keys()
+    assert grads["projection"].tobytes() == want["projection"].tobytes()
+
+
+def test_a_degenerate_text_is_named_first_in_batch_order():
+    feature_dim = 1 << 14
+    model = BiEncoderModel.initialize(feature_dim, 4, seed=0)
+    # Zero the projection rows of two texts' buckets, and of no other's.
+    good, late, early = "towel", "pq", "zz"
+    dead = featurize(late, feature_dim).keys() | featurize(early, feature_dim).keys()
+    assert not dead & featurize(good, feature_dim).keys()
+    model.projection[sorted(dead)] = 0.0
+    batch = [good, good, early, late, early, late]
+    for texts in (batch, batch[:2] + batch[3:]):
+        with pytest.raises(ValueError) as raised:
+            model.embed_many(texts)
+        with pytest.raises(ValueError) as reference:
+            per_occurrence(model, texts)
+        assert str(raised.value) == str(reference.value)
+        assert repr(texts[2]) in str(raised.value)
 
 
 def test_bi_encoder_similarity_is_cosine():

@@ -2,14 +2,17 @@
 
 import ast
 import builtins
+import collections
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from qreform.knn import load_index
 from qreform.mining import load_pairs
 from qreform.normalize import normalize
 from qreform.pipeline import (
+    MODEL_RERANKER_CIRCLE,
     MODEL_RETRIEVER_WEIGHTED,
     AugmentationParams,
     PipelineConfig,
@@ -37,6 +41,8 @@ from qreform.pipeline import (
     _stage_specs,
     augment_feature,
     augment_for_tier,
+    evaluate_model,
+    load_serving_state,
     load_threshold,
     reformulate,
     run_pipeline,
@@ -596,6 +602,54 @@ def test_serving_memory_is_bounded(tiny_run):
     assert cross_encoder._pool is pool  # built once, on the first request
 
 
+def test_a_run_interns_each_text_once_per_feature_dim(tmp_path, monkeypatch):
+    # ``featurize`` hashes a text into a table.  The one-source scoring of
+    # a query the re-ranker's table lacks (in the evaluate stage) hashes it
+    # without storing it, so that query is hashed again by the next model.
+    hashed = collections.Counter()
+    featurize = encoders.featurize
+
+    def counted(text, feature_dim):
+        hashed[text, feature_dim] += 1
+        return featurize(text, feature_dim)
+
+    monkeypatch.setattr(encoders, "featurize", counted)
+    config = tiny_config(tmp_path / "run")
+    run_pipeline(config)
+    assert {dim for _, dim in hashed} == {config.bi_feature_dim, config.cross_feature_dim}
+    assert max(hashed.values()) == 1
+
+
+def test_no_featurizer_table_outlives_its_call(tiny_run, tmp_path, monkeypatch):
+    made = []
+    init = encoders.Featurizer.__init__
+
+    def recorded(self, feature_dim):
+        made.append(weakref.ref(self))
+        init(self, feature_dim)
+
+    monkeypatch.setattr(encoders.Featurizer, "__init__", recorded)
+    config = copied_run(tiny_run, tmp_path)
+    # The index and evaluate stages load every model: one table per
+    # feature_dim serves them all.
+    run_pipeline(config, force=True, stages=("index", "evaluate"))
+    assert len(made) == 2
+    evaluate_model(config, MODEL_RERANKER_CIRCLE)
+    assert len(made) == 4
+    gc.collect()
+    assert [ref() for ref in made] == [None] * 4
+
+
+def test_serving_models_start_with_empty_tables_of_their_own(tiny_run):
+    config, _ = tiny_run
+    first, second = load_serving_state(config), load_serving_state(config)
+    tables = [
+        state.bi_encoder.featurizer for state in (first, second)
+    ] + [state.cross_encoder.featurizer for state in (first, second)]
+    assert [len(table) for table in tables] == [0] * 4
+    assert len({id(table) for table in tables}) == 4
+
+
 def test_reformulate_breaks_score_ties_by_id(tiny_run):
     bi_encoder, index, trained = _serving_models(*tiny_run)
     # A zero last layer gives every pair the score sigmoid(0) = 0.5.
@@ -775,10 +829,11 @@ def test_each_stage_reads_and_writes_only_its_declared_files(tmp_path, monkeypat
     monkeypatch.setattr(np, "load", spy_load)
 
     undeclared, unused = {}, {}
+    featurizers = {}  # shared by the stages, as run_pipeline shares it
     for name, inputs, outputs, runner in _stage_specs(config, paths):
         opened.clear()
         renamed.clear()
-        runner(config, paths)
+        runner(config, paths, featurizers)
         reads, writes = set(), set()
         for file, mode in opened:
             if not isinstance(file, (str, os.PathLike)):
