@@ -2,19 +2,30 @@
 
 Usage:
     python scripts/trend_table.py [--seeds 0,1,2,3,4] [--out-dir /tmp/trend]
-                                  [--config config.json]
+                                  [--config config.json] [--json ROWS.json]
+                                  [--compare PARENT.json]
 
 Prints per-seed and mean values for the three retrieval checkpoints
 (recall@eval_k on top-3 truth, micro; eval_k is 100 by default), the
 audit metrics of the baseline vs the final hard-negative round, the two
 re-ranker NDCG@3 variants, mined pair counts with and without
 normalization grouping, and the tail reformulation rate.
+
+``--json`` writes the per-seed rows.  ``--compare`` reads rows that
+another checkout wrote with ``--json`` and prints, for each metric, the
+per-seed deltas (this run minus that one) on the seeds both hold, their
+mean and their spread (sample standard deviation).  Both sides share each
+seed's corpus, so a paired delta leaves out most of the spread between
+seeds.  The script exits with status 1 when a metric's mean delta is
+lower than minus its tolerance in ``TOLERANCES``: this is the seed-noise
+gate for a change that moves numerics.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import statistics
 import sys
 import time
@@ -35,6 +46,31 @@ from qreform.pipeline import (
     run_pipeline,
     tail_reformulation_rate,
 )
+
+
+# How far a metric's mean paired delta over seeds 0-4 may fall before a
+# change counts as worse than seed noise; every gated metric is higher for
+# better.  Calibrated on changes that should be neutral: the training
+# shuffle drawn from seed + 1000 and seed + 2000 instead of seed.  Each
+# tolerance is twice the per-seed delta sd pooled over the three
+# comparisons among the three shuffles, rounded up to 0.005, and covers
+# every neutral mean delta seen (see CHANGES.md).
+TOLERANCES = {
+    "recall_baseline": 0.04,
+    "recall_weighted": 0.03,
+    "recall_ance": 0.035,
+    "auroc_strict_base": 0.03,
+    "auroc_strict_ance": 0.04,
+    "auroc_notrel_base": 0.055,
+    "auroc_notrel_ance": 0.05,
+    "spearman_base": 0.05,
+    "spearman_ance": 0.07,
+    "ndcg_general_point": 0.025,
+    "ndcg_general_circle": 0.02,
+    "ndcg_hard_point": 0.11,
+    "ndcg_hard_circle": 0.12,
+    "tail_rate": 0.015,
+}
 
 
 def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> dict:
@@ -75,13 +111,53 @@ def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> 
     return row
 
 
+def compare(parent_rows: list[dict], rows: list[dict]) -> list[dict]:
+    """Each metric's per-seed deltas (``rows`` minus ``parent_rows``) on
+    the seeds both hold, their mean and spread, and whether the mean stays
+    within the metric's tolerance (``None`` for an ungated metric)."""
+    parent = {row["seed"]: row for row in parent_rows}
+    paired = [(parent[row["seed"]], row) for row in rows if row["seed"] in parent]
+    if not paired:
+        raise ValueError("no seed in common with the parent rows")
+    results = []
+    for metric in (key for key in paired[0][1] if key != "seed"):
+        deltas = [row[metric] - old[metric] for old, row in paired]
+        mean = statistics.fmean(deltas)
+        tolerance = TOLERANCES.get(metric)
+        results.append({
+            "metric": metric,
+            "seeds": [row["seed"] for _, row in paired],
+            "deltas": deltas,
+            "mean": mean,
+            "spread": statistics.stdev(deltas) if len(deltas) > 1 else 0.0,
+            "tolerance": tolerance,
+            "passed": None if tolerance is None else mean >= -tolerance,
+        })
+    return results
+
+
+def print_comparison(results: list[dict]) -> None:
+    seeds = results[0]["seeds"]
+    print(f"\n=== paired deltas against the parent, seeds {','.join(map(str, seeds))} ===")
+    print(f"{'metric':20} {'mean':>9} {'spread':>8} {'tol':>6}  gate  per-seed deltas")
+    for r in results:
+        tolerance = "-" if r["tolerance"] is None else f"{r['tolerance']:.3f}"
+        gate = {None: "-", True: "ok", False: "FAIL"}[r["passed"]]
+        deltas = " ".join(f"{d:+.4f}" for d in r["deltas"])
+        print(f"{r['metric']:20} {r['mean']:+9.4f} {r['spread']:8.4f} {tolerance:>6}  {gate:4}  {deltas}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", default="0,1,2,3,4")
     parser.add_argument("--out-dir", default="/tmp/qreform_trend")
     parser.add_argument("--config", default=None)
     parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--json", default=None, help="write the per-seed rows here")
+    parser.add_argument("--compare", default=None, help="rows another checkout wrote")
     args = parser.parse_args()
+    # Read the parent's rows before the runs, so a bad path fails at once.
+    parent_rows = json.loads(Path(args.compare).read_text()) if args.compare else None
 
     base = PipelineConfig.load_json(args.config) if args.config else PipelineConfig()
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -123,7 +199,13 @@ def main() -> int:
     print(f"pairs ungrouped   {mean('pairs_ungrouped'):.0f}")
     print(f"tail rate         {mean('tail_rate'):.4f}")
     print(f"\ntotal wall time   {sum(r['seconds'] for r in rows):.0f}s")
-    return 0
+    if args.json:
+        Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+    if parent_rows is None:
+        return 0
+    results = compare(parent_rows, rows)
+    print_comparison(results)
+    return 1 if any(r["passed"] is False for r in results) else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,15 @@ module only ever sees parameter dicts and same-shaped gradient dicts.
 The encoders operate on raw text, not normalized text, so they must
 learn surface invariance instead of inheriting it.
 
+Dtype.  Training and serving state is float32 (``DTYPE``): ``initialize``
+makes float32 parameters, and a checkpoint records its dtype.  A model
+computes in the dtype of its parameter arrays, which must share one of
+``FLOAT_DTYPES``; its activations, caches and gradients take that dtype,
+given dL/dunits in it (the cross-encoder casts dL/dscores).  Feature counts
+are float32 whatever the model's dtype: they are small whole numbers, so
+float32 holds them exactly, and a float64 model (as the gradient checks
+build from float64 arrays) reads them as the same float64 values.
+
 Serving path.  ``BiEncoderModel.embed(text)`` and the one-source
 scoring featurize their source without storing it, so the tables hold only
 batch texts (training, the index, candidates) and a stream of distinct
@@ -64,12 +73,17 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .files import FileFormatError, read_npz, require_keys, write_npz
+from .files import FileFormatError, read_npz, require_dtype, require_keys, write_npz
 
 NGRAM_SIZES = (2, 3, 4)
 _BOUNDARY_OPEN = "^"
 _BOUNDARY_CLOSE = "$"
 _NORM_FLOOR = 1e-12
+# The dtype ``initialize`` makes, and the dtypes a model may compute in.
+DTYPE = np.dtype(np.float32)
+FLOAT_DTYPES = (DTYPE, np.dtype(np.float64))
+# Feature counts: whole numbers, exact in float32.
+_COUNT_DTYPE = np.float32
 
 
 def _ngram_digests(text: str) -> np.ndarray:
@@ -110,7 +124,7 @@ def _bucket_counts(
     edge[0] = edge[-1] = True
     np.not_equal(buckets[1:], buckets[:-1], out=edge[1:-1])
     bounds = np.flatnonzero(edge)  # each run of equal buckets' start, then the end
-    return buckets[bounds[:-1]].astype(np.int32), np.diff(bounds).astype(np.float64)
+    return buckets[bounds[:-1]].astype(np.int32), np.diff(bounds).astype(_COUNT_DTYPE)
 
 
 def featurize(text: str, feature_dim: int = 1 << 14) -> dict[int, float]:
@@ -168,7 +182,7 @@ class Featurizer:
         self._ids: dict[str, int] = {}
         self._indptr = np.zeros(64, dtype=np.int64)
         self._indices = np.zeros(1024, dtype=np.int32)
-        self._data = np.zeros(1024)
+        self._data = np.zeros(1024, dtype=_COUNT_DTYPE)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -277,14 +291,27 @@ class CandidatePool:
         row_of[positions] = np.arange(n)
         slots = row_of.take(self.positions.take(entries)) * width
         slots += np.repeat(np.arange(width), lengths)
-        block = np.zeros((n + 1) * width)
+        block = np.zeros((n + 1) * width, dtype=self.counts.dtype)
         block[slots] = self.counts.take(entries)
         return block[:n * width].reshape(n, width)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(DTYPE)
+
+
+def _parameter_arrays(arrays: Sequence) -> list[np.ndarray]:
+    """The arrays, which must share one of ``FLOAT_DTYPES``: the dtype
+    the model computes in."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtypes = {a.dtype for a in arrays}
+    if len(dtypes) != 1 or not dtypes <= set(FLOAT_DTYPES):
+        raise ValueError(
+            f"parameters must share one dtype of {[d.name for d in FLOAT_DTYPES]},"
+            f" got {sorted(d.name for d in dtypes)}"
+        )
+    return arrays
 
 
 class BiEncoderModel:
@@ -302,7 +329,7 @@ class BiEncoderModel:
         seed: int = 0,
         featurizers: Featurizers | None = None,
     ) -> None:
-        self.projection = np.asarray(projection, dtype=np.float64)
+        (self.projection,) = _parameter_arrays([projection])
         if self.projection.ndim != 2:
             raise ValueError("projection must be a 2-d matrix")
         self.seed = int(seed)
@@ -321,6 +348,10 @@ class BiEncoderModel:
         return cls(projection, seed, featurizers)
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.projection.dtype
+
+    @property
     def feature_dim(self) -> int:
         return self.projection.shape[0]
 
@@ -332,7 +363,7 @@ class BiEncoderModel:
         return {"projection": self.projection}
 
     def set_parameters(self, params: Mapping[str, np.ndarray]) -> None:
-        self.projection = np.asarray(params["projection"], dtype=np.float64)
+        self.projection = np.asarray(params["projection"], dtype=self.dtype)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         units, _ = self.embed_many_with_backward(texts)
@@ -435,8 +466,8 @@ class CrossEncoderModel:
     ) -> None:
         if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        arrays = _parameter_arrays([*weights, *biases])
+        self.weights, self.biases = arrays[:len(weights)], arrays[len(weights):]
         if self.weights[0].shape[0] != self.N_BLOCKS * feature_dim:
             raise ValueError(
                 f"first layer expects {self.N_BLOCKS}*feature_dim="
@@ -449,7 +480,7 @@ class CrossEncoderModel:
         self.featurizer = table_for(featurizers, self.feature_dim)
         # T·W_t rows by featurizer row id, and the first-layer array this
         # model made read-only while they are cached.
-        self._term_rows = np.zeros((0, self.weights[0].shape[1]))
+        self._term_rows = np.zeros((0, self.weights[0].shape[1]), dtype=self.dtype)
         self._term_filled = np.zeros(0, dtype=bool)
         self._term_lock: np.ndarray | None = None
         # The candidate pool of the last ``pool`` call.
@@ -469,8 +500,12 @@ class CrossEncoderModel:
         biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(_uniform_init(rng, fan_in, (fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
+            biases.append(np.zeros(fan_out, dtype=DTYPE))
         return cls(weights, biases, feature_dim, seed, featurizers)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
     @property
     def hidden_dims(self) -> tuple[int, ...]:
@@ -489,8 +524,8 @@ class CrossEncoderModel:
     def set_parameters(self, params: Mapping[str, np.ndarray]) -> None:
         self._drop_target_terms()
         for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(params[f"w{i}"], dtype=np.float64)
-            self.biases[i] = np.asarray(params[f"b{i}"], dtype=np.float64)
+            self.weights[i] = np.asarray(params[f"w{i}"], dtype=self.dtype)
+            self.biases[i] = np.asarray(params[f"b{i}"], dtype=self.dtype)
 
     def _drop_target_terms(self) -> None:
         """Forget the cached T·W_t rows and unlock the first layer."""
@@ -624,10 +659,10 @@ class CrossEncoderModel:
         self, blocks: PairBlocks, targets: sparse.csr_matrix, delta: np.ndarray
     ) -> np.ndarray:
         # np.zeros takes pages that are zero already; zeros_like writes them.
-        grad = np.zeros(self.weights[0].shape)
+        grad = np.zeros(self.weights[0].shape, dtype=self.dtype)
         g_s, g_t, g_m, g_r = self._blocks_of(grad)
         cols = blocks.columns
-        per_source = np.zeros((blocks.sources.shape[0], delta.shape[1]))
+        per_source = np.zeros((blocks.sources.shape[0], delta.shape[1]), dtype=self.dtype)
         np.add.at(per_source, blocks.source_of_pair, delta)
         g_s[cols] = blocks.sources.T @ per_source
         g_t[:] = targets.T @ delta
@@ -691,7 +726,7 @@ class CrossEncoderModel:
 
         def backward(grad_scores: np.ndarray) -> dict[str, np.ndarray]:
             grads: dict[str, np.ndarray] = {}
-            delta = np.asarray(grad_scores, dtype=np.float64).reshape(-1, 1)
+            delta = np.asarray(grad_scores, dtype=self.dtype).reshape(-1, 1)
             for layer in range(len(self.weights) - 1, 0, -1):
                 inputs = hidden[layer - 1]
                 grads[f"w{layer}"] = inputs.T @ delta
@@ -705,7 +740,8 @@ class CrossEncoderModel:
         return scores, backward
 
 
-_CHECKPOINT_VERSION = 1
+# Version 2: parameters of the recorded dtype (version 1 held float64 only).
+_CHECKPOINT_VERSION = 2
 
 
 def _model_meta(model) -> dict:
@@ -714,6 +750,7 @@ def _model_meta(model) -> dict:
         "version": _CHECKPOINT_VERSION,
         "ngram_sizes": list(NGRAM_SIZES),
         "seed": model.seed,
+        "dtype": model.dtype.name,
     }
     if isinstance(model, BiEncoderModel):
         meta["feature_dim"] = model.feature_dim
@@ -725,14 +762,15 @@ def _model_meta(model) -> dict:
 
 
 def params_checksum(model) -> str:
-    """Stable digest of architecture plus parameters, for provenance tags."""
+    """Stable digest of architecture plus parameters, for provenance tags:
+    the meta, which names the dtype, then each array's native bytes."""
     digest = hashlib.sha256()
     digest.update(json.dumps(_model_meta(model), sort_keys=True).encode("utf-8"))
     params = model.parameters()
     for name in sorted(params):
-        array = np.ascontiguousarray(params[name], dtype=np.float64)
+        array = np.ascontiguousarray(params[name])  # a copy only if strided
         digest.update(name.encode("utf-8"))
-        digest.update(array)  # the contiguous buffer itself, not a copy
+        digest.update(array)
     return digest.hexdigest()
 
 
@@ -743,7 +781,7 @@ def save_checkpoint(model, path) -> None:
 
 
 def load_checkpoint(path, featurizers: Featurizers | None = None):
-    """Load either encoder kind; rejects missing keys and version or
+    """Load either encoder kind; rejects missing keys, version, dtype or
     dimension mismatches.  ``featurizers`` is a run's table map, which the
     model reads its features from; without it the model has its own."""
     meta, arrays = read_npz(path)
@@ -759,6 +797,7 @@ def load_checkpoint(path, featurizers: Featurizers | None = None):
             f"{path}: n-gram sizes {meta.get('ngram_sizes')!r} differ from the"
             f" featurizer's {list(NGRAM_SIZES)}"
         )
+    require_dtype(path, meta, params, FLOAT_DTYPES)
     kind = meta.get("kind")
     if kind == BiEncoderModel.kind:
         require_keys(path, "checkpoint meta", meta, ("feature_dim", "embed_dim", "seed"))

@@ -161,6 +161,25 @@ def require_keys(
             raise FileFormatError(f"{path}: {what} has no {key!r}")
 
 
+def require_dtype(
+    path: os.PathLike | str,
+    meta: Mapping,
+    arrays: Mapping[str, np.ndarray],
+    allowed: Iterable[np.dtype],
+) -> None:
+    """Raise ``FileFormatError`` naming ``path`` when the meta of a
+    ``read_npz`` file records no dtype among ``allowed``, or one of
+    ``arrays`` is not of the recorded dtype."""
+    recorded = meta.get("dtype")
+    if recorded not in [np.dtype(d).name for d in allowed]:
+        raise FileFormatError(f"{path}: unsupported dtype {recorded!r}")
+    for name, array in arrays.items():
+        if array.dtype != recorded:
+            raise FileFormatError(
+                f"{path}: array {name!r} is {array.dtype.name}, the meta records {recorded}"
+            )
+
+
 def sha256_file(path: os.PathLike | str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -4,7 +4,9 @@ Brute-force cosine scan: at desk scale exactness is cheap and makes every
 downstream metric deterministic.  Entries are stored sorted by query_id,
 so a stable sort on descending similarity breaks ties by ascending id.
 Any accelerated backend added later must match this module on the same
-oracle tests.
+oracle tests.  The index keeps its embeddings' dtype (float32 from a
+model ``initialize`` made) and casts probes to it; ``index.npz`` records
+that dtype.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import params_checksum
-from .files import FileFormatError, read_npz, require_keys, write_npz
+from .encoders import FLOAT_DTYPES, params_checksum
+from .files import FileFormatError, read_npz, require_dtype, require_keys, write_npz
 
 _UNIT_TOL = 1e-6
-_INDEX_VERSION = 1
+# Version 2: embeddings of the recorded dtype (version 1 held float64 only).
+_INDEX_VERSION = 2
 
 
 class KnnIndex:
@@ -29,7 +32,11 @@ class KnnIndex:
         embeddings: np.ndarray,
         model_checksum: str | None = None,
     ) -> None:
-        embeddings = np.asarray(embeddings, dtype=np.float64)
+        embeddings = np.asarray(embeddings)
+        if embeddings.dtype not in FLOAT_DTYPES:
+            raise ValueError(
+                f"embeddings must be of {[d.name for d in FLOAT_DTYPES]}, got {embeddings.dtype}"
+            )
         if embeddings.ndim != 2 or len(query_ids) != embeddings.shape[0]:
             raise ValueError("need one embedding row per query id")
         if len(query_ids) == 0:
@@ -61,7 +68,7 @@ class KnnIndex:
         breaks ties by ascending position, which is ascending query_id."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        probes = np.asarray(probes, dtype=np.float64)
+        probes = np.asarray(probes, dtype=self.embeddings.dtype)
         if probes.ndim != 2 or probes.shape[1] != self.dim:
             raise ValueError(
                 f"probe dimension {probes.shape[-1]} does not match index dim {self.dim}"
@@ -97,19 +104,22 @@ def save_index(index: KnnIndex, path) -> None:
         "dim": index.dim,
         "count": len(index),
         "model_checksum": index.model_checksum,
+        "dtype": index.embeddings.dtype.name,
     }
     write_npz(path, meta, query_ids=np.array(index.query_ids), embeddings=index.embeddings)
 
 
 def load_index(path, expected_model_checksum: str | None = None) -> KnnIndex:
-    """Load an index; rejects missing keys and version, shape, or model mismatches."""
+    """Load an index; rejects missing keys and version, dtype, shape, or
+    model mismatches."""
     meta, arrays = read_npz(path)
     if meta.get("version") != _INDEX_VERSION:
         raise FileFormatError(f"{path}: unsupported index version {meta.get('version')!r}")
     require_keys(path, "index meta", meta, ("count", "dim"))
     require_keys(path, "index", arrays, ("query_ids", "embeddings"))
+    require_dtype(path, meta, {"embeddings": arrays["embeddings"]}, FLOAT_DTYPES)
     ids = [str(q) for q in arrays["query_ids"]]
-    embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
+    embeddings = arrays["embeddings"]
     if embeddings.shape != (meta["count"], meta["dim"]):
         raise FileFormatError(
             f"{path}: embedding block {embeddings.shape} does not match header "

@@ -139,7 +139,11 @@ class ReformulationResult:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    """The squashed scores in float64, whatever the model's dtype.  Under
+    NumPy 2 a Python float compared with a float32 array is rounded to
+    float32 first, so a float32 score just below the threshold could pass;
+    a threshold is chosen and applied on these float64 values."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def reformulate(
@@ -785,6 +789,9 @@ def _model_report(
     """
     queries = sorted(q for q in truth if truth[q])
     if model_id in RERANKER_IDS:
+        # Interned, the queries are hashed once per run's table, not once
+        # per re-ranker by the one-source scoring.
+        model.featurizer.ids(queries)
         scored_truth = {q: truth[q] for q in queries}
         scores: dict[str, dict[str, float]] = {}
         for query in queries:

@@ -29,9 +29,11 @@ _MASK = -1e30
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Rows per block of an Adam step: the six arrays of a 64-wide block take
-# 1.5 MB, which fits a 2 MB L2 cache.  Blocks of 1024 rows measured the same.
-ADAM_BLOCK_ROWS = 512
+# Rows per block of an Adam step: the six arrays of a 64-wide float32
+# block take 1.5 MB, which fits a 2 MB L2 cache.  On the cross-encoder's
+# float32 shapes a step took 7.3-8.4 ms with 1024 rows and 8.3-10.8 ms
+# with 512; 2048 rows (3 MB) measured 6.2-8.6 ms.
+ADAM_BLOCK_ROWS = 1024
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,22 +47,23 @@ class RetrievalExample:
     importance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetrievalBatch:
     """Anchor/positive pairs sharing one in-batch negative pool.
 
-    ``excluded`` lists (anchor index, positive index) entries dropped from
-    that anchor's softmax denominator: accidental positives, i.e. in-batch
-    candidates that are co-purchased with (or equal to) the anchor.  The
-    diagonal is never excluded.  ``hard_negatives`` optionally adds
-    per-anchor extra negatives to the pool (the ANCE augmentation).
+    ``excluded`` is a boolean (anchors, positives) mask: a true
+    ``[k, j]`` drops positive j from anchor k's softmax denominator, as an
+    accidental positive, i.e. an in-batch candidate that is co-purchased
+    with (or equal to) the anchor.  The diagonal is never excluded; None
+    excludes nothing.  ``hard_negatives`` optionally adds per-anchor extra
+    negatives to the pool (the ANCE augmentation).
     """
 
     anchors: tuple[str, ...]
     positives: tuple[str, ...]
     importances: tuple[float, ...]
     temperature: float
-    excluded: frozenset[tuple[int, int]] = frozenset()
+    excluded: np.ndarray | None = None
     hard_negatives: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
@@ -75,7 +78,11 @@ class RetrievalBatch:
             raise ValueError("hard_negatives must align with anchors")
         if any(not math.isfinite(i) for i in self.importances):
             raise ValueError("importances must be finite")
-        if any(k == j for k, j in self.excluded):
+        if self.excluded is None:
+            object.__setattr__(self, "excluded", np.zeros((n, n), dtype=bool))
+        if self.excluded.dtype != bool or self.excluded.shape != (n, n):
+            raise ValueError(f"excluded must be a boolean ({n}, {n}) mask")
+        if self.excluded.diagonal().any():
             raise ValueError("cannot exclude an anchor's own positive")
 
 
@@ -116,19 +123,20 @@ def loss_retrieval(
     anchors, positives, negatives = units[:n], units[n:2 * n], units[2 * n:]
     owned = anchors[owner]
 
+    # Everything below takes the embeddings' dtype; bincount sums in float64.
     tau = batch.temperature
     z = (anchors @ positives.T) / tau
-    for k, j in batch.excluded:
-        z[k, j] = _MASK
+    z[batch.excluded] = _MASK
     zh = np.einsum("ij,ij->i", owned, negatives) / tau
 
     row_max = z.max(axis=1)
     np.maximum.at(row_max, owner, zh)
     exp_z = np.exp(z - row_max[:, None])
     exp_h = np.exp(zh - row_max[owner])
-    denom = exp_z.sum(axis=1) + np.bincount(owner, weights=exp_h, minlength=n)
+    hard_sums = np.bincount(owner, weights=exp_h, minlength=n).astype(units.dtype, copy=False)
+    denom = exp_z.sum(axis=1) + hard_sums
     lse = row_max + np.log(denom)
-    weights = np.array(batch.importances)
+    weights = np.array(batch.importances, dtype=units.dtype)
     loss = float(np.sum(weights * (lse - np.diag(z))) / n)
 
     if not compute_grad:
@@ -237,6 +245,11 @@ class AdamOptimizer:
     ``ADAM_BETA2``, applied to the parameter arrays in place; lr 0 leaves
     parameters untouched.
 
+    It is built from the parameter arrays, and each parameter's moments
+    and scratch take that parameter's dtype, so a float32 model trains in
+    float32 throughout.  The hyper-parameters and bias corrections are
+    Python floats, which numpy applies in the array's dtype.
+
     A step cuts every parameter into blocks of ``ADAM_BLOCK_ROWS`` rows
     and runs the whole update on one block before the next, in the
     operation order of ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``,
@@ -250,28 +263,33 @@ class AdamOptimizer:
     expression; an error in either half is raised from ``step``.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple], learning_rate: float) -> None:
+    def __init__(self, params: Mapping[str, np.ndarray], learning_rate: float) -> None:
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.first = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
+        self.second = {name: np.zeros(p.shape, p.dtype) for name, p in params.items()}
         blocks = []
-        for name, shape in shapes.items():
-            rows = shape[0] if shape else 1
-            width = math.prod(shape[1:])
+        for name, p in params.items():
+            rows = p.shape[0] if p.shape else 1
+            row_bytes = math.prod(p.shape[1:]) * p.itemsize
             for start in range(0, rows, ADAM_BLOCK_ROWS):
                 # The last block's slice runs past the end, so a gradient
                 # with too many rows fails there, as on the whole array.
                 block = slice(start, start + ADAM_BLOCK_ROWS)
-                blocks.append((name, block, (min(rows, block.stop) - start) * width))
+                blocks.append((name, block, (min(rows, block.stop) - start) * row_bytes))
         half = sum(size for _, _, size in blocks) / 2
         split, done = 0, 0
         while split < len(blocks) and done < half:
             done += blocks[split][2]
             split += 1
+        # Scratch as bytes, viewed in each block's dtype.
         largest = max((size for _, _, size in blocks), default=0)
         self._halves = tuple(
-            ([(name, block) for name, block, _ in part], np.empty(largest), np.empty(largest))
+            (
+                [(name, block) for name, block, _ in part],
+                np.empty(largest, dtype=np.uint8),
+                np.empty(largest, dtype=np.uint8),
+            )
             for part in (blocks[:split], blocks[split:])
         )
 
@@ -305,8 +323,8 @@ class AdamOptimizer:
             grad = np.atleast_1d(grads[name])[rows]
             m = np.atleast_1d(self.first[name])[rows]
             v = np.atleast_1d(self.second[name])[rows]
-            a = scratch_a[: value.size].reshape(value.shape)
-            b = scratch_b[: value.size].reshape(value.shape)
+            a = scratch_a[: m.nbytes].view(m.dtype).reshape(m.shape)
+            b = scratch_b[: m.nbytes].view(m.dtype).reshape(m.shape)
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
             v *= ADAM_BETA2
@@ -352,14 +370,21 @@ def build_retrieval_batches(
         chunk = ordered[start:start + batch_size]
         anchors = tuple(e.anchor for e in chunk)
         positives = tuple(e.positive for e in chunk)
-        columns: dict[str, list[int]] = {}
-        for j, positive in enumerate(positives):
-            columns.setdefault(positive, []).append(j)
-        excluded = set()
+        # hit[k, t]: distinct positive text t is the anchor's own text or
+        # its kin; the mask reads each positive's text column.
+        text_of = {text: t for t, text in enumerate(dict.fromkeys(positives))}
+        hit_rows: list[int] = []
+        hit_cols: list[int] = []
         for k, anchor in enumerate(anchors):
-            texts = columns.keys() & kin.get(anchor, ())
-            texts.add(anchor)
-            excluded.update((k, j) for text in texts for j in columns.get(text, ()) if j != k)
+            texts = text_of.keys() & kin.get(anchor, ())
+            if anchor in text_of:
+                texts.add(anchor)
+            hit_rows.extend([k] * len(texts))
+            hit_cols.extend(map(text_of.__getitem__, texts))
+        hit = np.zeros((len(anchors), len(text_of)), dtype=bool)
+        hit[hit_rows, hit_cols] = True
+        excluded = hit[:, [text_of[p] for p in positives]]
+        np.fill_diagonal(excluded, False)
         negs: tuple[tuple[str, ...], ...] = ()
         if hard_negatives is not None:
             rows = []
@@ -382,7 +407,7 @@ def build_retrieval_batches(
                 positives=positives,
                 importances=tuple(e.importance for e in chunk),
                 temperature=temperature,
-                excluded=frozenset(excluded),
+                excluded=excluded,
                 hard_negatives=negs,
             )
         )
@@ -421,8 +446,7 @@ def train(
     if not train_data:
         raise ValueError("training data must be non-empty")
     rng = random.Random(config.seed)
-    shapes = {name: p.shape for name, p in model.parameters().items()}
-    optimizer = AdamOptimizer(shapes, config.learning_rate)
+    optimizer = AdamOptimizer(model.parameters(), config.learning_rate)
     result = TrainResult()
     if config.objective == OBJECTIVE_RETRIEVAL:
         loss_fn = loss_retrieval

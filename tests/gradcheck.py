@@ -1,8 +1,22 @@
-"""Central finite-difference gradient oracle shared by unit and acceptance tests."""
+"""Central finite-difference gradient oracle shared by unit and acceptance
+tests, and the float64 models it checks."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+
+from qreform import encoders
+
+
+def initialized(cls, dtype, *args, **kwargs):
+    """``cls.initialize(*args, **kwargs)`` with parameters of ``dtype``,
+    from the same draws.  A model computes in its parameters' dtype, so
+    the checks made at float64 precision build float64 models; those are
+    the models ``initialize`` made before it made float32."""
+    with mock.patch.object(encoders, "DTYPE", np.dtype(dtype)):
+        return cls.initialize(*args, **kwargs)
 
 
 def finite_difference_grads(model, loss_of_model, eps=1e-6):

@@ -29,7 +29,7 @@ def one_source_blocks(model, source, targets, source_digests=None):
     place[columns] = np.arange(len(columns))
     slots = place.take(t_cols)
     slots += np.repeat(np.arange(0, len(targets) * width, width), np.diff(t_ptr))
-    on_source = np.zeros((len(targets), width))
+    on_source = np.zeros((len(targets), width), dtype=t_counts.dtype)
     on_source.ravel()[slots] = t_counts
     on_source = on_source[:, :-1]
     surplus = counts - on_source

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from qreform import encoders, training
+from qreform import encoders, knn, training
 from qreform.files import FileFormatError
 from qreform.encoders import (
+    FLOAT_DTYPES,
     NGRAM_SIZES,
     BiEncoderModel,
     CrossEncoderModel,
@@ -22,9 +23,14 @@ from qreform.encoders import (
     params_checksum,
     save_checkpoint,
 )
-from tests.gradcheck import finite_difference_grads, max_relative_error
+from tests.gradcheck import finite_difference_grads, initialized, max_relative_error
 from tests.one_source_reference import one_source_blocks, one_source_scores
 from tests.per_occurrence_reference import embed_many_with_backward as per_occurrence
+
+# Each bit-for-bit invariant holds in float32, the dtype ``initialize``
+# makes, and in float64, the dtype of the gradient checks; a property
+# test draws the dtype as one more input.
+DTYPES = st.sampled_from(FLOAT_DTYPES)
 
 TEXTS = st.text(
     alphabet=st.sampled_from("abcdef マスク"), min_size=1, max_size=12
@@ -85,9 +91,9 @@ def assembled_matrix(feature_dim, texts):
         buckets = reference_featurize(text, feature_dim)
         indices = np.array(sorted(buckets), dtype=np.int32)
         index_parts.append(indices)
-        value_parts.append(np.array([buckets[b] for b in indices], dtype=np.float64))
+        value_parts.append(np.array([buckets[b] for b in indices], dtype=np.float32))
         indptr[i + 1] = indptr[i] + len(indices)
-    data = np.concatenate(value_parts) if value_parts else np.zeros(0)
+    data = np.concatenate(value_parts) if value_parts else np.zeros(0, dtype=np.float32)
     cols = np.concatenate(index_parts) if index_parts else np.zeros(0, dtype=np.int32)
     return sparse.csr_matrix((data, cols, indptr), shape=(len(texts), feature_dim))
 
@@ -163,7 +169,7 @@ def test_digest_split_keeps_every_bucket(text, feature_dim):
     feat = Featurizer(feature_dim)
     for _ in range(2):  # not stored, then stored
         indices, counts = feat.row(text)
-        assert indices.dtype == np.int32 and counts.dtype == np.float64
+        assert indices.dtype == np.int32 and counts.dtype == np.float32
         assert indices.tolist() == order
         assert counts.tolist() == [want[b] for b in order]
         feat.ids([text])
@@ -179,16 +185,23 @@ def test_bi_encoder_unit_norm():
 
 
 @settings(max_examples=60, deadline=None)
-@given(TEXTS)
-def test_bi_encoder_norm_invariant_fuzz(text):
-    model = BiEncoderModel.initialize(1 << 10, 8, seed=1)
-    assert np.linalg.norm(model.embed(text)) == pytest.approx(1.0, abs=1e-12)
+@given(TEXTS, st.sampled_from([(np.float64, 1e-12), (np.float32, knn._UNIT_TOL)]))
+def test_bi_encoder_norm_invariant_fuzz(text, dtype_and_tolerance):
+    # A float32 embedding must pass the index's unit-norm check.
+    dtype, tolerance = dtype_and_tolerance
+    model = initialized(BiEncoderModel, dtype, 1 << 10, 8, seed=1)
+    assert np.linalg.norm(model.embed(text)) == pytest.approx(1.0, abs=tolerance)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.text(min_size=1, max_size=24), SERVED_TEXTS), st.integers(1, 9), st.integers(0, 3))
-def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
-    model = BiEncoderModel.initialize(1 << 8, embed_dim, seed=seed)
+@given(
+    st.one_of(st.text(min_size=1, max_size=24), SERVED_TEXTS),
+    st.integers(1, 9),
+    st.integers(0, 3),
+    DTYPES,
+)
+def test_embed_equals_embed_many_bitwise(text, embed_dim, seed, dtype):
+    model = initialized(BiEncoderModel, dtype, 1 << 8, embed_dim, seed=seed)
     digests = encoders._ngram_digests(text)
     one = model.embed(text)  # from features the table does not keep
     assert model.embed(text, digests=digests).tobytes() == one.tobytes()
@@ -196,6 +209,7 @@ def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
     assert one.tobytes() == model.embed_many([text])[0].tobytes()
     assert model.embed(text).tobytes() == one.tobytes()  # now from the table
     assert model.embed(text, digests=digests).tobytes() == one.tobytes()
+    assert one.dtype == dtype
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,13 +217,14 @@ def test_embed_equals_embed_many_bitwise(text, embed_dim, seed):
     st.lists(st.sampled_from(["mask", "red mask", "マスク", "mask", "towel x"]), min_size=1,
              max_size=30),
     st.integers(0, 3),
+    DTYPES,
 )
-def test_repeated_texts_embed_and_backpropagate_as_each_occurrence(texts, seed):
-    model = BiEncoderModel.initialize(1 << 8, 6, seed=seed)
+def test_repeated_texts_embed_and_backpropagate_as_each_occurrence(texts, seed, dtype):
+    model = initialized(BiEncoderModel, dtype, 1 << 8, 6, seed=seed)
     units, backward = model.embed_many_with_backward(texts)
     want_units, want_backward = per_occurrence(model, texts)
-    assert units.tobytes() == want_units.tobytes()
-    grad_units = np.random.default_rng(seed).normal(size=units.shape)
+    assert units.dtype == dtype and units.tobytes() == want_units.tobytes()
+    grad_units = np.random.default_rng(seed).normal(size=units.shape).astype(dtype)
     grads, want = backward(grad_units), want_backward(grad_units)
     assert grads.keys() == want.keys()
     assert grads["projection"].tobytes() == want["projection"].tobytes()
@@ -234,7 +249,7 @@ def test_a_degenerate_text_is_named_first_in_batch_order():
 
 
 def test_bi_encoder_similarity_is_cosine():
-    model = BiEncoderModel.initialize(1 << 12, 16, seed=0)
+    model = initialized(BiEncoderModel, np.float64, 1 << 12, 16, seed=0)
     units = model.embed_many(["red mask", "red masks"])
     raw = model.featurizer.matrix(["red mask", "red masks"]) @ model.projection
     cosine = raw[0] @ raw[1] / (np.linalg.norm(raw[0]) * np.linalg.norm(raw[1]))
@@ -314,7 +329,7 @@ SEVERAL_SOURCES = st.lists(st.tuples(TEXTS, TEXTS), min_size=1, max_size=12).fil
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(ONE_SOURCE, SEVERAL_SOURCES), st.integers(0, 3))
 def test_block_form_matches_hstacked_joint_matrix(pairs, seed):
-    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
+    model = initialized(CrossEncoderModel, np.float64, 1 << 6, (8, 4), seed=seed)
     grad_scores = np.random.default_rng(seed).standard_normal(len(pairs))
     scores, backward = model.score_many_with_backward(pairs)
     want, want_grad_w0 = reference_forward(model, pairs)
@@ -332,11 +347,12 @@ def one_source_calls(draw):
 
 
 # "ab" and "xy" share no bucket at feature_dim 1 << 6.
-@example(pairs=[("ab", "xy"), ("ab", "ab"), ("ab", "xy"), ("ab", "ab b")], seed=0)
+@example(pairs=[("ab", "xy"), ("ab", "ab"), ("ab", "xy"), ("ab", "ab b")], seed=0, dtype=np.float32)
+@example(pairs=[("ab", "xy"), ("ab", "ab"), ("ab", "xy"), ("ab", "ab b")], seed=0, dtype=np.float64)
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3))
-def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed):
-    model = CrossEncoderModel.initialize(1 << 6, (8, 4), seed=seed)
+@given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3), DTYPES)
+def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed, dtype):
+    model = initialized(CrossEncoderModel, dtype, 1 << 6, (8, 4), seed=seed)
     # A source that is also a target is read from the table, any other
     # from its digests.
     source_digests = encoders._ngram_digests(pairs[0][0])
@@ -346,6 +362,7 @@ def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed):
         source_digests = None
     first = model.score_many(pairs, source_digests=source_digests)  # fills the T·W_t cache
     fresh, _ = model.score_many_with_backward(pairs)
+    assert first.dtype == fresh.dtype == dtype
     if source_digests is not None:
         # One source: the path before row-id scoring, T·W_t fresh.
         want = one_source_scores(model, pairs[0][0], [t for _, t in pairs])
@@ -432,7 +449,7 @@ def test_cached_scores_follow_a_training_step(pairs, seed):
     ids=["one-source", "several-sources"],
 )
 def test_first_layer_gradient_matches_finite_differences(pairs):
-    model = CrossEncoderModel.initialize(1 << 4, (3,), seed=5)
+    model = initialized(CrossEncoderModel, np.float64, 1 << 4, (3,), seed=5)
     weights = np.random.default_rng(5).standard_normal(len(pairs))
     _, backward = model.score_many_with_backward(pairs)
     grads = backward(weights)
@@ -506,22 +523,25 @@ def test_checkpoint_rejects_other_ngram_sizes(tmp_path):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_params_checksum_hashes_each_array_as_its_bytes(order):
-    model = BiEncoderModel(
-        np.asarray(np.random.default_rng(0).standard_normal((16, 3)), order=order)
-    )
-    assert model.projection.flags.c_contiguous == (order == "C")
-    digest = hashlib.sha256()
-    digest.update(json.dumps(encoders._model_meta(model), sort_keys=True).encode("utf-8"))
-    digest.update(b"projection")
-    digest.update(np.ascontiguousarray(model.projection, dtype=np.float64).tobytes())
-    assert params_checksum(model) == digest.hexdigest()
-    cross = CrossEncoderModel.initialize(1 << 4, (3,), seed=1)
-    digest = hashlib.sha256()
-    digest.update(json.dumps(encoders._model_meta(cross), sort_keys=True).encode("utf-8"))
-    for name, array in sorted(cross.parameters().items()):
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
-    assert params_checksum(cross) == digest.hexdigest()
+    for dtype in FLOAT_DTYPES:
+        model = BiEncoderModel(
+            np.asarray(np.random.default_rng(0).standard_normal((16, 3)), dtype=dtype, order=order)
+        )
+        assert model.projection.flags.c_contiguous == (order == "C")
+        meta = encoders._model_meta(model)
+        assert meta["dtype"] == np.dtype(dtype).name
+        digest = hashlib.sha256()
+        digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
+        digest.update(b"projection")
+        digest.update(np.ascontiguousarray(model.projection).tobytes())
+        assert params_checksum(model) == digest.hexdigest()
+        cross = initialized(CrossEncoderModel, dtype, 1 << 4, (3,), seed=1)
+        digest = hashlib.sha256()
+        digest.update(json.dumps(encoders._model_meta(cross), sort_keys=True).encode("utf-8"))
+        for name, array in sorted(cross.parameters().items()):
+            digest.update(name.encode("utf-8"))
+            digest.update(array.tobytes())
+        assert params_checksum(cross) == digest.hexdigest()
 
 
 def test_checkpoint_checksum_tracks_parameters(tmp_path):
@@ -531,3 +551,66 @@ def test_checkpoint_checksum_tracks_parameters(tmp_path):
     params["projection"] = params["projection"] + 1e-6
     model.set_parameters(params)
     assert params_checksum(model) != before
+
+
+def rewrite_npz(path, change):
+    """Rewrite a ``write_npz`` file after ``change(meta, arrays)``."""
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(arrays.pop("meta").tobytes())
+    change(meta, arrays)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def as_version_1(meta, arrays):
+    """A version 1 file: float64 arrays and no recorded dtype."""
+    meta["version"] = 1
+    del meta["dtype"]
+    for name in [n for n in arrays if arrays[n].dtype.kind == "f"]:
+        arrays[name] = arrays[name].astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [BiEncoderModel.initialize(1 << 6, 4, seed=0), CrossEncoderModel.initialize(1 << 5, (3,))],
+    ids=["bi", "cross"],
+)
+def test_checkpoint_rejects_version_1_and_arrays_of_another_dtype(tmp_path, model):
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as blob:
+        assert {blob[k].dtype for k in blob.files if k != "meta"} == {np.dtype(np.float32)}
+        assert json.loads(blob["meta"].tobytes())["dtype"] == "float32"
+    rewrite_npz(path, as_version_1)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+    save_checkpoint(model, path)
+    name = next(iter(model.parameters()))
+
+    def widen_one(meta, arrays):
+        arrays[f"param_{name}"] = arrays[f"param_{name}"].astype(np.float64)
+
+    rewrite_npz(path, widen_one)
+    with pytest.raises(
+        FileFormatError,
+        match=f"{re.escape(str(path))}: array '{name}' is float64, the meta records float32",
+    ):
+        load_checkpoint(path)
+
+
+def test_a_float64_checkpoint_loads_as_float64(tmp_path):
+    model = initialized(CrossEncoderModel, np.float64, 1 << 5, (3,), seed=2)
+    path = tmp_path / "cross.npz"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.dtype == np.float64 and params_checksum(loaded) == params_checksum(model)
+
+
+def test_a_model_takes_one_float_dtype():
+    with pytest.raises(ValueError, match="one dtype"):
+        BiEncoderModel(np.zeros((4, 2), dtype=np.int64))
+    weights = [np.zeros((4, 3), dtype=np.float32), np.zeros((3, 1))]
+    with pytest.raises(ValueError, match="one dtype"):
+        CrossEncoderModel(weights, [np.zeros(3, dtype=np.float32), np.zeros(1)], 1)

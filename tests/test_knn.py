@@ -1,5 +1,8 @@
 """Exact KNN index against a brute-force oracle."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -123,3 +126,50 @@ def test_top_k_gives_the_positions_and_similarities_of_the_hits():
     hits = index.knn(probes[0], 6)
     assert [index.query_ids[p] for p in one_positions[0]] == [q for q, _ in hits]
     assert one_sims[0].tolist() == [s for _, s in hits]
+
+
+def test_index_rejects_version_1_and_embeddings_of_another_dtype(tmp_path):
+    model = BiEncoderModel.initialize(1 << 10, 8, seed=0)
+    index = build_index(model, ["red mask", "blue towel"])
+    assert index.embeddings.dtype == np.float32
+    path = tmp_path / "index.npz"
+
+    def rewritten(change):
+        save_index(index, path)
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(arrays["meta"].tobytes())
+        assert meta["dtype"] == "float32"
+        change(meta, arrays)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    def version_1(meta, arrays):
+        meta["version"] = 1
+        del meta["dtype"]
+        arrays["embeddings"] = arrays["embeddings"].astype(np.float64)
+
+    rewritten(version_1)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: unsupported index version 1"):
+        load_index(path)
+
+    def widened(meta, arrays):
+        arrays["embeddings"] = arrays["embeddings"].astype(np.float64)
+
+    rewritten(widened)
+    with pytest.raises(
+        FileFormatError,
+        match=f"{re.escape(str(path))}: array 'embeddings' is float64, the meta records float32",
+    ):
+        load_index(path)
+
+
+def test_probes_are_ranked_in_the_index_dtype():
+    rng = np.random.default_rng(4)
+    emb = unit_rows(rng, 6, 5).astype(np.float32)
+    index = KnnIndex([f"q{i}" for i in range(6)], emb)
+    probe = unit_rows(rng, 1, 5)
+    positions, sims = index.top_k(probe, 3)
+    assert sims.dtype == np.float32
+    want = (probe.astype(np.float32) @ emb.T)[0]
+    assert sims[0].tolist() == np.sort(want)[::-1][:3].tolist()

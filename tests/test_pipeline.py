@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import qreform
-from qreform import encoders, pipeline
+from qreform import encoders, pipeline, training
 from qreform.ance import load_hard_negatives
 from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus, rich_queries
 from qreform.encoders import load_checkpoint, params_checksum
@@ -603,17 +603,16 @@ def test_serving_memory_is_bounded(tiny_run):
 
 
 def test_a_run_interns_each_text_once_per_feature_dim(tmp_path, monkeypatch):
-    # ``featurize`` hashes a text into a table.  The one-source scoring of
-    # a query the re-ranker's table lacks (in the evaluate stage) hashes it
-    # without storing it, so that query is hashed again by the next model.
+    # ``_bucket_counts`` hashes every text, whether ``featurize`` interns it
+    # in a table or a one-source scoring reads a source the table lacks.
     hashed = collections.Counter()
-    featurize = encoders.featurize
+    bucket_counts = encoders._bucket_counts
 
-    def counted(text, feature_dim):
+    def counted(text, feature_dim, digests=None):
         hashed[text, feature_dim] += 1
-        return featurize(text, feature_dim)
+        return bucket_counts(text, feature_dim, digests)
 
-    monkeypatch.setattr(encoders, "featurize", counted)
+    monkeypatch.setattr(encoders, "_bucket_counts", counted)
     config = tiny_config(tmp_path / "run")
     run_pipeline(config)
     assert {dim for _, dim in hashed} == {config.bi_feature_dim, config.cross_feature_dim}
@@ -671,6 +670,60 @@ def test_reformulate_breaks_score_ties_by_id(tiny_run):
     nearest = retrieved[:20]  # the query itself, similarity 1, fills the 21st place
     result = reformulate(query, bi_encoder, index, cross_encoder, top_k=21, threshold=0.5, n_max=6)
     assert [q for q, _ in result.targets] == sorted(nearest)[:6]
+
+
+def test_a_score_that_rounds_onto_the_threshold_in_float32_is_judged_in_float64(tiny_run):
+    bi_encoder, index, trained = _serving_models(*tiny_run)
+    # A zero last layer and a last bias b score every pair b exactly.
+    bias = np.float32(0.25)
+    cross_encoder = encoders.CrossEncoderModel(
+        [w.copy() for w in trained.weights[:-1]] + [np.zeros_like(trained.weights[-1])],
+        [b.copy() for b in trained.biases[:-1]] + [np.full_like(trained.biases[-1], bias)],
+        trained.feature_dim,
+    )
+    score = 1.0 / (1.0 + math.exp(-float(bias)))
+    above = float(np.nextafter(score, 1.0))
+    # In float32 the score reaches the threshold just above it.
+    assert (1.0 / (1.0 + np.exp(-np.array([bias]))) >= above).all()
+    query = index.query_ids[0]
+    kept = reformulate(query, bi_encoder, index, cross_encoder, top_k=5, threshold=score)
+    assert [s for _, s in kept.targets] == [score] * 4
+    missed = reformulate(query, bi_encoder, index, cross_encoder, top_k=5, threshold=above)
+    assert missed.targets == ()
+
+
+def test_a_run_keeps_its_training_and_serving_state_in_float32(tmp_path, monkeypatch):
+    seen = collections.defaultdict(set)
+    step = training.AdamOptimizer.step
+    forward = encoders.BiEncoderModel.embed_many_with_backward
+
+    def spied_step(self, params, grads):
+        for name, kind in (("parameter", params), ("gradient", grads),
+                           ("first moment", self.first), ("second moment", self.second)):
+            seen[name].update(array.dtype for array in kind.values())
+        step(self, params, grads)
+
+    def spied_forward(self, texts):
+        units, backward = forward(self, texts)
+        seen["embedding"].add(units.dtype)
+        return units, backward
+
+    monkeypatch.setattr(training.AdamOptimizer, "step", spied_step)
+    monkeypatch.setattr(encoders.BiEncoderModel, "embed_many_with_backward", spied_forward)
+    config = tiny_config(tmp_path / "run")
+    run_pipeline(config)
+    paths = PipelinePaths(config.out_dir)
+    for model_id in pipeline.model_ids(config.ance_rounds):
+        model = load_checkpoint(paths.checkpoint(model_id))
+        seen["checkpoint"].update(array.dtype for array in model.parameters().values())
+    state = load_serving_state(config)
+    seen["index"].add(state.index.embeddings.dtype)
+    seen["probe"].add(state.bi_encoder.embed("a query no run has").dtype)
+    assert set(seen) == {
+        "parameter", "gradient", "first moment", "second moment", "embedding",
+        "checkpoint", "index", "probe",
+    }
+    assert {name: kinds for name, kinds in seen.items() if kinds != {np.dtype(np.float32)}} == {}
 
 
 def test_tail_reformulation_rate_computable(tiny_run):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreform.corpus import canonical_pair
-from qreform.encoders import BiEncoderModel, CrossEncoderModel, Featurizer
+from qreform.encoders import FLOAT_DTYPES, BiEncoderModel, CrossEncoderModel, Featurizer
 from qreform.files import read_tsv
 from qreform.training import (
     ADAM_BETA1,
@@ -34,15 +34,23 @@ from qreform.training import (
     save_trace,
     train,
 )
-from tests.gradcheck import finite_difference_grads, max_relative_error
+from tests.gradcheck import finite_difference_grads, initialized, max_relative_error
 
 
-def bi_model(seed=0):
-    return BiEncoderModel.initialize(1 << 7, 6, seed=seed)
+def bi_model(seed=0, dtype=np.float32):
+    return initialized(BiEncoderModel, dtype, 1 << 7, 6, seed=seed)
 
 
-def cross_model(seed=0):
-    return CrossEncoderModel.initialize(1 << 7, (8, 4), seed=seed)
+def cross_model(seed=0, dtype=np.float32):
+    return initialized(CrossEncoderModel, dtype, 1 << 7, (8, 4), seed=seed)
+
+
+def exclusion_mask(n, pairs):
+    """The boolean (n, n) mask with the given (anchor, positive) cells set."""
+    mask = np.zeros((n, n), dtype=bool)
+    for k, j in pairs:
+        mask[k, j] = True
+    return mask
 
 
 # --- weighted infoNCE values ---
@@ -55,7 +63,7 @@ def test_infonce_uniform_batch_is_ln_n():
         importances=(1.0, 1.0, 1.0, 1.0),
         temperature=0.05,
     )
-    loss, _ = loss_retrieval(bi_model(), batch)
+    loss, _ = loss_retrieval(bi_model(dtype=np.float64), batch)
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -90,7 +98,7 @@ def test_infonce_linear_in_importances():
 def test_infonce_exclusion_masks_accidental_positive():
     # Anchor 0's pool contains positive 1, an accidental positive; once
     # excluded, the loss must equal the two-candidate computation by hand.
-    model = bi_model()
+    model = bi_model(dtype=np.float64)
     anchors = ("a b", "zz")
     positives = ("a c", "a b x")
     masked, _ = loss_retrieval(
@@ -100,7 +108,7 @@ def test_infonce_exclusion_masks_accidental_positive():
             positives=positives,
             importances=(1.0, 0.0),
             temperature=0.07,
-            excluded=frozenset({(0, 1)}),
+            excluded=exclusion_mask(2, [(0, 1)]),
         ),
     )
     z00 = float(model.embed(anchors[0]) @ model.embed(positives[0])) / 0.07
@@ -141,7 +149,7 @@ def reference_loss_retrieval(model, batch):
 
     tau = batch.temperature
     z = (anchors @ positives.T) / tau
-    for k, j in batch.excluded:
+    for k, j in np.argwhere(batch.excluded):
         z[k, j] = -1e30
     if has_negs:
         zh = (anchors @ negatives.T) / tau
@@ -163,7 +171,7 @@ def reference_loss_retrieval(model, batch):
     g_full = coeff * probs
     g_z = g_full[:, :n].copy()
     g_z[np.arange(n), np.arange(n)] -= coeff[:, 0]
-    for k, j in batch.excluded:
+    for k, j in np.argwhere(batch.excluded):
         g_z[k, j] = 0.0
 
     grad_anchors = (g_z @ positives) / tau
@@ -200,7 +208,7 @@ def retrieval_batches(draw, cap=3):
         positives=tuple(positives),
         importances=tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))),
         temperature=draw(st.floats(0.02, 1.0)),
-        excluded=frozenset(excluded),
+        excluded=exclusion_mask(n, excluded),
         hard_negatives=hard,
     )
 
@@ -208,7 +216,7 @@ def retrieval_batches(draw, cap=3):
 @settings(max_examples=150, deadline=None)
 @given(retrieval_batches(), st.integers(0, 3))
 def test_retrieval_loss_matches_masked_dense_reference(batch, seed):
-    model = bi_model(seed)
+    model = bi_model(seed, np.float64)
     loss, grads = loss_retrieval(model, batch)
     want_loss, want_grads = reference_loss_retrieval(model, batch)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
@@ -318,13 +326,13 @@ def test_circle_monotone_in_positive_score():
 
 
 def test_retrieval_gradient_matches_finite_differences():
-    model = bi_model(seed=2)
+    model = bi_model(seed=2, dtype=np.float64)
     batch = RetrievalBatch(
         anchors=("a b", "c d", "e f"),
         positives=("a c", "c e", "a b"),
         importances=(0.9, 0.4, 0.7),
         temperature=0.08,
-        excluded=frozenset({(2, 0)}),
+        excluded=exclusion_mask(3, [(2, 0)]),
         hard_negatives=(("x y",), (), ("z w", "w v")),
     )
     _, grads = loss_retrieval(model, batch)
@@ -335,7 +343,7 @@ def test_retrieval_gradient_matches_finite_differences():
 
 
 def test_pointwise_gradient_matches_finite_differences():
-    model = cross_model(seed=3)
+    model = cross_model(seed=3, dtype=np.float64)
     pairs = [("a b", "c d", 0.2), ("c d", "e f", 0.8), ("e f", "a b", 0.5)]
     _, grads = loss_rerank_pointwise(model, pairs)
     numeric = finite_difference_grads(
@@ -345,7 +353,7 @@ def test_pointwise_gradient_matches_finite_differences():
 
 
 def test_circle_gradient_matches_finite_differences():
-    model = cross_model(seed=4)
+    model = cross_model(seed=4, dtype=np.float64)
     batches = [
         RerankBatch("q a", (("p b", 0.9), ("p c", 0.4)), ("n d", "n e")),
         RerankBatch("q f", (("p g", 0.7),), ("n h",)),
@@ -369,7 +377,7 @@ def test_build_batches_excludes_copurchased_candidates():
         examples, 8, 0.05, kin={"a": {"d"}, "d": {"a"}}
     )
     assert len(batches) == 1
-    assert (0, 1) in batches[0].excluded
+    assert batches[0].excluded[0, 1]
 
 
 def test_build_batches_exclusion_matches_pairwise_scan():
@@ -391,7 +399,50 @@ def test_build_batches_exclusion_matches_pairwise_scan():
             for j, positive in enumerate(batch.positives)
             if j != k and (positive == anchor or canonical_pair(anchor, positive) in pairs)
         }
-        assert batch.excluded == expected
+        assert {(k, j) for k, j in np.argwhere(batch.excluded).tolist()} == expected
+
+
+def reference_exclusions(anchors, positives, kin):
+    """Reference: the (anchor, positive) index pairs the batch builder
+    made before it built a mask, one tuple per excluded cell."""
+    columns = {}
+    for j, positive in enumerate(positives):
+        columns.setdefault(positive, []).append(j)
+    excluded = set()
+    for k, anchor in enumerate(anchors):
+        texts = columns.keys() & kin.get(anchor, ())
+        texts.add(anchor)
+        excluded.update((k, j) for text in texts for j in columns.get(text, ()) if j != k)
+    return excluded
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(RETRIEVAL_TEXTS, RETRIEVAL_TEXTS), min_size=1, max_size=20),
+    st.sets(st.tuples(RETRIEVAL_TEXTS, RETRIEVAL_TEXTS)),
+    st.integers(1, 8),
+)
+def test_exclusion_mask_equals_the_set_of_excluded_cells(pairs, links, batch_size):
+    kin = {}
+    for a, b in links:
+        kin.setdefault(a, set()).add(b)
+        kin.setdefault(b, set()).add(a)
+    examples = [RetrievalExample(a, p, 1.0) for a, p in pairs]
+    for batch in build_retrieval_batches(examples, batch_size, 0.05, kin):
+        n = len(batch.anchors)
+        assert batch.excluded.dtype == bool and batch.excluded.shape == (n, n)
+        want = reference_exclusions(batch.anchors, batch.positives, kin)
+        assert {(k, j) for k, j in np.argwhere(batch.excluded).tolist()} == want
+
+
+def test_batch_rejects_a_malformed_exclusion_mask():
+    kwargs = dict(anchors=("a", "b"), positives=("c", "d"), importances=(1.0, 1.0), temperature=0.1)
+    with pytest.raises(ValueError, match="own positive"):
+        RetrievalBatch(excluded=exclusion_mask(2, [(1, 1)]), **kwargs)
+    for bad in (np.zeros((2, 3), dtype=bool), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="boolean"):
+            RetrievalBatch(excluded=bad, **kwargs)
+    assert not RetrievalBatch(**kwargs).excluded.any()
 
 
 def test_build_batches_excludes_equal_texts():
@@ -400,7 +451,7 @@ def test_build_batches_excludes_equal_texts():
         RetrievalExample("c", "a", 1.0),
     ]
     batches = build_retrieval_batches(examples, 8, 0.05, {})
-    assert (0, 1) in batches[0].excluded
+    assert batches[0].excluded[0, 1]
 
 
 def test_build_batches_caps_hard_negatives():
@@ -422,8 +473,8 @@ def test_build_batches_chunking():
 
 
 def test_adam_moves_against_gradient():
-    opt = AdamOptimizer({"w": (2,)}, learning_rate=0.1)
     params = {"w": np.array([1.0, -1.0])}
+    opt = AdamOptimizer(params, learning_rate=0.1)
     grads = {"w": np.array([1.0, -1.0])}
     opt.step(params, grads)
     assert params["w"][0] < 1.0
@@ -432,40 +483,43 @@ def test_adam_moves_against_gradient():
 
 def test_adam_step_rounds_like_the_expression_form():
     # Reference: the textbook update as one expression per moment.
-    rng = np.random.default_rng(0)
-    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-    opt = AdamOptimizer({"w": (64, 8), "b": (8,)}, learning_rate=lr)
-    params = {"w": rng.standard_normal((64, 8)), "b": rng.standard_normal(8)}
-    ref = {name: value.copy() for name, value in params.items()}
-    m = {name: np.zeros_like(value) for name, value in params.items()}
-    v = {name: np.zeros_like(value) for name, value in params.items()}
-    for t in range(1, 21):
-        w_grad = rng.standard_normal((64, 8)) * (rng.random((64, 1)) < 0.3)
-        grads = {"w": w_grad, "b": rng.standard_normal(8)}
-        opt.step(params, grads)
-        for name, grad in grads.items():
-            m[name] = b1 * m[name] + (1.0 - b1) * grad
-            v[name] = b2 * v[name] + (1.0 - b2) * grad**2
-            ref[name] = ref[name] - lr * (m[name] / (1.0 - b1**t)) / (
-                np.sqrt(v[name] / (1.0 - b2**t)) + eps
-            )
-    for name in params:
-        assert np.array_equal(params[name], ref[name])
-        assert np.array_equal(opt.first[name], m[name])
-        assert np.array_equal(opt.second[name], v[name])
+    for dtype in FLOAT_DTYPES:
+        rng = np.random.default_rng(0)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        params = {"w": rng.standard_normal((64, 8)), "b": rng.standard_normal(8)}
+        params = {name: value.astype(dtype) for name, value in params.items()}
+        opt = AdamOptimizer(params, learning_rate=lr)
+        ref = {name: value.copy() for name, value in params.items()}
+        m = {name: np.zeros_like(value) for name, value in params.items()}
+        v = {name: np.zeros_like(value) for name, value in params.items()}
+        for t in range(1, 21):
+            w_grad = rng.standard_normal((64, 8)) * (rng.random((64, 1)) < 0.3)
+            grads = {"w": w_grad.astype(dtype), "b": rng.standard_normal(8).astype(dtype)}
+            opt.step(params, grads)
+            for name, grad in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * grad
+                v[name] = b2 * v[name] + (1.0 - b2) * grad**2
+                ref[name] = ref[name] - lr * (m[name] / (1.0 - b1**t)) / (
+                    np.sqrt(v[name] / (1.0 - b2**t)) + eps
+                )
+        for name in params:
+            assert params[name].dtype == opt.first[name].dtype == opt.second[name].dtype == dtype
+            assert np.array_equal(params[name], ref[name])
+            assert np.array_equal(opt.first[name], m[name])
+            assert np.array_equal(opt.second[name], v[name])
 
 
 class WholeArrayAdam:
     """The reference step: the same operations as ``AdamOptimizer.step``,
     in the same order, each over whole arrays in one thread."""
 
-    def __init__(self, shapes, learning_rate):
+    def __init__(self, params, learning_rate):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.first = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.second = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.first = {name: np.zeros_like(p) for name, p in params.items()}
+        self.second = {name: np.zeros_like(p) for name, p in params.items()}
         self._scratch = {
-            name: (np.empty(shape), np.empty(shape)) for name, shape in shapes.items()
+            name: (np.empty_like(p), np.empty_like(p)) for name, p in params.items()
         }
 
     def step(self, params, grads):
@@ -513,15 +567,15 @@ def adam_runs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(adam_runs())
-def test_adam_step_is_bit_identical_to_the_whole_array_step(run):
+@given(adam_runs(), st.sampled_from(FLOAT_DTYPES))
+def test_adam_step_is_bit_identical_to_the_whole_array_step(run, dtype):
     shapes, learning_rate, steps, seed = run
     rng = np.random.default_rng(seed)
-    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
     ref_params = {name: value.copy() for name, value in params.items()}
     initial = {name: value.copy() for name, value in params.items()}
-    opt = AdamOptimizer(shapes, learning_rate)
-    ref = WholeArrayAdam(shapes, learning_rate)
+    opt = AdamOptimizer(params, learning_rate)
+    ref = WholeArrayAdam(params, learning_rate)
     for _ in range(steps):
         grads = {}
         for name, shape in shapes.items():
@@ -530,7 +584,7 @@ def test_adam_step_is_bit_identical_to_the_whole_array_step(run):
                 # All-zero rows, as in a batch that touches few hashed buckets.
                 keep = rng.random(shape[0]) < 0.3
                 grad *= keep.reshape(-1, *([1] * (len(shape) - 1)))
-            grads[name] = grad
+            grads[name] = np.asarray(grad, dtype=dtype)
         opt.step(params, grads)
         ref.step(ref_params, grads)
     for name in shapes:
@@ -550,11 +604,11 @@ def test_adam_step_raises_an_error_from_either_half(grad_shape):
     # The helper thread updates the trailing blocks, so a gradient one row
     # short or long fails in its half alone; a wrong width fails in both.
     shape = (3 * ADAM_BLOCK_ROWS + 5, 2)
-    opt = AdamOptimizer({"w": shape}, learning_rate=0.1)
-    params = {"w": np.zeros(shape)}
+    params = {"w": np.zeros(shape, dtype=np.float32)}
+    opt = AdamOptimizer(params, learning_rate=0.1)
     threads = threading.active_count()
     with pytest.raises(ValueError):
-        opt.step(params, {"w": np.ones(grad_shape)})
+        opt.step(params, {"w": np.ones(grad_shape, dtype=np.float32)})
     assert threading.active_count() == threads
     if grad_shape[1] == shape[1]:
         # The calling thread's half completed before the error surfaced.
@@ -564,38 +618,43 @@ def test_adam_step_raises_an_error_from_either_half(grad_shape):
 def test_adam_steps_from_more_threads_than_cores_stay_bit_identical():
     # Four callers, each with its own optimizer, step at once under a short
     # switch interval; a lost or misplaced block update breaks equality.
-    shapes = {"w": (2 * ADAM_BLOCK_ROWS + 3, 4), "b": (4,)}
-    rng = np.random.default_rng(3)
-    starts = [{n: rng.standard_normal(s) for n, s in shapes.items()} for _ in range(4)]
-    grads = [{n: rng.standard_normal(s) for n, s in shapes.items()} for _ in range(6)]
-    results = {}
+    for dtype in FLOAT_DTYPES:
+        shapes = {"w": (2 * ADAM_BLOCK_ROWS + 3, 4), "b": (4,)}
+        rng = np.random.default_rng(3)
 
-    def run(i):
-        params = {name: value.copy() for name, value in starts[i].items()}
-        opt = AdamOptimizer(shapes, learning_rate=0.01 * (i + 1))
-        for grad in grads:
-            opt.step(params, grad)
-        results[i] = params
+        def draw():
+            return {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=120)
-        assert not any(caller.is_alive() for caller in callers)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(results) == [0, 1, 2, 3]
-    for i, params in results.items():
-        expected = {name: value.copy() for name, value in starts[i].items()}
-        ref = WholeArrayAdam(shapes, 0.01 * (i + 1))
-        for grad in grads:
-            ref.step(expected, grad)
-        for name in shapes:
-            assert np.array_equal(params[name], expected[name]), (i, name)
+        starts = [draw() for _ in range(4)]
+        grads = [draw() for _ in range(6)]
+        results = {}
+
+        def run(i):
+            params = {name: value.copy() for name, value in starts[i].items()}
+            opt = AdamOptimizer(params, learning_rate=0.01 * (i + 1))
+            for grad in grads:
+                opt.step(params, grad)
+            results[i] = params
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for i, params in results.items():
+            expected = {name: value.copy() for name, value in starts[i].items()}
+            ref = WholeArrayAdam(expected, 0.01 * (i + 1))
+            for grad in grads:
+                ref.step(expected, grad)
+            for name in shapes:
+                assert np.array_equal(params[name], expected[name]), (i, name)
 
 
 def test_train_retrieval_reduces_loss():
