@@ -565,7 +565,7 @@ class CrossEncoderModel:
         source: str,
         pool: CandidatePool,
         positions: np.ndarray,
-        source_digests: np.ndarray | None,
+        source_digests: np.ndarray | None = None,
     ) -> PairBlocks:
         """Blocks of one source against the texts at distinct pool
         positions, dense on the source's buckets: M and R are zero
@@ -584,27 +584,14 @@ class CrossEncoderModel:
             counts - both,  # (S - T)+ exactly, since counts are whole numbers
         )
 
-    def joint_matrix(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        source_digests: np.ndarray | None = None,
-    ) -> PairBlocks:
-        """The pairs' first-layer inputs, block by block (see PairBlocks).
-
-        ``source_digests`` are the ``_ngram_digests`` of the source of
-        pairs that all share one; they are used only if the featurizer
-        table does not hold that source.
-        """
+    def joint_matrix(self, pairs: Sequence[tuple[str, str]]) -> PairBlocks:
+        """The pairs' first-layer inputs, block by block (see PairBlocks)."""
         source_texts, target_texts = zip(*pairs) if pairs else ((), ())
         if not all(source_texts) or not all(target_texts):
             raise ValueError("cannot score a pair with empty text")
-        one_source = bool(pairs) and source_texts.count(source_texts[0]) == len(pairs)
-        if source_digests is not None and not one_source:
-            raise ValueError("source_digests need pairs that share one source")
-        if one_source:
+        if pairs and source_texts.count(source_texts[0]) == len(pairs):
             pool = CandidatePool(self.featurizer, target_texts)
-            positions = np.arange(len(pool))
-            return self._one_source_blocks(source_texts[0], pool, positions, source_digests)
+            return self._one_source_blocks(source_texts[0], pool, np.arange(len(pool)))
         # Sparse: each pair's source entries, matched against its target's.
         target_ids = self.featurizer.ids(target_texts)
         t_ptr, t_cols, t_counts = self.featurizer.gather(target_ids)
@@ -704,15 +691,11 @@ class CrossEncoderModel:
         scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
         return scores
 
-    def score_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        source_digests: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Scores of the pairs, with each target's T·W_t row from the cache.
-        ``source_digests`` are passed to ``joint_matrix``, which builds the
-        blocks of pairs that share one source as ``score_pool`` does."""
-        blocks = self.joint_matrix(pairs, source_digests)
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Scores of the pairs, with each target's T·W_t row from the cache;
+        ``joint_matrix`` builds the blocks of pairs that share one source as
+        ``score_pool`` does."""
+        blocks = self.joint_matrix(pairs)
         scores, _ = self._forward(blocks, self._target_term(blocks.target_ids))
         return scores
 

@@ -7,9 +7,12 @@ recorded input/output checksums still match, so deleting one intermediate
 file reruns only that file's producer and whatever actually changes
 downstream.  Every model the trend tables compare is trained and
 evaluated here: the unweighted top-30% baseline retriever, the
-importance-weighted retriever, its hard-negative fine-tuning rounds, and
-the two re-rankers.  Stage runners call the library modules directly, and
-each model's checkpoint, trace and report are named by its model id.
+importance-weighted retriever, the last of its hard-negative fine-tuning
+rounds, and the two re-rankers.  Stage runners call the library modules
+directly, and each model's checkpoint and report are named by its model
+id.  A run writes only files that a stage, serving, a script or the
+benchmark reads; the per-epoch losses of every model trained, each ANCE
+round's included, go into the manifest entry of the stage that trained it.
 """
 
 from __future__ import annotations
@@ -56,11 +59,12 @@ RERANKER_IDS = (MODEL_RERANKER_POINTWISE, MODEL_RERANKER_CIRCLE)
 
 
 def model_ids(rounds: int) -> list[str]:
-    """Every model a run trains and reports on, retrievers first."""
+    """Every model a run keeps and reports on, retrievers first: of the
+    ANCE rounds, only the last."""
     return [
         MODEL_RETRIEVER_BASELINE,
         MODEL_RETRIEVER_WEIGHTED,
-        *(MODEL_RETRIEVER_ANCE.format(round=r) for r in range(1, rounds + 1)),
+        MODEL_RETRIEVER_ANCE.format(round=rounds),
         *RERANKER_IDS,
     ]
 
@@ -355,7 +359,7 @@ class PipelineConfig:
 
 class PipelinePaths:
     """Where a run keeps its files: fixed files are attributes, and each
-    model's checkpoint, trace and report are named by its model id."""
+    model's checkpoint and report are named by its model id."""
 
     def __init__(self, root) -> None:
         self.root = root = Path(root)
@@ -390,9 +394,6 @@ class PipelinePaths:
     def checkpoint(self, model_id: str) -> Path:
         return self.root / f"{model_id}.npz"
 
-    def trace(self, model_id: str) -> Path:
-        return self.root / f"trace_{model_id}.tsv"
-
     def report(self, model_id: str) -> Path:
         return self.reports_dir / f"report_{model_id}.tsv"
 
@@ -405,6 +406,9 @@ class PipelinePaths:
 
 TESTQ_KIND = "test-queries"
 THRESHOLD_KIND = "rerank-threshold"
+# What a training stage returns: each model's per-epoch
+# [epoch, train_loss, val_loss] rows, by model id.
+Losses = dict[str, list[list]]
 
 
 def _stage_synth(
@@ -533,7 +537,7 @@ def _trained_pairs(path, floor: float):
 
 def _stage_train_retriever(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> None:
+) -> Losses:
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     train_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_RETRIEVAL,
@@ -547,6 +551,7 @@ def _stage_train_retriever(
         (MODEL_RETRIEVER_BASELINE, paths.pairs_baseline_train, paths.pairs_baseline_val),
         (MODEL_RETRIEVER_WEIGHTED, paths.pairs_train, paths.pairs_val),
     )
+    losses = {}
     for model_id, train_path, val_path in runs:
         model = BiEncoderModel.initialize(
             config.bi_feature_dim, config.embed_dim, config.seed, featurizers
@@ -559,21 +564,26 @@ def _stage_train_retriever(
             kin=kin,
         )
         save_checkpoint(model, paths.checkpoint(model_id))
-        train_mod.save_trace(paths.trace(model_id), result, model=model_id)
+        losses[model_id] = result.trace
+    return losses
 
 
 def _stage_ance(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> None:
+) -> Losses:
     """Hard-negative rounds on the weighted retriever.
 
     Round r mines with the round r−1 model (round 1 with the weighted
     retriever), then fine-tunes it with the contrastive objective, whose
     in-batch pool each anchor's mined negatives augment, under seed
-    ``config.seed + r``.  Each round saves its checkpoint and trace before
-    the next begins.  Only the final round's negatives are saved, each
+    ``config.seed + r``.  Each round's losses are returned under its own
+    model id, but only the final round's checkpoint is saved, under
+    ``retriever_ance_r{ance_rounds}``: the index, serving and evaluate
+    read that one.  Only the final round's negatives are saved, each
     anchor's cut to its first ``config.rerank_negative_cap``: exactly what
-    the re-ranker trains on.
+    the re-ranker trains on.  Their ``source_checkpoint`` column still
+    names the model that mined them, the round ``ance_rounds − 1`` model,
+    by its parameter checksum, although no file of that model is kept.
     """
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED), featurizers)
@@ -586,6 +596,7 @@ def _stage_ance(
         _trained_pairs(paths.pairs_val, config.train_floor)
     )
     anchors = {example.anchor for example in train_examples}
+    losses = {}
     for round_index in range(1, config.ance_rounds + 1):
         records = ance_mod.mine_hard_negatives(
             model, anchors, pool, kin, config.top_k, round_index
@@ -607,9 +618,8 @@ def _stage_ance(
             kin=kin,
             hard_negatives=ance_mod.negatives_by_anchor(records),
         )
-        model_id = MODEL_RETRIEVER_ANCE.format(round=round_index)
-        save_checkpoint(model, paths.checkpoint(model_id))
-        train_mod.save_trace(paths.trace(model_id), result, model=model_id)
+        losses[MODEL_RETRIEVER_ANCE.format(round=round_index)] = result.trace
+    save_checkpoint(model, paths.retriever_ance(config.ance_rounds))
     # The cross-encoder sees each anchor once per epoch, so it can afford
     # a much deeper slice of the mined sets than the retriever; the extra
     # negatives teach it that shared filler tokens alone do not make a
@@ -617,6 +627,7 @@ def _stage_ance(
     cap = config.rerank_negative_cap
     final = [dataclasses.replace(r, negatives=r.negatives[:cap]) for r in records]
     ance_mod.save_hard_negatives(paths.negatives(config.ance_rounds), final)
+    return losses
 
 
 def _directed_examples(pairs) -> list[tuple[str, str, float]]:
@@ -638,7 +649,7 @@ def _rerank_positive_sets(pairs) -> dict[str, tuple[tuple[str, float], ...]]:
 
 def _stage_train_reranker(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> None:
+) -> Losses:
     train_pairs = _trained_pairs(paths.pairs_train, config.train_floor)
     val_pairs = _trained_pairs(paths.pairs_val, config.train_floor)
 
@@ -652,16 +663,13 @@ def _stage_train_reranker(
         learning_rate=config.reranker_lr,
         seed=config.seed,
     )
-    result = train_mod.train(
+    pointwise_result = train_mod.train(
         pointwise,
         _directed_examples(train_pairs),
         _directed_examples(val_pairs),
         pointwise_config,
     )
     save_checkpoint(pointwise, paths.checkpoint(MODEL_RERANKER_POINTWISE))
-    train_mod.save_trace(
-        paths.trace(MODEL_RERANKER_POINTWISE), result, model=MODEL_RERANKER_POINTWISE
-    )
     # Circle training is where a build peaks; the pointwise model's arrays
     # need not be held through it, since circle starts from the checkpoint.
     del pointwise
@@ -678,11 +686,8 @@ def _stage_train_reranker(
         learning_rate=config.reranker_lr,
         seed=config.seed,
     )
-    result = train_mod.train(circle, batches, [], circle_config)
+    circle_result = train_mod.train(circle, batches, [], circle_config)
     save_checkpoint(circle, paths.reranker_circle)
-    train_mod.save_trace(
-        paths.trace(MODEL_RERANKER_CIRCLE), result, model=MODEL_RERANKER_CIRCLE
-    )
 
     # Decision threshold: best F1 separating co-purchased validation pairs
     # from the pairs the deployed filter actually faces, i.e. candidates
@@ -721,6 +726,10 @@ def _stage_train_reranker(
         [(f"{threshold:.6f}",)],
         model=MODEL_RERANKER_CIRCLE,
     )
+    return {
+        MODEL_RERANKER_POINTWISE: pointwise_result.trace,
+        MODEL_RERANKER_CIRCLE: circle_result.trace,
+    }
 
 
 def load_threshold(paths: PipelinePaths) -> float:
@@ -848,7 +857,8 @@ def _stage_evaluate(
 
 def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     """Declarative stage table: name, inputs, outputs, runner.  A runner
-    takes the config, the paths and the run's featurizer tables."""
+    takes the config, the paths and the run's featurizer tables; a
+    training stage's runner returns its models' ``Losses``."""
     norm_files = [paths.stopwords, paths.script_map, paths.entities, paths.stemmer]
     synth_out = [paths.log, paths.intents, paths.relations, paths.audit, *norm_files]
     mine_out = [
@@ -860,13 +870,6 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
         paths.pairs_test,
         paths.pairs_baseline_train,
         paths.pairs_baseline_val,
-    ]
-    rounds = range(1, config.ance_rounds + 1)
-    ance_ids = [MODEL_RETRIEVER_ANCE.format(round=r) for r in rounds]
-    ance_out = [
-        *(paths.checkpoint(m) for m in ance_ids),
-        paths.negatives(config.ance_rounds),
-        *(paths.trace(m) for m in ance_ids),
     ]
     retriever_ids = (MODEL_RETRIEVER_BASELINE, MODEL_RETRIEVER_WEIGHTED)
     report_ids = model_ids(config.ance_rounds)
@@ -894,10 +897,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.pairs_baseline_val,
                 paths.pairs_exclusion,
             ],
-            [
-                *(paths.checkpoint(m) for m in retriever_ids),
-                *(paths.trace(m) for m in retriever_ids),
-            ],
+            [paths.checkpoint(m) for m in retriever_ids],
             _stage_train_retriever,
         ),
         (
@@ -910,7 +910,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.corpus_queries,
                 paths.corpus_events,
             ],
-            ance_out,
+            [paths.retriever_ance(config.ance_rounds), paths.negatives(config.ance_rounds)],
             _stage_ance,
         ),
         (
@@ -924,11 +924,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
                 paths.corpus_queries,
                 paths.corpus_events,
             ],
-            [
-                *(paths.checkpoint(m) for m in RERANKER_IDS),
-                paths.threshold,
-                *(paths.trace(m) for m in RERANKER_IDS),
-            ],
+            [*(paths.checkpoint(m) for m in RERANKER_IDS), paths.threshold],
             _stage_train_reranker,
         ),
         (
@@ -1049,8 +1045,9 @@ def run_pipeline(
 
     A stage reruns when its outputs are missing, its recorded input or
     output checksums no longer match, or ``force`` is set.  The manifest
-    records the config hash, per-stage checksums and timings, and the
-    BLAS thread count each stage ran with: the run holds numpy's OpenBLAS
+    records the config hash, per-stage checksums and timings, each
+    training stage's per-epoch ``losses`` by model id, and the BLAS thread
+    count each stage ran with: the run holds numpy's OpenBLAS
     to one thread (``_one_blas_thread``), so its outputs do not depend on
     the caller's thread count.  The stages share one map of featurizer
     tables, which the run drops when it returns.
@@ -1081,7 +1078,7 @@ def run_pipeline(
                 continue
             started = time.perf_counter()
             try:
-                runner(config, paths, featurizers)
+                losses = runner(config, paths, featurizers)
             except Exception as exc:
                 raise StageFailure(name, exc) from exc
             elapsed = time.perf_counter() - started
@@ -1096,6 +1093,8 @@ def run_pipeline(
                 "seconds": round(elapsed, 3),
                 "blas_threads": blas_threads,
             }
+            if losses is not None:
+                manifest["stages"][name]["losses"] = losses
             _save_manifest(paths, manifest)
             executed.append(name)
             if log:
@@ -1114,8 +1113,9 @@ def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport
     OpenBLAS on one thread, so the report equals the saved one whatever
     thread count the caller set.
     """
-    if model_id not in model_ids(config.ance_rounds):
-        raise ValueError(f"unknown model id: {model_id!r}")
+    known = model_ids(config.ance_rounds)
+    if model_id not in known:
+        raise ValueError(f"unknown model id: {model_id!r}; a run reports on {', '.join(known)}")
     paths = PipelinePaths(Path(config.out_dir))
     featurizers: Featurizers = {}
     with _one_blas_thread():

@@ -18,8 +18,6 @@ from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .files import write_tsv
-
 OBJECTIVE_RETRIEVAL = "retrieval"
 OBJECTIVE_POINTWISE = "rerank_pointwise"
 OBJECTIVE_CIRCLE = "rerank_circle"
@@ -340,9 +338,11 @@ class AdamOptimizer:
 
 @dataclass
 class TrainResult:
-    """Per-epoch (train loss, validation loss) trace; model is updated in place."""
+    """One ``[epoch, train_loss, val_loss]`` row per epoch, a JSON list as
+    the run manifest records it (``val_loss`` None without validation
+    data); the model is updated in place."""
 
-    trace: list[tuple[int, float, float | None]] = field(default_factory=list)
+    trace: list[list] = field(default_factory=list)
 
 
 def build_retrieval_batches(
@@ -487,16 +487,5 @@ def train(
         val_loss = None
         if val_batches:
             val_loss = _epoch_pass(model, optimizer, val_batches, loss_fn, False, context)
-        result.trace.append((epoch, train_loss, val_loss))
+        result.trace.append([epoch, train_loss, val_loss])
     return result
-
-
-TRACE_KIND = "loss-trace"
-
-
-def save_trace(path, result: TrainResult, **attrs) -> None:
-    rows = (
-        (epoch, f"{train_loss:.8f}", "" if val_loss is None else f"{val_loss:.8f}")
-        for epoch, train_loss, val_loss in result.trace
-    )
-    write_tsv(path, TRACE_KIND, rows, columns=("epoch", "train_loss", "val_loss"), **attrs)

@@ -51,6 +51,17 @@ def test_evaluate_command_prints_saved_report(tiny_run, tmp_path, capsys, model)
     assert capsys.readouterr().out == saved.formatted()
 
 
+def test_evaluate_command_names_the_models_a_run_reports_on(tiny_run, tmp_path, capsys):
+    # A run keeps only the final ANCE round, so an earlier round is unknown.
+    config, _ = tiny_run
+    code = main(["evaluate", *_config_args(config, tmp_path), "--model", "retriever_ance_r1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluate: unknown model id: 'retriever_ance_r1'")
+    for model in model_ids(config.ance_rounds):
+        assert model in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

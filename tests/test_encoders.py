@@ -353,26 +353,30 @@ def one_source_calls(draw):
 @given(st.one_of(one_source_calls(), SEVERAL_SOURCES), st.integers(0, 3), DTYPES)
 def test_cached_scores_equal_fresh_scores_bitwise(pairs, seed, dtype):
     model = initialized(CrossEncoderModel, dtype, 1 << 6, (8, 4), seed=seed)
-    # A source that is also a target is read from the table, any other
-    # from its digests.
-    source_digests = encoders._ngram_digests(pairs[0][0])
-    if len({s for s, _ in pairs}) > 1:
-        with pytest.raises(ValueError, match="one source"):
-            model.score_many(pairs, source_digests=source_digests)
-        source_digests = None
-    first = model.score_many(pairs, source_digests=source_digests)  # fills the T·W_t cache
+    source, targets = pairs[0][0], tuple(t for _, t in pairs)
+    one_source = len({s for s, _ in pairs}) == 1
+
+    def pooled():
+        # A source that is also a target is read from the table, any other
+        # from its digests.
+        pool = encoders.CandidatePool(model.featurizer, targets)
+        digests = encoders._ngram_digests(source)
+        return model.score_pool(source, pool, np.arange(len(targets)), source_digests=digests)
+
+    first = pooled() if one_source else model.score_many(pairs)  # fills the T·W_t cache
     fresh, _ = model.score_many_with_backward(pairs)
     assert first.dtype == fresh.dtype == dtype
-    if source_digests is not None:
+    if one_source:
         # One source: the path before row-id scoring, T·W_t fresh.
-        want = one_source_scores(model, pairs[0][0], [t for _, t in pairs])
+        want = one_source_scores(model, source, targets)
         assert fresh.tobytes() == want.tobytes()
     else:
         want = fresh
     assert first.tobytes() == want.tobytes()
     assert model.score_many(pairs).tobytes() == want.tobytes()  # from the cache
-    assert model.score_many(pairs, source_digests=source_digests).tobytes() == want.tobytes()
-    assert np.count_nonzero(model._term_filled) == len({t for _, t in pairs})
+    if one_source:
+        assert pooled().tobytes() == want.tobytes()
+    assert np.count_nonzero(model._term_filled) == len(set(targets))
 
 
 @settings(max_examples=80, deadline=None)

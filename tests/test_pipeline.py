@@ -291,16 +291,24 @@ def test_pipeline_produces_reports_and_artifacts(tiny_run):
     config, run = tiny_run
     paths = PipelinePaths(run.out_dir)
     assert paths.manifest.exists()
-    for model_id in (
+    kept = (
         "retriever_top30_baseline",
         "retriever_weighted",
-        "retriever_ance_r1",
         "retriever_ance_r2",
         "reranker_pointwise",
         "reranker_circle_ance",
-    ):
+    )
+    assert pipeline.model_ids(config.ance_rounds) == list(kept)
+    for model_id in kept:
         report = load_report(paths.report(model_id))
         assert report.model_id == model_id
+        assert paths.checkpoint(model_id).exists()
+    # Nothing reads an earlier ANCE round or a loss trace, so no file holds one.
+    assert sorted(p.name for p in paths.reports_dir.iterdir()) == sorted(
+        paths.report(model_id).name for model_id in kept
+    )
+    assert not paths.retriever_ance(1).exists()
+    assert not list(run.out_dir.glob("trace_*"))
     manifest = json.loads(paths.manifest.read_text())
     assert set(manifest["stages"]) == {
         "synth-gen",
@@ -377,7 +385,7 @@ def test_pipeline_rerun_skips_everything(tiny_run):
     "deleted, producer, consumer",
     [
         ("groups.tsv", "normalize", "mine"),
-        ("trace_retriever_weighted.tsv", "train-retriever", "ance"),
+        ("retriever_top30_baseline.npz", "train-retriever", "ance"),
     ],
 )
 def test_pipeline_reruns_only_producer_after_deleting_intermediate(
@@ -733,40 +741,90 @@ def test_tail_reformulation_rate_computable(tiny_run):
 
 
 @pytest.fixture(scope="module")
-def ance_mining(tiny_run, tmp_path_factory):
-    """Rerun the ance stage on a copy of the tiny run; return the copy's
-    config and, per mining call, the checksum of the model it mined with
-    and the records it returned (before any cap)."""
-    config = copied_run(tiny_run, tmp_path_factory.mktemp("ance"))
+def retrained(tiny_run, tmp_path_factory):
+    """Rerun the three training stages, one at a time, on a copy of the
+    tiny run.  Return the copy's config and, by stage, what two spies saw:
+    for each ``train`` call, the checksum of the model it left and the loss
+    rows it returned; for each mining call, the checksum of the model it
+    mined with and the records it returned (before any cap)."""
+    config = copied_run(tiny_run, tmp_path_factory.mktemp("retrained"))
     real_mine = pipeline.ance_mod.mine_hard_negatives
-    calls = []
+    real_train = pipeline.train_mod.train
+    trained: dict[str, list] = {}
+    mined: dict[str, list] = {}
 
     def spy_mine(model, *args, **kwargs):
         checksum = params_checksum(model)
         records = real_mine(model, *args, **kwargs)
-        calls.append((checksum, records))
+        mined[stage].append((checksum, records))
         return records
+
+    def spy_train(model, *args, **kwargs):
+        result = real_train(model, *args, **kwargs)
+        trained[stage].append((params_checksum(model), result.trace))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline.ance_mod, "mine_hard_negatives", spy_mine)
-        assert run_pipeline(config, force=True, stages=["ance"]).executed == ["ance"]
-    return config, calls
+        patch.setattr(pipeline.train_mod, "train", spy_train)
+        for stage in ("train-retriever", "ance", "train-reranker"):
+            trained[stage], mined[stage] = [], []
+            assert run_pipeline(config, force=True, stages=[stage]).executed == [stage]
+    return config, trained, mined
 
 
-def test_each_ance_round_mines_with_the_previous_round_model(ance_mining):
-    config, calls = ance_mining
+@pytest.fixture(scope="module")
+def ance_mining(retrained):
+    """The copy's config and the ance stage's mining calls."""
+    config, _, mined = retrained
+    return config, mined["ance"]
+
+
+def test_training_stages_record_each_models_losses(tiny_run, retrained):
+    config, trained, _ = retrained
+    rounds = range(1, config.ance_rounds + 1)
+    models = {
+        "train-retriever": (
+            [pipeline.MODEL_RETRIEVER_BASELINE, MODEL_RETRIEVER_WEIGHTED],
+            config.retriever_epochs,
+        ),
+        "ance": (
+            [pipeline.MODEL_RETRIEVER_ANCE.format(round=r) for r in rounds],
+            config.ance_epochs_per_round,
+        ),
+        "train-reranker": (list(pipeline.RERANKER_IDS), config.reranker_epochs),
+    }
+    manifest = json.loads(PipelinePaths(config.out_dir).manifest.read_text(encoding="utf-8"))
+    for stage, (ids, epochs) in models.items():
+        losses = manifest["stages"][stage]["losses"]
+        assert len(trained[stage]) == len(ids)
+        assert losses == {model_id: rows for model_id, (_, rows) in zip(ids, trained[stage])}
+        for rows in losses.values():
+            assert [epoch for epoch, _, _ in rows] == list(range(1, epochs + 1))
+        # The in-memory manifest of the first run reads back equal.
+        assert tiny_run[1].manifest["stages"][stage]["losses"] == losses
+    assert {name for name, entry in manifest["stages"].items() if "losses" in entry} == set(models)
+    # A resume that skips the training stages keeps their entries as recorded.
+    resumed = run_pipeline(config)
+    assert resumed.executed == []
+    assert resumed.manifest == manifest
+
+
+def test_each_ance_round_mines_with_the_previous_round_model(retrained):
+    config, trained, mined = retrained
     paths = PipelinePaths(config.out_dir)
-    assert len(calls) == config.ance_rounds
+    assert len(mined["ance"]) == len(trained["ance"]) == config.ance_rounds
     previous = params_checksum(load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED)))
-    for round_index, (checksum, records) in enumerate(calls, start=1):
+    rounds = zip(mined["ance"], trained["ance"])
+    for round_index, ((checksum, records), (current, _)) in enumerate(rounds, start=1):
         assert checksum == previous
         assert records
         for record in records:
             assert record.round_index == round_index
             assert record.source_checkpoint == previous
-        current = params_checksum(load_checkpoint(paths.retriever_ance(round_index)))
         assert current != previous
         previous = current
+    assert previous == params_checksum(load_checkpoint(paths.retriever_ance(config.ance_rounds)))
 
 
 def test_negatives_file_holds_the_final_round_capped(ance_mining):

@@ -1,5 +1,6 @@
 """Loss values, analytic gradients, batching, the training driver."""
 
+import json
 import math
 import random
 import sys
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from qreform.corpus import canonical_pair
 from qreform.encoders import FLOAT_DTYPES, BiEncoderModel, CrossEncoderModel, Featurizer
-from qreform.files import read_tsv
 from qreform.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -21,7 +21,6 @@ from qreform.training import (
     OBJECTIVE_CIRCLE,
     OBJECTIVE_POINTWISE,
     OBJECTIVE_RETRIEVAL,
-    TRACE_KIND,
     AdamOptimizer,
     RerankBatch,
     RetrievalBatch,
@@ -31,7 +30,6 @@ from qreform.training import (
     loss_rerank_circle_many,
     loss_rerank_pointwise,
     loss_retrieval,
-    save_trace,
     train,
 )
 from tests.gradcheck import finite_difference_grads, initialized, max_relative_error
@@ -365,7 +363,33 @@ def test_circle_gradient_matches_finite_differences():
     assert max_relative_error(grads, numeric) <= 1e-4
 
 
-# --- batching ---
+def test_circle_gradient_check_passes_an_exactly_zero_bias_gradient():
+    # A float64 model on the float32-rounded parameters of cross_model(seed=4):
+    # circle loss ignores a shift of every score, so the last bias has an
+    # exact 0 gradient, and here its central difference is one ulp of the
+    # loss over 2·eps rather than 0.
+    model = cross_model(seed=4, dtype=np.float64)
+    rounded = cross_model(seed=4).parameters()
+    model.set_parameters({name: value.astype(np.float64) for name, value in rounded.items()})
+    batches = [
+        RerankBatch("q a", (("p b", 0.9), ("p c", 0.4)), ("n d", "n e")),
+        RerankBatch("q f", (("p g", 0.7),), ("n h",)),
+    ]
+    _, grads = loss_rerank_circle_many(model, batches)
+    numeric = finite_difference_grads(
+        model, lambda m: loss_rerank_circle_many(m, batches, compute_grad=False)[0]
+    )
+    assert grads["b2"][0] == 0.0 and numeric["b2"][0] != 0.0
+    assert max_relative_error(grads, numeric) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "analytic, numeric",
+    [(1.0, 1.001), (1e-3, 2e-3), (0.0, 1e-6), (0.0, -1e-6)],
+    ids=["wrong-unit", "wrong-small", "zero-against-1e-6", "zero-against-minus-1e-6"],
+)
+def test_gradient_check_fails_a_wrong_entry(analytic, numeric):
+    assert max_relative_error({"w": np.array([analytic])}, {"w": np.array([numeric])}) > 1e-4
 
 
 def test_build_batches_excludes_copurchased_candidates():
@@ -693,20 +717,16 @@ def test_train_rejects_empty_data():
         train(bi_model(), [], [], TrainConfig(objective=OBJECTIVE_RETRIEVAL))
 
 
-def test_train_pointwise_and_trace_round_trip(tmp_path):
+def test_train_pointwise_and_trace_round_trip():
     model = cross_model(seed=7)
     data = [("a b", "c d", 0.2), ("c d", "e f", 0.8)]
     config = TrainConfig(objective=OBJECTIVE_POINTWISE, epochs=2, batch_size=2)
     result = train(model, data, data, config)
-    path = tmp_path / "trace.tsv"
-    save_trace(path, result, model="unit")
-    attrs, rows = read_tsv(path, TRACE_KIND, has_columns=True)
-    assert attrs["model"] == "unit"
-    assert len(rows) == 2
-    epoch, train_loss, val_loss = rows[0]
-    assert epoch == "1"
-    assert float(train_loss) == pytest.approx(result.trace[0][1], abs=1e-8)
-    assert float(val_loss) == pytest.approx(result.trace[0][2], abs=1e-8)
+    assert [epoch for epoch, _, _ in result.trace] == [1, 2]
+    for _, train_loss, val_loss in result.trace:
+        assert math.isfinite(train_loss) and math.isfinite(val_loss)
+    # The run manifest records the rows as they are, so they read back equal.
+    assert json.loads(json.dumps(result.trace)) == result.trace
 
 
 def test_train_circle_objective_runs():
