@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Each pipeline stage is a subcommand; ``pipeline`` runs them all with
-checksum-based resume.  ``reformulate``, ``evaluate`` and ``augment``
-operate on an existing run directory.  ``evaluate --model M`` recomputes
-the report the evaluate stage saved for model M and prints it; the model
-kind decides what is measured (recall and audit-pair ordering for a
-retriever, NDCG@3 over the final retriever's lists for a re-ranker).
-``augment`` blends ``--source-value`` with the mean of the first
-``n_max`` (from the config) of ``--target-values``, under ``--alpha``
-and ``--beta`` (by default ``AugmentationParams``'s); a query of
-``--tier rich`` comes back unblended.
+checksum-based resume.  ``evaluate`` is the evaluate stage's command like
+any other: it skips the stage when the stage is fresh and reruns it when
+it is stale.  With ``--model M`` it then prints the report the stage saved
+for model M instead of the run directory; an unknown model id fails
+before anything is written.  ``reformulate`` and ``augment`` operate on an
+existing run directory.  ``augment`` blends ``--source-value`` with the
+mean of the first ``n_max`` (from the config) of ``--target-values``,
+under ``--alpha`` and ``--beta`` (by default ``AugmentationParams``'s); a
+query of ``--tier rich`` comes back unblended.
 Exit status is 0 on success and 1 on failure with a stage-qualified
 message on stderr.
 """
@@ -21,21 +21,19 @@ import dataclasses
 import sys
 
 from .corpus import TIER_IMPOVERISHED, TIER_RICH
+from .evaluation import load_report
 from .pipeline import (
     STAGE_ORDER,
     AugmentationParams,
     PipelineConfig,
+    PipelinePaths,
     StageFailure,
     augment_for_tier,
-    evaluate_model,
     load_serving_state,
+    model_ids,
     reformulate,
     run_pipeline,
 )
-
-# The evaluate stage has no subcommand of its own: ``evaluate`` scores
-# one model on demand, and ``pipeline`` runs the whole stage.
-STAGE_COMMANDS = tuple(name for name in STAGE_ORDER if name != "evaluate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,15 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("pipeline", parents=[common], help="run all stages")
     run.add_argument("--force", action="store_true", help="rerun every stage")
 
-    for name in STAGE_COMMANDS:
-        stage = sub.add_parser(name, parents=[common], help=f"run the {name} stage")
+    for name in STAGE_ORDER:
+        # No abbreviations on evaluate: "--mode" would be read as "--model".
+        stage = sub.add_parser(
+            name, parents=[common], allow_abbrev=name != "evaluate", help=f"run the {name} stage"
+        )
         stage.add_argument("--force", action="store_true")
-
-    # No abbreviations: "--mode" would otherwise be read as "--model".
-    evaluate = sub.add_parser(
-        "evaluate", parents=[common], allow_abbrev=False, help="print one model's report"
-    )
-    evaluate.add_argument("--model", required=True, help="model id to evaluate")
+    sub.choices["evaluate"].add_argument("--model", help="then print this model's report")
 
     reform = sub.add_parser(
         "reformulate", parents=[common], help="reformulate a query"
@@ -106,20 +102,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_stages(args: argparse.Namespace, stages: tuple[str, ...] | None) -> int:
     config = _load_config(args)
+    model = getattr(args, "model", None)
+    known = model_ids(config.ance_rounds)
+    if model is not None and model not in known:
+        raise ValueError(f"unknown model id: {model!r}; a run reports on {', '.join(known)}")
     run = run_pipeline(
         config,
-        force=getattr(args, "force", False),
+        force=args.force,
         stages=stages,
         log=lambda line: print(line, file=sys.stderr),
     )
-    print(f"run directory: {run.out_dir}")
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    report = evaluate_model(config, args.model)
-    sys.stdout.write(report.formatted())
+    if model is None:
+        print(f"run directory: {run.out_dir}")
+    else:
+        sys.stdout.write(load_report(PipelinePaths(run.out_dir).report(model)).formatted())
     return 0
 
 
@@ -157,10 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "pipeline":
             return _cmd_stages(args, None)
-        if args.command in STAGE_COMMANDS:
+        if args.command in STAGE_ORDER:
             return _cmd_stages(args, (args.command,))
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
         if args.command == "reformulate":
             return _cmd_reformulate(args)
         if args.command == "augment":

@@ -166,24 +166,22 @@ def load_config(
     )
 
 
-def save_config(config: NormalizationConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Write the four resource files; returns their paths keyed by role."""
-    out_dir = Path(out_dir)
-    paths = {
-        "stopwords": out_dir / "stopwords.tsv",
-        "script_map": out_dir / "script_map.tsv",
-        "entities": out_dir / "entities.tsv",
-        "stemmer": out_dir / "stemmer_rules.tsv",
-    }
-    write_tsv(paths["stopwords"], "stopwords", ((w,) for w in sorted(config.stopwords)))
+def save_config(
+    config: NormalizationConfig,
+    stopwords_path: str | Path,
+    script_map_path: str | Path,
+    entities_path: str | Path,
+    stemmer_path: str | Path,
+) -> None:
+    """Write the four resource files that ``load_config`` reads."""
+    write_tsv(stopwords_path, "stopwords", ((w,) for w in sorted(config.stopwords)))
     write_tsv(
-        paths["script_map"],
+        script_map_path,
         "script-map",
         ((k, v) for k, v in sorted(config.script_map.items())),
     )
-    write_tsv(paths["entities"], "entities", ((e,) for e in sorted(config.protected_entities)))
-    write_tsv(paths["stemmer"], "stemmer-rules", config.stemmer_rules)
-    return paths
+    write_tsv(entities_path, "entities", ((e,) for e in sorted(config.protected_entities)))
+    write_tsv(stemmer_path, "stemmer-rules", config.stemmer_rules)
 
 
 def _fixed_point(value: str, step: Callable[[str], str]) -> str:

@@ -415,7 +415,12 @@ def _stage_synth(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> None:
     result = synth_mod.generate(config.synth, config.seed)
-    synth_mod.write_all(result, paths.root)
+    write_tsv(paths.log, synth_mod.LOG_KIND, result.log_rows, seed=result.seed)
+    synth_mod.save_ground_truth(result.ground_truth, paths.intents, paths.relations)
+    eval_mod.save_audit_labels(paths.audit, result.audit_labels)
+    norm_mod.save_config(
+        result.norm_config, paths.stopwords, paths.script_map, paths.entities, paths.stemmer
+    )
 
 
 def _stage_ingest(
@@ -771,14 +776,6 @@ def _ground_truth(
     return truth
 
 
-def _evaluation_inputs(config: PipelineConfig, paths: PipelinePaths):
-    """The rich pool, the behavior truth and the audit labels of a run."""
-    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
-    pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
-    truth = _ground_truth(paths, set(pool))
-    return pool, truth, eval_mod.load_audit_labels(paths.audit)
-
-
 def _model_report(
     model_id: str,
     model,
@@ -842,13 +839,16 @@ def _stage_evaluate(
 ) -> None:
     """Save every model's report; the re-rankers score what the final
     ANCE retriever, reported before them, surfaces."""
-    inputs = _evaluation_inputs(config, paths)
+    corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
+    pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
+    truth = _ground_truth(paths, set(pool))
+    audit = eval_mod.load_audit_labels(paths.audit)
     final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
     final_lists = None
     for model_id in model_ids(config.ance_rounds):
         model = load_checkpoint(paths.checkpoint(model_id), featurizers)
         report, lists = _model_report(
-            model_id, model, *inputs, final_lists, config.eval_k
+            model_id, model, pool, truth, audit, final_lists, config.eval_k
         )
         if model_id == final_id:
             final_lists = lists
@@ -1102,41 +1102,11 @@ def run_pipeline(
     return PipelineRun(paths.root, manifest, executed, skipped)
 
 
-def evaluate_model(config: PipelineConfig, model_id: str) -> eval_mod.EvalReport:
-    """The report the evaluate stage saves for ``model_id``, computed
-    afresh from an existing run's artifacts.
-
-    A re-ranker's report needs the final retriever's lists, so that
-    retriever is evaluated first.  An unknown model id raises before
-    anything is loaded.  Its models share one map of featurizer tables,
-    as a run's do.  Like ``run_pipeline``, it computes with numpy's
-    OpenBLAS on one thread, so the report equals the saved one whatever
-    thread count the caller set.
-    """
-    known = model_ids(config.ance_rounds)
-    if model_id not in known:
-        raise ValueError(f"unknown model id: {model_id!r}; a run reports on {', '.join(known)}")
-    paths = PipelinePaths(Path(config.out_dir))
-    featurizers: Featurizers = {}
-    with _one_blas_thread():
-        inputs = _evaluation_inputs(config, paths)
-        final_lists = None
-        if model_id in RERANKER_IDS:
-            final_id = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
-            final = load_checkpoint(paths.checkpoint(final_id), featurizers)
-            _, final_lists = _model_report(final_id, final, *inputs, None, config.eval_k)
-        model = load_checkpoint(paths.checkpoint(model_id), featurizers)
-        report, _ = _model_report(model_id, model, *inputs, final_lists, config.eval_k)
-    return report
-
-
 def load_reports(config: PipelineConfig) -> dict[str, eval_mod.EvalReport]:
+    """The saved report of every model a run reports on, by model id.  A
+    missing report raises an error naming its file."""
     paths = PipelinePaths(Path(config.out_dir))
-    reports = {}
-    for report_path in sorted(paths.reports_dir.glob("report_*.tsv")):
-        report = eval_mod.load_report(report_path)
-        reports[report.model_id] = report
-    return reports
+    return {m: eval_mod.load_report(paths.report(m)) for m in model_ids(config.ance_rounds)}
 
 
 TAIL_FRACTION = 1 / 3

@@ -32,7 +32,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,10 +42,9 @@ from .evaluation import (
     LABEL_PARTIAL,
     LABEL_STRICT,
     AuditLabel,
-    save_audit_labels,
 )
 from .files import read_tsv, write_tsv
-from .normalize import NormalizationConfig, save_config
+from .normalize import NormalizationConfig
 
 _CONSONANTS = "bcdfghjklmnprstvwy"
 _VOWELS = "aeiou"
@@ -456,38 +454,27 @@ def _sample_audit_labels(
     return labels
 
 
-def write_all(result: SynthResult, out_dir) -> dict[str, Path]:
-    """Write the behavior log, ground truth, audit labels and norm config."""
-    out_dir = Path(out_dir)
-    paths: dict[str, Path] = {
-        "log": out_dir / "behavior_log.tsv",
-        "intents": out_dir / "intents.tsv",
-        "relations": out_dir / "intent_relations.tsv",
-        "audit": out_dir / "audit_labels.tsv",
-    }
-    write_tsv(paths["log"], LOG_KIND, result.log_rows, seed=result.seed)
+def save_ground_truth(truth: SynthGroundTruth, intents_path, relations_path) -> None:
+    """Write the two files that ``load_ground_truth`` reads."""
     write_tsv(
-        paths["intents"],
+        intents_path,
         INTENTS_KIND,
-        sorted(result.ground_truth.query_intent.items()),
+        sorted(truth.query_intent.items()),
         columns=("query", "intent"),
     )
     relation_rows = [
         (a, b, RELATION_CONFUSABLE)
-        for a, b in sorted(result.ground_truth.confusable_intents)
+        for a, b in sorted(truth.confusable_intents)
     ] + [
         (a, b, RELATION_DOPPEL)
-        for a, b in sorted(result.ground_truth.doppel_intents)
+        for a, b in sorted(truth.doppel_intents)
     ]
     write_tsv(
-        paths["relations"],
+        relations_path,
         RELATIONS_KIND,
         relation_rows,
         columns=("intent_a", "intent_b", "relation"),
     )
-    save_audit_labels(paths["audit"], result.audit_labels)
-    paths.update(save_config(result.norm_config, out_dir))
-    return paths
 
 
 def load_ground_truth(intents_path, relations_path) -> SynthGroundTruth:

@@ -5,11 +5,17 @@ import re
 
 import pytest
 
-from qreform.cli import STAGE_COMMANDS, main
+from qreform.cli import main
 from qreform.encoders import load_checkpoint
 from qreform.evaluation import load_report
 from qreform.knn import build_index, load_index, save_index
-from qreform.pipeline import MODEL_RETRIEVER_WEIGHTED, PipelinePaths, model_ids
+from qreform.pipeline import (
+    MODEL_RETRIEVER_ANCE,
+    MODEL_RETRIEVER_WEIGHTED,
+    STAGE_ORDER,
+    PipelinePaths,
+    model_ids,
+)
 from tests.conftest import copied_run, tiny_config, truncate
 
 
@@ -22,15 +28,13 @@ def _config_args(config, tmp_path):
 def test_stage_commands_run_in_sequence(tmp_path, capsys):
     config = tiny_config(tmp_path / "run")
     args = _config_args(config, tmp_path)
-    for name in STAGE_COMMANDS:
+    for name in STAGE_ORDER:
         assert main([name, *args]) == 0, name
         out = capsys.readouterr()
         assert "run directory:" in out.out
-    # Everything but the evaluate stage is now fresh.
+    # Every stage is now fresh.
     assert main(["pipeline", *args]) == 0
-    err = capsys.readouterr().err
-    assert "[evaluate] done" in err
-    assert "[mine] up to date, skipped" in err
+    assert capsys.readouterr().err.count("up to date, skipped") == 9
 
 
 def test_pipeline_command_resumes(tiny_run, tmp_path, capsys):
@@ -42,24 +46,45 @@ def test_pipeline_command_resumes(tiny_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("model", model_ids(tiny_config("unused").ance_rounds))
 def test_evaluate_command_prints_saved_report(tiny_run, tmp_path, capsys, model):
-    # The tiny run's eval_k is short enough that re-ranking another
-    # round's lists would change the re-rankers' reports.
-    config, run = tiny_run
+    config = copied_run(tiny_run, tmp_path)
     code = main(["evaluate", *_config_args(config, tmp_path), "--model", model])
     assert code == 0
-    saved = load_report(PipelinePaths(run.out_dir).report(model))
+    saved = load_report(PipelinePaths(config.out_dir).report(model))
     assert capsys.readouterr().out == saved.formatted()
 
 
-def test_evaluate_command_names_the_models_a_run_reports_on(tiny_run, tmp_path, capsys):
+def test_evaluate_command_reruns_only_a_stale_evaluate_stage(tiny_run, tmp_path, capsys):
+    config = copied_run(tiny_run, tmp_path)
+    paths = PipelinePaths(config.out_dir)
+    final = MODEL_RETRIEVER_ANCE.format(round=config.ance_rounds)
+    argv = ["evaluate", *_config_args(config, tmp_path), "--model", final]
+    assert main(argv) == 0
+    fresh = capsys.readouterr()
+    assert fresh.err == "[evaluate] up to date, skipped\n"
+    before = json.loads(paths.manifest.read_text(encoding="utf-8"))["stages"]
+
+    paths.report(final).unlink()
+    assert main(argv) == 0
+    stale = capsys.readouterr()
+    assert re.fullmatch(r"\[evaluate\] done in \S+s\n", stale.err)
+    assert stale.out == fresh.out
+    after = json.loads(paths.manifest.read_text(encoding="utf-8"))["stages"]
+    assert after["evaluate"]["outputs"] == before["evaluate"]["outputs"]
+    del before["evaluate"], after["evaluate"]
+    assert after == before
+
+
+@pytest.mark.parametrize("model", ["retriever_ance_r1", "nope"])
+def test_evaluate_command_names_the_models_a_run_reports_on(tmp_path, capsys, model):
     # A run keeps only the final ANCE round, so an earlier round is unknown.
-    config, _ = tiny_run
-    code = main(["evaluate", *_config_args(config, tmp_path), "--model", "retriever_ance_r1"])
+    config = tiny_config(tmp_path / "run")
+    code = main(["evaluate", *_config_args(config, tmp_path), "--model", model])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: evaluate: unknown model id: 'retriever_ance_r1'")
-    for model in model_ids(config.ance_rounds):
-        assert model in err
+    assert err.startswith(f"error: evaluate: unknown model id: {model!r}")
+    for known in model_ids(config.ance_rounds):
+        assert known in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -226,14 +251,6 @@ def test_ance_command_rejects_zero_rounds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ance:")
     assert "ance_rounds" in err
-
-
-def test_evaluate_unknown_model_fails_cleanly(tiny_run, tmp_path, capsys):
-    config, _ = tiny_run
-    args = _config_args(config, tmp_path)
-    code = main(["evaluate", *args, "--model", "nope"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: evaluate:")
 
 
 def test_seed_and_out_dir_overrides(tmp_path, capsys):

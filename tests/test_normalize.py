@@ -162,13 +162,12 @@ def test_idempotence_mixed_scripts(raw):
 
 
 def test_config_round_trip(tmp_path):
-    paths = save_config(PLAIN, tmp_path)
-    loaded = load_config(
-        stopwords_path=paths["stopwords"],
-        script_map_path=paths["script_map"],
-        entities_path=paths["entities"],
-        stemmer_path=paths["stemmer"],
-    )
+    paths = {
+        f"{role}_path": tmp_path / f"{role}.tsv"
+        for role in ("stopwords", "script_map", "entities", "stemmer")
+    }
+    save_config(PLAIN, **paths)
+    loaded = load_config(**paths)
     assert loaded.stopwords == PLAIN.stopwords
     assert loaded.script_map == PLAIN.script_map
     assert loaded.protected_entities == PLAIN.protected_entities

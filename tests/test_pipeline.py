@@ -32,7 +32,6 @@ from qreform.knn import load_index
 from qreform.mining import load_pairs
 from qreform.normalize import normalize
 from qreform.pipeline import (
-    MODEL_RERANKER_CIRCLE,
     MODEL_RETRIEVER_WEIGHTED,
     AugmentationParams,
     PipelineConfig,
@@ -41,7 +40,6 @@ from qreform.pipeline import (
     _stage_specs,
     augment_feature,
     augment_for_tier,
-    evaluate_model,
     load_serving_state,
     load_threshold,
     reformulate,
@@ -323,6 +321,24 @@ def test_pipeline_produces_reports_and_artifacts(tiny_run):
     }
     for entry in manifest["stages"].values():
         assert "seconds" in entry and "inputs" in entry and "outputs" in entry
+
+
+def test_load_reports_reads_the_models_a_run_reports_on(tiny_run, tmp_path):
+    # Rerun with one ANCE round fewer: the old final round's report stays
+    # on disk, but the run no longer reports on that model.
+    config = dataclasses.replace(copied_run(tiny_run, tmp_path), ance_rounds=1)
+    run_pipeline(config)
+    paths = PipelinePaths(config.out_dir)
+    assert paths.report("retriever_ance_r2").exists()
+    reports = pipeline.load_reports(config)
+    assert list(reports) == pipeline.model_ids(1)
+    assert [report.model_id for report in reports.values()] == pipeline.model_ids(1)
+
+    missing = paths.report(MODEL_RETRIEVER_WEIGHTED)
+    missing.unlink()
+    with pytest.raises(FileNotFoundError) as raised:
+        pipeline.load_reports(config)
+    assert str(missing) in str(raised.value)
 
 
 def test_manifest_records_one_blas_thread_per_stage(tiny_run):
@@ -641,10 +657,8 @@ def test_no_featurizer_table_outlives_its_call(tiny_run, tmp_path, monkeypatch):
     # feature_dim serves them all.
     run_pipeline(config, force=True, stages=("index", "evaluate"))
     assert len(made) == 2
-    evaluate_model(config, MODEL_RERANKER_CIRCLE)
-    assert len(made) == 4
     gc.collect()
-    assert [ref() for ref in made] == [None] * 4
+    assert [ref() for ref in made] == [None] * 2
 
 
 def test_serving_models_start_with_empty_tables_of_their_own(tiny_run):

@@ -206,7 +206,13 @@ def test_messy_log_mines_only_corpus_queries(tmp_path):
     paths.root.mkdir()
     lines = [format_header("behavior-log")] + [f"{q}\t{p}\t{n}" for q, p, n in MESSY_LOG]
     paths.log.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    normalize.save_config(normalize.NormalizationConfig(), paths.root)
+    normalize.save_config(
+        normalize.NormalizationConfig(),
+        paths.stopwords,
+        paths.script_map,
+        paths.entities,
+        paths.stemmer,
+    )
     run_pipeline(config, stages=("ingest", "normalize", "mine"))
 
     ingested = corpus.load_corpus(paths.corpus_queries, paths.corpus_events)

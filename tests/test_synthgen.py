@@ -5,8 +5,10 @@ import statistics
 import pytest
 
 from qreform.corpus import ingest_log
+from qreform.evaluation import load_audit_labels
 from qreform.mining import BehaviorDistribution, importance, jsd
-from qreform.normalize import normalize
+from qreform.normalize import load_config, normalize
+from qreform.pipeline import PipelineConfig, PipelinePaths, run_pipeline
 from qreform.synthgen import (
     RELATION_CONFUSABLE,
     RELATION_SAME,
@@ -14,7 +16,6 @@ from qreform.synthgen import (
     SynthConfig,
     generate,
     load_ground_truth,
-    write_all,
 )
 from tests.conftest import set_overlap
 
@@ -242,11 +243,14 @@ def test_surface_variants_collapse_under_normalization():
     assert len(forms) < len(queries) / 2
 
 
-def test_write_all_round_trip(tmp_path):
+def test_synth_stage_files_round_trip(tmp_path):
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path), synth=SMALL), stages=("synth-gen",))
+    paths = PipelinePaths(tmp_path)
     result = generate(SMALL, 0)
-    paths = write_all(result, tmp_path)
-    corpus = ingest_log(paths["log"], min_purchase=2)
+    corpus = ingest_log(paths.log, min_purchase=2)
     assert set(corpus.queries) == set(result.ground_truth.query_intent)
-    truth = load_ground_truth(paths["intents"], paths["relations"])
-    assert truth.query_intent == result.ground_truth.query_intent
-    assert truth.confusable_intents == result.ground_truth.confusable_intents
+    assert load_ground_truth(paths.intents, paths.relations) == result.ground_truth
+    assert load_audit_labels(paths.audit) == result.audit_labels
+    loaded = load_config(paths.stopwords, paths.script_map, paths.entities, paths.stemmer)
+    for name in ("stopwords", "script_map", "protected_entities", "stemmer_rules"):
+        assert getattr(loaded, name) == getattr(result.norm_config, name), name
