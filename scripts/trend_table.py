@@ -78,7 +78,7 @@ def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> 
         base, seed=seed, out_dir=str(out_root / f"seed{seed}")
     )
     started = time.perf_counter()
-    run_pipeline(config, log=(lambda s: print(f"  {s}")) if verbose else None)
+    run = run_pipeline(config, log=(lambda s: print(f"  {s}")) if verbose else None)
     elapsed = time.perf_counter() - started
     reports = load_reports(config)
     paths = PipelinePaths(Path(config.out_dir))
@@ -105,7 +105,7 @@ def run_seed(base: PipelineConfig, out_root: Path, seed: int, verbose: bool) -> 
             len(load_pairs(path))
             for path in (paths.pairs_train, paths.pairs_val, paths.pairs_test)
         ),
-        "pairs_ungrouped": len(load_pairs(paths.pairs_ungrouped)),
+        "pairs_ungrouped": run.manifest["stages"]["mine"]["pairs_ungrouped"],
         "tail_rate": tail_reformulation_rate(config),
     }
     return row

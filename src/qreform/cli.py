@@ -5,11 +5,13 @@ checksum-based resume.  ``evaluate`` is the evaluate stage's command like
 any other: it skips the stage when the stage is fresh and reruns it when
 it is stale.  With ``--model M`` it then prints the report the stage saved
 for model M instead of the run directory; an unknown model id fails
-before anything is written.  ``reformulate`` and ``augment`` operate on an
-existing run directory.  ``augment`` blends ``--source-value`` with the
-mean of the first ``n_max`` (from the config) of ``--target-values``,
-under ``--alpha`` and ``--beta`` (by default ``AugmentationParams``'s); a
-query of ``--tier rich`` comes back unblended.
+before anything is written.  ``reformulate`` serves a query from a run.
+A command works on the run in ``--out-dir``, or else in the config's
+``out_dir``; given no ``--config``, it reads the config that the run's
+manifest records.  A ``--config`` or ``--seed`` that differs from the
+record (from its hash, on a run that records none) is refused before
+anything is written, naming the differing fields; ``--force`` on
+``pipeline`` or a stage command rebuilds the run under that config.
 Exit status is 0 on success and 1 on failure with a stage-qualified
 message on stderr.
 """
@@ -20,15 +22,13 @@ import argparse
 import dataclasses
 import sys
 
-from .corpus import TIER_IMPOVERISHED, TIER_RICH
 from .evaluation import load_report
 from .pipeline import (
     STAGE_ORDER,
-    AugmentationParams,
     PipelineConfig,
     PipelinePaths,
     StageFailure,
-    augment_for_tier,
+    load_manifest,
     load_serving_state,
     model_ids,
     reformulate,
@@ -66,37 +66,49 @@ def _build_parser() -> argparse.ArgumentParser:
     reform.add_argument("--top-k", type=int, help="retrieval candidates")
     reform.add_argument("--threshold", type=float, help="re-rank score cutoff")
     reform.add_argument("--n-max", type=int, help="max reformulations returned")
-
-    augment = sub.add_parser(
-        "augment", parents=[common], help="blend a feature with reformulations"
-    )
-    augment.add_argument("--source-value", type=float, required=True)
-    augment.add_argument(
-        "--target-values", default="", help="comma-separated target feature values"
-    )
-    augment.add_argument("--alpha", type=float, default=AugmentationParams.alpha)
-    augment.add_argument("--beta", type=float, default=AugmentationParams.beta)
-    augment.add_argument(
-        "--tier",
-        choices=(TIER_RICH, TIER_IMPOVERISHED),
-        default=TIER_IMPOVERISHED,
-        help="traffic tier of the query",
-    )
     return parser
 
 
+def _differing_fields(recorded: dict, given: dict, prefix: str = "") -> list[str]:
+    """Each field whose value differs between two ``settings()`` dicts, as
+    ``name (run R, given G)``; a nested section's fields as ``section.name``."""
+    fields = []
+    for name, old in recorded.items():
+        new = given[name]
+        if isinstance(old, dict):
+            fields += _differing_fields(old, new, f"{prefix}{name}.")
+        elif old != new:
+            fields.append(f"{prefix}{name} (run {old!r}, given {new!r})")
+    return fields
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None):
-        config = PipelineConfig.load_json(args.config)
-    else:
-        config = PipelineConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        overrides["out_dir"] = args.out_dir
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    """The config a command runs under, in its run directory: ``--config``,
+    or else the config the run records, or else the default, with
+    ``--seed`` applied.  Unless ``--force`` is given, a config that differs
+    from the run's record raises a ValueError naming the differing fields."""
+    given = PipelineConfig.load_json(args.config) if args.config else None
+    paths = PipelinePaths(args.out_dir or (given or PipelineConfig()).out_dir)
+    manifest = load_manifest(paths)
+    recorded = None
+    if "config" in manifest:
+        try:
+            recorded = PipelineConfig.from_dict(manifest["config"])
+        except ValueError as exc:
+            raise ValueError(f"{paths.manifest}: {exc}") from exc
+    config = dataclasses.replace(given or recorded or PipelineConfig(), out_dir=str(paths.root))
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    differing = []
+    if recorded is not None:
+        differing = _differing_fields(recorded.settings(), config.settings())
+    elif manifest.get("config_hash") not in (None, config.config_hash()):
+        differing = [f"config hash (run {manifest['config_hash']}, given {config.config_hash()})"]
+    if differing and not getattr(args, "force", False):
+        hint = "; --force rebuilds it under the given config" if "force" in args else ""
+        raise ValueError(
+            f"run directory {paths.root} records another config: {', '.join(differing)}{hint}"
+        )
     return config
 
 
@@ -139,15 +151,6 @@ def _cmd_reformulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_augment(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    params = AugmentationParams(alpha=args.alpha, beta=args.beta)
-    targets = [float(v) for v in args.target_values.split(",") if v != ""]
-    value = augment_for_tier(args.tier, args.source_value, targets[: config.n_max], params)
-    print(f"{value:.6f}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -157,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_stages(args, (args.command,))
         if args.command == "reformulate":
             return _cmd_reformulate(args)
-        if args.command == "augment":
-            return _cmd_augment(args)
         raise ValueError(f"unknown command: {args.command!r}")
     except StageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .files import FileFormatError, iter_log_lines, read_tsv, write_tsv
 
-TIER_RICH = "rich"
-TIER_IMPOVERISHED = "impoverished"
-
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:
     """The order-free key of a query pair: its two texts, smaller first."""

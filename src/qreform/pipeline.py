@@ -13,6 +13,7 @@ directly, and each model's checkpoint and report are named by its model
 id.  A run writes only files that a stage, serving, a script or the
 benchmark reads; the per-epoch losses of every model trained, each ANCE
 round's included, go into the manifest entry of the stage that trained it.
+The manifest is also the run's one record of the config it was made with.
 """
 
 from __future__ import annotations
@@ -121,18 +122,6 @@ def augment_feature(
         raise ValueError("augmentation with alpha < 1 needs at least one target")
     mean = float(np.mean(f_targets))
     return params.alpha * f_source + (1.0 - params.alpha) * params.beta * mean
-
-
-def augment_for_tier(
-    tier: str,
-    f_source: float,
-    f_targets: Sequence[float],
-    params: AugmentationParams,
-) -> float:
-    """Tier gate: only behavior-impoverished queries are blended."""
-    if tier == corpus_mod.TIER_RICH:
-        return float(f_source)
-    return augment_feature(f_source, f_targets, params)
 
 
 @dataclass(frozen=True)
@@ -344,16 +333,17 @@ class PipelineConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
-    def config_hash(self) -> str:
-        """Hash of every setting that shapes the artifacts, and of their
-        format version, so a run in an older format reruns every stage.
-
-        ``out_dir`` is left out: it says where a run lives, not what it
-        holds, so a copied or moved run resumes instead of rerunning.
-        """
+    def settings(self) -> dict:
+        """Every field but ``out_dir``, as the manifest records them: what a
+        run holds, not where it lives, so a moved run resumes."""
         data = self.to_dict()
         del data["out_dir"]
-        data["format_version"] = files_mod._HEADER_VERSION
+        return data
+
+    def config_hash(self) -> str:
+        """Hash of the settings and of the artifacts' format version, so a
+        run in an older format reruns every stage."""
+        data = {**self.settings(), "format_version": files_mod._HEADER_VERSION}
         return sha256_bytes(json.dumps(data, sort_keys=True).encode("utf-8"))
 
 
@@ -378,7 +368,6 @@ class PipelinePaths:
         # at its next declared change (ROADMAP item 6).
         self.norm_queries = self.corpus_queries
         self.groups = root / "groups.tsv"
-        self.pairs_ungrouped = root / "pairs_ungrouped.tsv"
         self.pairs_exclusion = root / "pairs_exclusion.tsv"
         self.test_queries = root / "test_queries.tsv"
         self.pairs_train = root / "pairs_train.tsv"
@@ -406,9 +395,6 @@ class PipelinePaths:
 
 TESTQ_KIND = "test-queries"
 THRESHOLD_KIND = "rerank-threshold"
-# What a training stage returns: each model's per-epoch
-# [epoch, train_loss, val_loss] rows, by model id.
-Losses = dict[str, list[list]]
 
 
 def _stage_synth(
@@ -464,7 +450,8 @@ def _group_copurchase(
 
 def _stage_mine(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> None:
+) -> dict:
+    """Mine and split the grouped pairs; the ungrouped ablation is counted."""
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
     groups = norm_mod.load_groups(paths.groups, corpus)
     scored = mining_mod.mine_pairs(
@@ -488,7 +475,6 @@ def _stage_mine(
         min_purchase=config.min_purchase,
     )
     mining_mod.save_kin(paths.pairs_exclusion, kin)
-    mining_mod.save_pairs(paths.pairs_ungrouped, ungrouped, grouped=0)
 
     split = corpus_mod.make_split(proposed, config.n_test_queries, config.seed)
     write_tsv(
@@ -513,6 +499,7 @@ def _stage_mine(
     )
     mining_mod.save_pairs(paths.pairs_baseline_train, base_train, shard="train")
     mining_mod.save_pairs(paths.pairs_baseline_val, base_val, shard="validation")
+    return {"pairs_ungrouped": len(ungrouped)}
 
 
 def _retrieval_examples(pairs) -> list[train_mod.RetrievalExample]:
@@ -542,7 +529,7 @@ def _trained_pairs(path, floor: float):
 
 def _stage_train_retriever(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> Losses:
+) -> dict:
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     train_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_RETRIEVAL,
@@ -570,12 +557,12 @@ def _stage_train_retriever(
         )
         save_checkpoint(model, paths.checkpoint(model_id))
         losses[model_id] = result.trace
-    return losses
+    return {"losses": losses}
 
 
 def _stage_ance(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> Losses:
+) -> dict:
     """Hard-negative rounds on the weighted retriever.
 
     Round r mines with the round r−1 model (round 1 with the weighted
@@ -632,7 +619,7 @@ def _stage_ance(
     cap = config.rerank_negative_cap
     final = [dataclasses.replace(r, negatives=r.negatives[:cap]) for r in records]
     ance_mod.save_hard_negatives(paths.negatives(config.ance_rounds), final)
-    return losses
+    return {"losses": losses}
 
 
 def _directed_examples(pairs) -> list[tuple[str, str, float]]:
@@ -654,7 +641,7 @@ def _rerank_positive_sets(pairs) -> dict[str, tuple[tuple[str, float], ...]]:
 
 def _stage_train_reranker(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
-) -> Losses:
+) -> dict:
     train_pairs = _trained_pairs(paths.pairs_train, config.train_floor)
     val_pairs = _trained_pairs(paths.pairs_val, config.train_floor)
 
@@ -731,10 +718,10 @@ def _stage_train_reranker(
         [(f"{threshold:.6f}",)],
         model=MODEL_RERANKER_CIRCLE,
     )
-    return {
+    return {"losses": {
         MODEL_RERANKER_POINTWISE: pointwise_result.trace,
         MODEL_RERANKER_CIRCLE: circle_result.trace,
-    }
+    }}
 
 
 def load_threshold(paths: PipelinePaths) -> float:
@@ -857,13 +844,14 @@ def _stage_evaluate(
 
 def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     """Declarative stage table: name, inputs, outputs, runner.  A runner
-    takes the config, the paths and the run's featurizer tables; a
-    training stage's runner returns its models' ``Losses``."""
+    takes the config, the paths and the run's featurizer tables, and
+    returns the extra fields of its manifest entry, or None: a training
+    stage its models' per-epoch ``[epoch, train_loss, val_loss]`` rows as
+    ``losses`` by model id, and mine its ``pairs_ungrouped`` count."""
     norm_files = [paths.stopwords, paths.script_map, paths.entities, paths.stemmer]
     synth_out = [paths.log, paths.intents, paths.relations, paths.audit, *norm_files]
     mine_out = [
         paths.pairs_exclusion,
-        paths.pairs_ungrouped,
         paths.test_queries,
         paths.pairs_train,
         paths.pairs_val,
@@ -953,7 +941,7 @@ def _stage_specs(config: PipelineConfig, paths: PipelinePaths):
     ]
 
 
-def _load_manifest(paths: PipelinePaths) -> dict:
+def load_manifest(paths: PipelinePaths) -> dict:
     """The recorded manifest; a missing or malformed one counts as empty."""
     try:
         manifest = json.loads(paths.manifest.read_text(encoding="utf-8"))
@@ -1044,21 +1032,22 @@ def run_pipeline(
     """Run (or resume) all stages under config.out_dir.
 
     A stage reruns when its outputs are missing, its recorded input or
-    output checksums no longer match, or ``force`` is set.  The manifest
-    records the config hash, per-stage checksums and timings, each
-    training stage's per-epoch ``losses`` by model id, and the BLAS thread
-    count each stage ran with: the run holds numpy's OpenBLAS
+    output checksums no longer match, or ``force`` is set.  A config whose
+    hash differs from the recorded one starts a fresh manifest, so every
+    selected stage reruns.  The manifest records the config
+    (``config.settings()``) and its hash, per-stage checksums and timings,
+    the extra fields each runner returns (``_stage_specs``), and the BLAS
+    thread count each stage ran with: the run holds numpy's OpenBLAS
     to one thread (``_one_blas_thread``), so its outputs do not depend on
     the caller's thread count.  The stages share one map of featurizer
     tables, which the run drops when it returns.
     """
     paths = PipelinePaths(Path(config.out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(paths)
+    recorded = load_manifest(paths)
     config_hash = config.config_hash()
-    if manifest.get("config_hash") != config_hash:
-        manifest = {"config_hash": config_hash, "seed": config.seed, "stages": {}}
-    config.save_json(paths.root / "config.json")
+    entries = recorded["stages"] if recorded.get("config_hash") == config_hash else {}
+    manifest = {"config_hash": config_hash, "config": config.settings(), "stages": entries}
 
     executed: list[str] = []
     skipped: list[str] = []
@@ -1078,7 +1067,7 @@ def run_pipeline(
                 continue
             started = time.perf_counter()
             try:
-                losses = runner(config, paths, featurizers)
+                extra = runner(config, paths, featurizers)
             except Exception as exc:
                 raise StageFailure(name, exc) from exc
             elapsed = time.perf_counter() - started
@@ -1092,9 +1081,8 @@ def run_pipeline(
                 "outputs": _digests(list(outputs)),
                 "seconds": round(elapsed, 3),
                 "blas_threads": blas_threads,
+                **(extra or {}),
             }
-            if losses is not None:
-                manifest["stages"][name]["losses"] = losses
             _save_manifest(paths, manifest)
             executed.append(name)
             if log:

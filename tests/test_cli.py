@@ -1,7 +1,9 @@
 """End-to-end exercises of the command line front end."""
 
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,86 @@ def test_pipeline_command_resumes(tiny_run, tmp_path, capsys):
     assert main(["pipeline", *_config_args(config, tmp_path)]) == 0
     err = capsys.readouterr().err
     assert err.count("up to date, skipped") == 9
+
+
+def _tree(root) -> dict[str, bytes]:
+    """Every file under a run directory, by relative path, with its bytes."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+FINAL_TINY_MODEL = MODEL_RETRIEVER_ANCE.format(round=tiny_config("unused").ance_rounds)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline"],
+        ["evaluate"],
+        ["evaluate", "--model", FINAL_TINY_MODEL],
+        ["reformulate", "--query", "mask"],
+    ],
+    ids=["pipeline", "evaluate", "evaluate-final-model", "reformulate"],
+)
+def test_a_command_given_no_config_reads_the_runs_own(tiny_run, tmp_path, capsys, argv):
+    # The tiny run is no default run: it has 2 ANCE rounds, not 3.
+    config = copied_run(tiny_run, tmp_path)
+    before = _tree(config.out_dir)
+    assert main([*argv, "--out-dir", config.out_dir]) == 0
+    captured = capsys.readouterr()
+    assert _tree(config.out_dir) == before
+    if argv[0] != "reformulate":
+        assert captured.err.count("up to date, skipped") == (9 if argv == ["pipeline"] else 1)
+        assert "done in" not in captured.err
+    if "--model" in argv:
+        report = load_report(PipelinePaths(config.out_dir).report(FINAL_TINY_MODEL))
+        assert captured.out == report.formatted()
+
+
+@pytest.mark.parametrize("change", ["config", "seed"])
+def test_a_config_that_differs_from_the_runs_is_refused_unless_forced(
+    tiny_run, tmp_path, capsys, change
+):
+    config = copied_run(tiny_run, tmp_path)
+    if change == "config":
+        synth = dataclasses.replace(config.synth, n_intents=13)
+        given = dataclasses.replace(config, eval_k=5, synth=synth)
+        args = _config_args(given, tmp_path)
+        named = ["eval_k (run 10, given 5)", "synth.n_intents (run 12, given 13)"]
+    else:
+        given = dataclasses.replace(config, seed=1)
+        args = ["--seed", "1"]
+        named = ["seed (run 0, given 1)"]
+    argv = ["pipeline", "--out-dir", config.out_dir, *args]
+    before = _tree(config.out_dir)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pipeline: run directory {config.out_dir} records another")
+    assert all(field in err for field in named)
+    assert "--force" in err
+    assert _tree(config.out_dir) == before
+
+    assert main([*argv, "--force"]) == 0
+    assert capsys.readouterr().err.count("done in") == 9
+    manifest = json.loads(PipelinePaths(config.out_dir).manifest.read_text(encoding="utf-8"))
+    assert manifest["config"] == given.settings()
+    assert manifest["config_hash"] == given.config_hash()
+
+
+def test_a_run_that_records_no_config_is_compared_by_hash(tiny_run, tmp_path, capsys):
+    # A run made before the manifest recorded its config.
+    config = copied_run(tiny_run, tmp_path)
+    manifest_path = PipelinePaths(config.out_dir).manifest
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["config"]
+    manifest_path.write_text(json.dumps({**manifest, "seed": 0}), encoding="utf-8")
+    before = _tree(config.out_dir)
+    assert main(["evaluate", "--out-dir", config.out_dir]) == 1
+    err = capsys.readouterr().err
+    assert f"config hash (run {config.config_hash()}, given " in err
+    assert _tree(config.out_dir) == before
+    assert main(["evaluate", *_config_args(config, tmp_path)]) == 0
+    assert capsys.readouterr().err == "[evaluate] up to date, skipped\n"
 
 
 @pytest.mark.parametrize("model", model_ids(tiny_config("unused").ance_rounds))
@@ -88,20 +170,21 @@ def test_evaluate_command_names_the_models_a_run_reports_on(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["evaluate", "--model", "retriever_weighted", "--mode", "audit"],
-        ["ance", "--rounds", "1"],
-        ["ance", "--top-k", "5"],
-        ["augment", "--source-value", "0.2", "--tier", "rich", "--all-tiers"],
+        (["evaluate", "--model", "retriever_weighted", "--mode", "audit"], "unrecognized arguments"),
+        (["ance", "--rounds", "1"], "unrecognized arguments"),
+        (["ance", "--top-k", "5"], "unrecognized arguments"),
+        (["augment", "--source-value", "0.2", "--tier", "rich"], "invalid choice"),
     ],
     ids=["evaluate-mode", "ance-rounds", "ance-top-k", "augment-all-tiers"],
 )
-def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exited:
         main([*argv, "--out-dir", str(tmp_path / "run")])
     assert exited.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_reformulate_command_output_format(tiny_run, tmp_path, capsys):
@@ -196,43 +279,6 @@ def test_reformulate_command_names_a_damaged_file(tiny_run, tmp_path, capsys, ar
     assert str(path) in err
 
 
-def test_augment_command_worked_example(capsys):
-    code = main(
-        [
-            "augment",
-            "--source-value",
-            "0.2",
-            "--target-values",
-            "0.4,0.8",
-            "--alpha",
-            "0.5",
-            "--beta",
-            "1.0",
-        ]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "0.400000"
-
-
-def test_augment_command_tier_gate(capsys):
-    base = ["augment", "--source-value", "0.2", "--target-values", "0.8"]
-    assert main([*base, "--alpha", "0.5", "--tier", "rich"]) == 0
-    assert capsys.readouterr().out.strip() == "0.200000"
-    assert main([*base, "--alpha", "0.5", "--tier", "impoverished"]) == 0
-    assert capsys.readouterr().out.strip() == "0.500000"
-    for tier in ("Rich", "tail"):
-        with pytest.raises(SystemExit) as exited:
-            main([*base, "--alpha", "0.5", "--tier", tier])
-        assert exited.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-
-def test_augment_command_rejects_empty_targets(capsys):
-    code = main(["augment", "--source-value", "0.2", "--alpha", "0.5"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: augment:")
-
-
 def test_stage_failure_is_stage_qualified(tmp_path, capsys):
     config = tiny_config(tmp_path / "run")
     args = _config_args(config, tmp_path)
@@ -271,9 +317,10 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    written = json.loads((run_dir / "config.json").read_text())
-    assert written["seed"] == 7
+    recorded = json.loads(PipelinePaths(run_dir).manifest.read_text(encoding="utf-8"))["config"]
+    assert recorded == {**config.settings(), "seed": 7}
     assert "seed=7" in (run_dir / "behavior_log.tsv").read_text().split("\n")[0]
+    assert not (tmp_path / "ignored").exists()
 
 
 @pytest.mark.parametrize(

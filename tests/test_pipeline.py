@@ -24,7 +24,7 @@ from scipy import sparse
 import qreform
 from qreform import encoders, pipeline, training
 from qreform.ance import load_hard_negatives
-from qreform.corpus import TIER_IMPOVERISHED, TIER_RICH, load_corpus, rich_queries
+from qreform.corpus import load_corpus, rich_queries
 from qreform.encoders import load_checkpoint, params_checksum
 from qreform.evaluation import load_report
 from qreform.files import read_tsv
@@ -39,7 +39,6 @@ from qreform.pipeline import (
     StageFailure,
     _stage_specs,
     augment_feature,
-    augment_for_tier,
     load_serving_state,
     load_threshold,
     reformulate,
@@ -89,14 +88,6 @@ def test_augment_params_validation():
         AugmentationParams(alpha=1.2)
     with pytest.raises(ValueError):
         AugmentationParams(beta=-0.1)
-
-
-def test_augment_tier_gate():
-    params = AugmentationParams(alpha=0.5, beta=1.0)
-    assert augment_for_tier(TIER_RICH, 0.2, [0.8], params) == 0.2
-    assert augment_for_tier(TIER_IMPOVERISHED, 0.2, [0.8], params) == pytest.approx(
-        0.5 * 0.2 + 0.5 * 0.8
-    )
 
 
 # --- threshold selection ---
@@ -321,6 +312,41 @@ def test_pipeline_produces_reports_and_artifacts(tiny_run):
     }
     for entry in manifest["stages"].values():
         assert "seconds" in entry and "inputs" in entry and "outputs" in entry
+
+
+def test_a_run_holds_only_its_declared_outputs_and_the_manifest(tiny_run):
+    config, run = tiny_run
+    paths = PipelinePaths(run.out_dir)
+    declared = {path for _, _, outputs, _ in _stage_specs(config, paths) for path in outputs}
+    assert {path for path in paths.root.rglob("*") if path.is_file()} == declared | {
+        paths.manifest
+    }
+
+
+def test_the_manifest_records_the_config_once(tiny_run):
+    config, run = tiny_run
+    manifest = json.loads(PipelinePaths(run.out_dir).manifest.read_text(encoding="utf-8"))
+    assert set(manifest) == {"config", "config_hash", "stages"}
+    assert manifest["config"] == config.settings()
+    assert "out_dir" not in manifest["config"]
+    recorded = PipelineConfig.from_dict(manifest["config"])
+    assert recorded.config_hash() == manifest["config_hash"] == config.config_hash()
+    assert dataclasses.replace(recorded, out_dir=config.out_dir) == config
+
+
+def test_mine_records_the_ungrouped_pair_count(tiny_run):
+    # The grouping ablation's count, in place of a file of the pairs.
+    config, run = tiny_run
+    paths = PipelinePaths(run.out_dir)
+    corpus = load_corpus(paths.corpus_queries, paths.corpus_events)
+    singles = pipeline.norm_mod.singleton_groups(corpus)
+    ungrouped = pipeline.mining_mod.mine_pairs(
+        singles,
+        pipeline._group_copurchase(singles, config.min_purchase),
+        floor=config.mining_floor,
+        min_purchase=config.min_purchase,
+    )
+    assert run.manifest["stages"]["mine"]["pairs_ungrouped"] == len(ungrouped) > 0
 
 
 def test_load_reports_reads_the_models_a_run_reports_on(tiny_run, tmp_path):

@@ -219,7 +219,6 @@ def test_messy_log_mines_only_corpus_queries(tmp_path):
     assert set(ingested.queries) == {q for q, _, _ in MESSY_LOG}
     named = {row[1] for row in read_tsv(paths.groups, normalize.GROUPS_KIND, True)[1]}
     pair_files = [
-        paths.pairs_ungrouped,
         paths.pairs_train,
         paths.pairs_val,
         paths.pairs_test,
