@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .files import read_tsv, write_tsv
 
@@ -170,6 +169,22 @@ def ndcg_at_3(
     return NdcgResult(float(np.mean(values)), len(values), skipped)
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of ``values``, each run of ties sharing its mean rank,
+    as ``scipy.stats.rankdata`` gives them.  A non-finite value raises a
+    ValueError: a sort would rank NaN silently."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("ranks need finite values")
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Mann-Whitney AUROC: P(random positive outranks random negative),
     ties counted half."""
@@ -181,7 +196,7 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs both classes present")
-    ranks = stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -206,8 +221,8 @@ def spearman(scores: Sequence[float], labels: Sequence[float]) -> float:
         raise ValueError("scores and labels must align")
     if scores.size < 2:
         raise ValueError("spearman needs at least two observations")
-    rank_s = stats.rankdata(scores)
-    rank_l = stats.rankdata(labels)
+    rank_s = _average_ranks(scores)
+    rank_l = _average_ranks(labels)
     if np.ptp(rank_s) == 0.0 or np.ptp(rank_l) == 0.0:
         raise ValueError("spearman undefined for zero-variance rankings")
     rank_s = rank_s - rank_s.mean()

@@ -110,12 +110,14 @@ class QueryPair:
 
 
 _BASELINE_KEEP_FRACTION = 0.3
+# The least importance a mined pair needs to be proposed.
+MINING_FLOOR = 0.01
 
 
 def mine_pairs(
     groups: Sequence[QueryGroup],
     copurchase: Iterable[tuple[str, str]],
-    floor: float = 0.01,
+    floor: float = MINING_FLOOR,
     min_purchase: int = 2,
 ) -> list[QueryPair]:
     """Score co-purchase pairs of query groups and expand to member queries.

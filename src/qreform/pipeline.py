@@ -211,21 +211,10 @@ def select_threshold(
     return float(observed[best])
 
 
-def _fits(value: object, default: object) -> bool:
-    """Whether a JSON value may stand where the field's default does: of
-    the default's type, where an int also serves a float, and a bool
-    serves only a bool."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 def _check_section(cls, data: object, section: str) -> None:
     """A config section must be a JSON object naming only fields of
-    ``cls``, each holding a value of its default's type; a list field
-    holds a JSON list of its default items' type."""
+    ``cls``, each holding a value of its default's type (a bool is not an
+    int)."""
     if not isinstance(data, Mapping):
         raise ValueError(
             f"{section} config must be a JSON object, got {type(data).__name__}"
@@ -238,18 +227,7 @@ def _check_section(cls, data: object, section: str) -> None:
         default = defaults[name]
         if dataclasses.is_dataclass(default):
             continue  # a nested section, checked on its own
-        if isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(
-                    f"{name} config must be a JSON list, got {type(value).__name__}"
-                )
-            bad = [item for item in value if not _fits(item, default[0])]
-            if bad:
-                raise ValueError(
-                    f"{section} config {name} must list {type(default[0]).__name__}"
-                    f" values, got {bad[0]!r}"
-                )
-        elif not _fits(value, default):
+        if type(value) is not type(default):
             raise ValueError(
                 f"{section} config {name} must be {type(default).__name__},"
                 f" got {type(value).__name__} {value!r}"
@@ -257,40 +235,30 @@ def _check_section(cls, data: object, section: str) -> None:
 
 
 _COUNT_FIELDS = (
-    "n_test_queries", "bi_feature_dim", "embed_dim", "cross_feature_dim",
-    "retriever_epochs", "ance_epochs_per_round", "reranker_epochs", "batch_size",
-    "ance_rounds", "top_k", "hard_negative_cap", "rerank_negative_cap", "eval_k", "n_max",
-    "rich_threshold",
+    "n_test_queries", "bi_feature_dim", "cross_feature_dim", "retriever_epochs",
+    "reranker_epochs", "ance_rounds", "top_k", "eval_k", "n_max", "rich_threshold",
 )
 
 
 @dataclass
 class PipelineConfig:
-    """Everything a full run needs; serializes to JSON for the CLI."""
+    """What a caller varies between runs: the scale (corpus size, hashed
+    feature dims, epochs, ANCE rounds, retrieval and evaluation depths)
+    and the seed.  The recipe's hyper-parameters are not settable: each is
+    a constant stated once, at its one use or as the library default the
+    stage relies on.  Serializes to JSON for the CLI."""
 
     out_dir: str = "run"
     seed: int = 0
     synth: synth_mod.SynthConfig = field(default_factory=synth_mod.SynthConfig)
-    min_purchase: int = 2
     rich_threshold: int = 20
-    mining_floor: float = 0.01
-    train_floor: float = 0.25
     n_test_queries: int = 100
     bi_feature_dim: int = 1 << 14
-    embed_dim: int = 64
     cross_feature_dim: int = 1 << 13
-    hidden_dims: tuple[int, ...] = (64, 16)
     retriever_epochs: int = 1
-    ance_epochs_per_round: int = 1
     reranker_epochs: int = 2
-    batch_size: int = 256
-    retriever_lr: float = 1e-3
-    reranker_lr: float = 3e-3
-    temperature: float = 0.05
     ance_rounds: int = 3
     top_k: int = 100
-    hard_negative_cap: int = 8
-    rerank_negative_cap: int = 32
     eval_k: int = 100
     n_max: int = 10
 
@@ -298,15 +266,11 @@ class PipelineConfig:
         # A count below one fails a stage late or yields a meaningless
         # artifact (a recall@0 report, or a rich pool of every query and
         # nothing to reformulate); the re-ranker and serving need a final
-        # ANCE round.  min_purchase is checked by the ingest stage.
-        counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
-        counts.update((f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims))
-        _check_positive(**counts)
+        # ANCE round.
+        _check_positive(**{name: getattr(self, name) for name in _COUNT_FIELDS})
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["hidden_dims"] = list(self.hidden_dims)
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
@@ -318,8 +282,6 @@ class PipelineConfig:
         if "synth" in data:
             _check_section(synth_mod.SynthConfig, data["synth"], "synth")
             data["synth"] = synth_mod.SynthConfig(**data["synth"])
-        if "hidden_dims" in data:
-            data["hidden_dims"] = tuple(data["hidden_dims"])
         return cls(**data)
 
     def save_json(self, path) -> None:
@@ -412,7 +374,7 @@ def _stage_synth(
 def _stage_ingest(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> None:
-    corpus = corpus_mod.ingest_log(paths.log, config.min_purchase)
+    corpus = corpus_mod.ingest_log(paths.log)
     corpus_mod.save_queries(corpus, paths.corpus_queries)
     corpus_mod.save_events(corpus, paths.corpus_events)
 
@@ -451,16 +413,15 @@ def _group_copurchase(
 def _stage_mine(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> dict:
-    """Mine and split the grouped pairs; the ungrouped ablation is counted."""
+    """Mine and split the grouped pairs; the ungrouped ablation is counted.
+    Purchases count from the ``min_purchase`` the corpus was ingested with."""
     corpus = corpus_mod.load_corpus(paths.corpus_queries, paths.corpus_events)
+    min_purchase = corpus.min_purchase
     groups = norm_mod.load_groups(paths.groups, corpus)
     scored = mining_mod.mine_pairs(
-        groups,
-        _group_copurchase(groups, config.min_purchase),
-        floor=0.0,
-        min_purchase=config.min_purchase,
+        groups, _group_copurchase(groups, min_purchase), floor=0.0, min_purchase=min_purchase
     )
-    proposed = [p for p in scored if p.importance >= config.mining_floor]
+    proposed = [p for p in scored if p.importance >= mining_mod.MINING_FLOOR]
     baseline = mining_mod.baseline_top30(scored)
     # The kin relation shields queries from negative sampling, which needs
     # only evidence of relatedness, not a stable distribution estimate:
@@ -469,10 +430,7 @@ def _stage_mine(
     kin = mining_mod.kin_pairs(groups, _group_copurchase(groups, 1))
     singles = norm_mod.singleton_groups(corpus)
     ungrouped = mining_mod.mine_pairs(
-        singles,
-        _group_copurchase(singles, config.min_purchase),
-        floor=config.mining_floor,
-        min_purchase=config.min_purchase,
+        singles, _group_copurchase(singles, min_purchase), min_purchase=min_purchase
     )
     mining_mod.save_kin(paths.pairs_exclusion, kin)
 
@@ -514,8 +472,11 @@ def _retrieval_examples(pairs) -> list[train_mod.RetrievalExample]:
     return examples
 
 
-def _trained_pairs(path, floor: float):
-    """Load pairs whose importance clears the training floor.
+TRAIN_FLOOR = 0.25
+
+
+def _trained_pairs(path):
+    """Load pairs whose importance clears ``TRAIN_FLOOR``.
 
     Mined pairs below the floor stay in the pair files (they still count
     as co-purchase knowledge: evaluation truth and reformulation
@@ -524,20 +485,20 @@ def _trained_pairs(path, floor: float):
     so a near-zero contrastive weight does not yield near-zero learning;
     dropping the pair is the only faithful reading of its weight.
     """
-    return [p for p in mining_mod.load_pairs(path) if p.importance >= floor]
+    return [p for p in mining_mod.load_pairs(path) if p.importance >= TRAIN_FLOOR]
+
+
+EMBED_DIM = 64
 
 
 def _stage_train_retriever(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> dict:
+    """The baseline and weighted retrievers, each ``EMBED_DIM`` wide, under
+    ``TrainConfig``'s batch size, learning rate and temperature."""
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     train_config = train_mod.TrainConfig(
-        objective=train_mod.OBJECTIVE_RETRIEVAL,
-        epochs=config.retriever_epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.retriever_lr,
-        temperature=config.temperature,
-        seed=config.seed,
+        objective=train_mod.OBJECTIVE_RETRIEVAL, epochs=config.retriever_epochs, seed=config.seed
     )
     runs = (
         (MODEL_RETRIEVER_BASELINE, paths.pairs_baseline_train, paths.pairs_baseline_val),
@@ -546,12 +507,12 @@ def _stage_train_retriever(
     losses = {}
     for model_id, train_path, val_path in runs:
         model = BiEncoderModel.initialize(
-            config.bi_feature_dim, config.embed_dim, config.seed, featurizers
+            config.bi_feature_dim, EMBED_DIM, config.seed, featurizers
         )
         result = train_mod.train(
             model,
-            _retrieval_examples(_trained_pairs(train_path, config.train_floor)),
-            _retrieval_examples(_trained_pairs(val_path, config.train_floor)),
+            _retrieval_examples(_trained_pairs(train_path)),
+            _retrieval_examples(_trained_pairs(val_path)),
             train_config,
             kin=kin,
         )
@@ -560,19 +521,24 @@ def _stage_train_retriever(
     return {"losses": losses}
 
 
+ANCE_EPOCHS_PER_ROUND = 1
+RERANK_NEGATIVE_CAP = 32
+
+
 def _stage_ance(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> dict:
     """Hard-negative rounds on the weighted retriever.
 
     Round r mines with the round r−1 model (round 1 with the weighted
-    retriever), then fine-tunes it with the contrastive objective, whose
-    in-batch pool each anchor's mined negatives augment, under seed
-    ``config.seed + r``.  Each round's losses are returned under its own
+    retriever), then fine-tunes it for ``ANCE_EPOCHS_PER_ROUND`` epochs
+    with the contrastive objective, whose in-batch pool each anchor's
+    first ``TrainConfig.hard_negative_cap`` mined negatives augment, under
+    seed ``config.seed + r``.  Each round's losses are returned under its own
     model id, but only the final round's checkpoint is saved, under
     ``retriever_ance_r{ance_rounds}``: the index, serving and evaluate
     read that one.  Only the final round's negatives are saved, each
-    anchor's cut to its first ``config.rerank_negative_cap``: exactly what
+    anchor's cut to its first ``RERANK_NEGATIVE_CAP``: exactly what
     the re-ranker trains on.  Their ``source_checkpoint`` column still
     names the model that mined them, the round ``ance_rounds − 1`` model,
     by its parameter checksum, although no file of that model is kept.
@@ -581,12 +547,8 @@ def _stage_ance(
     model = load_checkpoint(paths.checkpoint(MODEL_RETRIEVER_WEIGHTED), featurizers)
     kin = mining_mod.load_kin(paths.pairs_exclusion)
     pool = corpus_mod.rich_queries(corpus, config.rich_threshold)
-    train_examples = _retrieval_examples(
-        _trained_pairs(paths.pairs_train, config.train_floor)
-    )
-    val_examples = _retrieval_examples(
-        _trained_pairs(paths.pairs_val, config.train_floor)
-    )
+    train_examples = _retrieval_examples(_trained_pairs(paths.pairs_train))
+    val_examples = _retrieval_examples(_trained_pairs(paths.pairs_val))
     anchors = {example.anchor for example in train_examples}
     losses = {}
     for round_index in range(1, config.ance_rounds + 1):
@@ -595,11 +557,7 @@ def _stage_ance(
         )
         round_config = train_mod.TrainConfig(
             objective=train_mod.OBJECTIVE_RETRIEVAL,
-            epochs=config.ance_epochs_per_round,
-            batch_size=config.batch_size,
-            learning_rate=config.retriever_lr,
-            temperature=config.temperature,
-            hard_negative_cap=config.hard_negative_cap,
+            epochs=ANCE_EPOCHS_PER_ROUND,
             seed=config.seed + round_index,
         )
         result = train_mod.train(
@@ -616,8 +574,9 @@ def _stage_ance(
     # a much deeper slice of the mined sets than the retriever; the extra
     # negatives teach it that shared filler tokens alone do not make a
     # pair relevant.
-    cap = config.rerank_negative_cap
-    final = [dataclasses.replace(r, negatives=r.negatives[:cap]) for r in records]
+    final = [
+        dataclasses.replace(r, negatives=r.negatives[:RERANK_NEGATIVE_CAP]) for r in records
+    ]
     ance_mod.save_hard_negatives(paths.negatives(config.ance_rounds), final)
     return {"losses": losses}
 
@@ -639,20 +598,27 @@ def _rerank_positive_sets(pairs) -> dict[str, tuple[tuple[str, float], ...]]:
     }
 
 
+RERANKER_LR = 3e-3
+CIRCLE_BATCH_SIZE = 32
+
+
 def _stage_train_reranker(
     config: PipelineConfig, paths: PipelinePaths, featurizers: Featurizers
 ) -> dict:
-    train_pairs = _trained_pairs(paths.pairs_train, config.train_floor)
-    val_pairs = _trained_pairs(paths.pairs_val, config.train_floor)
+    """The pointwise re-ranker, of ``CrossEncoderModel``'s default hidden
+    widths and at ``TrainConfig``'s batch size, then its circle-loss copy
+    in batches of ``CIRCLE_BATCH_SIZE`` anchors, both at ``RERANKER_LR``;
+    then the circle model's decision threshold."""
+    train_pairs = _trained_pairs(paths.pairs_train)
+    val_pairs = _trained_pairs(paths.pairs_val)
 
     pointwise = CrossEncoderModel.initialize(
-        config.cross_feature_dim, config.hidden_dims, config.seed, featurizers
+        config.cross_feature_dim, seed=config.seed, featurizers=featurizers
     )
     pointwise_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_POINTWISE,
         epochs=config.reranker_epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.reranker_lr,
+        learning_rate=RERANKER_LR,
         seed=config.seed,
     )
     pointwise_result = train_mod.train(
@@ -674,8 +640,8 @@ def _stage_train_reranker(
     circle_config = train_mod.TrainConfig(
         objective=train_mod.OBJECTIVE_CIRCLE,
         epochs=config.reranker_epochs,
-        batch_size=max(1, config.batch_size // 8),
-        learning_rate=config.reranker_lr,
+        batch_size=CIRCLE_BATCH_SIZE,
+        learning_rate=RERANKER_LR,
         seed=config.seed,
     )
     circle_result = train_mod.train(circle, batches, [], circle_config)

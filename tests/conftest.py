@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import shutil
 
 import pytest
 
 from qreform.corpus import Corpus
-from qreform.pipeline import PipelineConfig, run_pipeline
+from qreform.files import _HEADER_VERSION, sha256_bytes
+from qreform.pipeline import PipelineConfig, PipelinePaths, run_pipeline
 from qreform.synthgen import SynthConfig
+
+# Fields that earlier configs held and that are now constants of the
+# recipe, each with the one value every run held.
+REMOVED_CONFIG_FIELDS = {
+    "min_purchase": 2,
+    "mining_floor": 0.01,
+    "train_floor": 0.25,
+    "embed_dim": 64,
+    "hidden_dims": [64, 16],
+    "ance_epochs_per_round": 1,
+    "batch_size": 256,
+    "retriever_lr": 1e-3,
+    "reranker_lr": 3e-3,
+    "temperature": 0.05,
+    "hard_negative_cap": 8,
+    "rerank_negative_cap": 32,
+}
 
 
 def build_corpus(rows, min_purchase=2) -> Corpus:
@@ -69,6 +88,20 @@ def copied_run(tiny_run, tmp_path) -> PipelineConfig:
     out_dir = tmp_path / "copied"
     shutil.copytree(run.out_dir, out_dir)
     return dataclasses.replace(config, out_dir=str(out_dir))
+
+
+def run_recording_a_removed_field(tiny_run, tmp_path) -> PipelineConfig:
+    """A copy of the tiny run whose manifest records ``temperature`` in its
+    config, and the hash over that config, as a run made while
+    ``temperature`` was a config field does."""
+    config = copied_run(tiny_run, tmp_path)
+    path = PipelinePaths(config.out_dir).manifest
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    settings = {**manifest["config"], "temperature": REMOVED_CONFIG_FIELDS["temperature"]}
+    hashed = json.dumps({**settings, "format_version": _HEADER_VERSION}, sort_keys=True)
+    manifest.update(config=settings, config_hash=sha256_bytes(hashed.encode("utf-8")))
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return config
 
 
 def truncate(path) -> None:

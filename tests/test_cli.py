@@ -18,7 +18,13 @@ from qreform.pipeline import (
     PipelinePaths,
     model_ids,
 )
-from tests.conftest import copied_run, tiny_config, truncate
+from tests.conftest import (
+    REMOVED_CONFIG_FIELDS,
+    copied_run,
+    run_recording_a_removed_field,
+    tiny_config,
+    truncate,
+)
 
 
 def _config_args(config, tmp_path):
@@ -124,6 +130,31 @@ def test_a_run_that_records_no_config_is_compared_by_hash(tiny_run, tmp_path, ca
     assert _tree(config.out_dir) == before
     assert main(["evaluate", *_config_args(config, tmp_path)]) == 0
     assert capsys.readouterr().err == "[evaluate] up to date, skipped\n"
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["pipeline"], False),
+        (["evaluate"], False),
+        (["reformulate", "--query", "mask"], False),
+        (["pipeline", "--force"], True),
+    ],
+    ids=["pipeline", "evaluate", "reformulate", "pipeline-given-config-forced"],
+)
+def test_a_run_whose_manifest_records_a_removed_field_is_refused(
+    tiny_run, tmp_path, capsys, argv, given
+):
+    # Nothing migrates such a run: deleting its manifest rebuilds it.
+    config = run_recording_a_removed_field(tiny_run, tmp_path)
+    manifest = PipelinePaths(config.out_dir).manifest
+    args = _config_args(config, tmp_path) if given else []
+    before = _tree(config.out_dir)
+    assert main([*argv, *args, "--out-dir", config.out_dir]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]}: {manifest}: unknown top-level config keys: temperature\n"
+    )
+    assert _tree(config.out_dir) == before
 
 
 @pytest.mark.parametrize("model", model_ids(tiny_config("unused").ance_rounds))
@@ -333,6 +364,10 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
         ({"synth": {"seed": 7}}, "synth", "seed"),
         ({"synth": {"tail_product_bound": 6}}, "synth", "tail_product_bound"),
         ({"synth": {"zipf_exponent": 1.15}}, "synth", "zipf_exponent"),
+        *(
+            ({name: value}, "top-level", name)
+            for name, value in REMOVED_CONFIG_FIELDS.items()
+        ),
     ],
 )
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
@@ -352,12 +387,11 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
     [
         ({"synth": 5}, "synth config must be a JSON object, got int"),
         ([1, 2], "top-level config must be a JSON object, got list"),
-        ({"hidden_dims": 5}, "hidden_dims config must be a JSON list, got int"),
+        ({"top_k": [5]}, "top-level config top_k must be int, got list [5]"),
         ({"seed": "x"}, "top-level config seed must be int, got str 'x'"),
         ({"seed": True}, "top-level config seed must be int, got bool True"),
-        ({"batch_size": 2.5}, "top-level config batch_size must be int, got float 2.5"),
-        ({"temperature": "hot"}, "top-level config temperature must be float, got str 'hot'"),
-        ({"hidden_dims": ["a"]}, "top-level config hidden_dims must list int values, got 'a'"),
+        ({"eval_k": 2.5}, "top-level config eval_k must be int, got float 2.5"),
+        ({"out_dir": 5}, "top-level config out_dir must be str, got int 5"),
         (
             {"synth": {"n_intents": "many"}},
             "synth config n_intents must be int, got str 'many'",
@@ -366,12 +400,11 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys, data, section, key):
     ids=[
         "synth-not-object",
         "top-level-list",
-        "hidden_dims-not-list",
+        "top_k-list",
         "seed-str",
         "seed-bool",
-        "batch_size-float",
-        "temperature-str",
-        "hidden_dims-item-str",
+        "eval_k-float",
+        "out_dir-int",
         "synth-n_intents-str",
     ],
 )

@@ -1,9 +1,16 @@
 """Offline metrics against hand-computed and brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import stats
 
 from qreform.evaluation import (
     AVERAGE_MACRO,
@@ -14,6 +21,7 @@ from qreform.evaluation import (
     SCOPE_TOP3,
     AuditLabel,
     EvalReport,
+    _average_ranks,
     auroc,
     auroc_notrel,
     auroc_strict,
@@ -114,6 +122,45 @@ def test_ndcg_hard_requires_retrieved():
 
 
 # --- AUROC / Spearman ---
+
+
+# --- ranks ---
+
+
+@given(
+    st.lists(
+        # A few fixed values make ties common; any finite float may join them.
+        st.one_of(
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([3.0])
+@example([0.5, 0.5, 0.5, 0.5])
+@example([2.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+def test_average_ranks_match_scipy(values):
+    ranks = _average_ranks(values)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, stats.rankdata(values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_average_ranks_reject_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="finite"):
+        _average_ranks([1.0, bad, 0.0])
+
+
+def test_the_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, qreform.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_auroc_worked_example():

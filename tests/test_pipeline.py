@@ -33,6 +33,7 @@ from qreform.mining import load_pairs
 from qreform.normalize import normalize
 from qreform.pipeline import (
     MODEL_RETRIEVER_WEIGHTED,
+    STAGE_ORDER,
     AugmentationParams,
     PipelineConfig,
     PipelinePaths,
@@ -47,7 +48,7 @@ from qreform.pipeline import (
     tail_reformulation_rate,
 )
 from qreform.synthgen import LOG_KIND, SynthConfig, generate
-from tests.conftest import copied_run, tiny_config
+from tests.conftest import copied_run, run_recording_a_removed_field, tiny_config
 from tests.one_source_reference import one_source_scores
 
 REPO = Path(__file__).resolve().parent.parent
@@ -163,8 +164,10 @@ def test_config_json_round_trip(tmp_path):
 
 def test_config_hash_tracks_changes(tmp_path):
     config = tiny_config(tmp_path / "run")
-    changed = dataclasses.replace(config, mining_floor=0.05)
+    changed = dataclasses.replace(config, rich_threshold=config.rich_threshold + 1)
     assert changed.config_hash() != config.config_hash()
+    synth = dataclasses.replace(config.synth, n_audit_pairs=config.synth.n_audit_pairs + 1)
+    assert dataclasses.replace(config, synth=synth).config_hash() != config.config_hash()
 
 
 def test_config_seed_propagates_to_synth(tmp_path):
@@ -221,14 +224,9 @@ def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
         "n_max",
         "n_test_queries",
         "bi_feature_dim",
-        "embed_dim",
         "cross_feature_dim",
         "retriever_epochs",
-        "ance_epochs_per_round",
         "reranker_epochs",
-        "batch_size",
-        "hard_negative_cap",
-        "rerank_negative_cap",
         "eval_k",
         "rich_threshold",
     ],
@@ -236,12 +234,6 @@ def test_config_rejects_fewer_than_one_ance_round(tmp_path, rounds):
 def test_config_rejects_counts_below_one(tmp_path, name, value):
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         dataclasses.replace(tiny_config(tmp_path / "run"), **{name: value})
-
-
-@pytest.mark.parametrize("value", [0, -1])
-def test_config_rejects_hidden_dims_below_one(tmp_path, value):
-    with pytest.raises(ValueError, match=rf"hidden_dims\[1\] must be >= 1, got {value}"):
-        dataclasses.replace(tiny_config(tmp_path / "run"), hidden_dims=(64, value))
 
 
 def test_config_save_keeps_the_previous_file_when_a_write_fails(tmp_path, monkeypatch):
@@ -342,11 +334,27 @@ def test_mine_records_the_ungrouped_pair_count(tiny_run):
     singles = pipeline.norm_mod.singleton_groups(corpus)
     ungrouped = pipeline.mining_mod.mine_pairs(
         singles,
-        pipeline._group_copurchase(singles, config.min_purchase),
-        floor=config.mining_floor,
-        min_purchase=config.min_purchase,
+        pipeline._group_copurchase(singles, corpus.min_purchase),
+        floor=pipeline.mining_mod.MINING_FLOOR,
+        min_purchase=corpus.min_purchase,
     )
     assert run.manifest["stages"]["mine"]["pairs_ungrouped"] == len(ungrouped) > 0
+
+
+def test_a_run_whose_manifest_records_a_removed_field_rebuilds_identically(
+    tiny_run, tmp_path
+):
+    # Its config hash differs, so every stage reruns, and the removed
+    # field's value is the constant that replaced it, so no output changes.
+    config = run_recording_a_removed_field(tiny_run, tmp_path)
+    files = sorted(p.name for p in Path(config.out_dir).rglob("*"))
+    rerun = run_pipeline(config)
+    assert rerun.executed == list(STAGE_ORDER)
+    for stage, entry in tiny_run[1].manifest["stages"].items():
+        assert rerun.manifest["stages"][stage]["inputs"] == entry["inputs"], stage
+        assert rerun.manifest["stages"][stage]["outputs"] == entry["outputs"], stage
+    assert rerun.manifest["config"] == config.settings()
+    assert sorted(p.name for p in Path(config.out_dir).rglob("*")) == files
 
 
 def test_load_reports_reads_the_models_a_run_reports_on(tiny_run, tmp_path):
@@ -471,10 +479,19 @@ def test_corrupt_pair_file_reruns_only_mine(tiny_run, tmp_path):
 
 
 def test_pipeline_stage_failure_names_stage(tmp_path):
+    # A malformed log row fails the stage that reads it, naming the stage
+    # and the row's file and line.
     config = tiny_config(tmp_path / "run")
-    config = dataclasses.replace(config, min_purchase=0)
-    with pytest.raises(StageFailure, match="ingest"):
-        run_pipeline(config)
+    run_pipeline(config, stages=["synth-gen"])
+    log = PipelinePaths(config.out_dir).log
+    lines = log.read_text(encoding="utf-8").splitlines()
+    query, product, _ = lines[-1].split("\t")
+    lines[-1] = f"{query}\t{product}\t-3"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StageFailure) as failure:
+        run_pipeline(config, stages=["ingest"])
+    assert failure.value.stage == "ingest"
+    assert f"behavior_log.tsv:{len(lines)}: negative purchase count -3" in str(failure.value)
 
 
 def test_reformulate_excludes_self_and_respects_threshold(tiny_run):
@@ -830,7 +847,7 @@ def test_training_stages_record_each_models_losses(tiny_run, retrained):
         ),
         "ance": (
             [pipeline.MODEL_RETRIEVER_ANCE.format(round=r) for r in rounds],
-            config.ance_epochs_per_round,
+            pipeline.ANCE_EPOCHS_PER_ROUND,
         ),
         "train-reranker": (list(pipeline.RERANKER_IDS), config.reranker_epochs),
     }
@@ -869,9 +886,9 @@ def test_each_ance_round_mines_with_the_previous_round_model(retrained):
 
 def test_negatives_file_holds_the_final_round_capped(ance_mining):
     # The file holds exactly what the re-ranker trains on: each anchor's
-    # first rerank_negative_cap negatives of the final round, in rank order.
+    # first RERANK_NEGATIVE_CAP negatives of the final round, in rank order.
     config, calls = ance_mining
-    cap = config.rerank_negative_cap
+    cap = pipeline.RERANK_NEGATIVE_CAP
     _, final = calls[-1]
     assert any(len(record.negatives) > cap for record in final)
     saved = load_hard_negatives(PipelinePaths(config.out_dir).negatives(config.ance_rounds))
