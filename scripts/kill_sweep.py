@@ -14,8 +14,8 @@ build resumes in this process, and four things must hold:
 - every file in the run directory equals the clean build's, and so does
   the manifest, stage ``seconds`` aside;
 - no other file is left, so no ``.tmp`` file survives;
-- the manifest records the run's config, both after the kill and after
-  the resume;
+- the manifest records the run's config and the artifacts' format
+  version, both after the kill and after the resume;
 - the resume reruns exactly the interrupted stage and the stages after it.
 
 The script prints each point that breaks one of these and exits 1 if there
@@ -41,6 +41,7 @@ sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from digest_gate import TINY  # noqa: E402
+from qreform.files import _HEADER_VERSION  # noqa: E402
 from qreform.pipeline import (  # noqa: E402
     STAGE_ORDER,
     PipelineConfig,
@@ -84,6 +85,13 @@ def _tree(root: Path) -> dict[str, str]:
         for path in root.rglob("*")
         if path.is_file() and path.name != "manifest.json"
     }
+
+
+def _unrecorded(manifest: dict, config: PipelineConfig) -> list[str]:
+    """The manifest keys that fail to record a build of ``config``: its
+    ``config`` and its ``format_version``."""
+    want = {"config": config.settings(), "format_version": _HEADER_VERSION}
+    return [key for key, value in want.items() if manifest.get(key) != value]
 
 
 def _without_seconds(manifest: dict) -> dict:
@@ -149,8 +157,11 @@ def check_point(
         except ValueError:
             killed = None
             errors.append("the kill left a manifest that does not parse")
-        if killed is not None and killed.get("config") != config.settings():
-            errors.append("the kill left a manifest that does not record the config")
+        if killed is not None:
+            errors += [
+                f"the kill left a manifest that does not record the {key}"
+                for key in _unrecorded(killed, config)
+            ]
 
     stage, name = events[n - 1]
     recorded = name == paths.manifest.name and when == "after"
@@ -161,7 +172,9 @@ def check_point(
 
     clean_manifest = _without_seconds(load_manifest(PipelinePaths(clean)))
     manifest = _without_seconds(load_manifest(paths))
-    # The clean manifest records the config, so this also checks the record.
+    errors += [
+        f"the resumed manifest does not record the {key}" for key in _unrecorded(manifest, config)
+    ]
     if manifest != clean_manifest or _without_seconds(resumed.manifest) != clean_manifest:
         errors.append("the manifest differs from the clean build's")
     want, have = _tree(clean), _tree(paths.root)

@@ -80,7 +80,7 @@ def negatives_by_anchor(
 
 
 def build_rerank_batches(
-    rerank_positives: Mapping[str, tuple[tuple[str, float], ...]],
+    rerank_positives: Mapping[str, tuple[str, ...]],
     records: Sequence[HardNegativeRecord],
 ) -> list[RerankBatch]:
     """Pair each anchor's positive set with all of its mined negatives."""

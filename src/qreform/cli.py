@@ -9,9 +9,10 @@ before anything is written.  ``reformulate`` serves a query from a run.
 A command works on the run in ``--out-dir``, or else in the config's
 ``out_dir``; given no ``--config``, it reads the config that the run's
 manifest records.  A ``--config`` or ``--seed`` that differs from the
-record (from its hash, on a run that records none) is refused before
-anything is written, naming the differing fields; ``--force`` on
-``pipeline`` or a stage command rebuilds the run under that config.
+record is refused before anything is written, naming the differing
+fields, and so is any command on a run whose manifest records no config;
+``--force`` on ``pipeline`` or a stage command rebuilds the run under
+the given config.
 Exit status is 0 on success and 1 on failure with a stage-qualified
 message on stderr.
 """
@@ -86,7 +87,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     """The config a command runs under, in its run directory: ``--config``,
     or else the config the run records, or else the default, with
     ``--seed`` applied.  Unless ``--force`` is given, a config that differs
-    from the run's record raises a ValueError naming the differing fields."""
+    from the run's record raises a ValueError naming the differing fields,
+    and a run whose manifest records no config raises one saying so."""
     given = PipelineConfig.load_json(args.config) if args.config else None
     paths = PipelinePaths(args.out_dir or (given or PipelineConfig()).out_dir)
     manifest = load_manifest(paths)
@@ -99,16 +101,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = dataclasses.replace(given or recorded or PipelineConfig(), out_dir=str(paths.root))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    differing = []
+    problem = None
     if recorded is not None:
         differing = _differing_fields(recorded.settings(), config.settings())
-    elif manifest.get("config_hash") not in (None, config.config_hash()):
-        differing = [f"config hash (run {manifest['config_hash']}, given {config.config_hash()})"]
-    if differing and not getattr(args, "force", False):
+        if differing:
+            problem = f"records another config: {', '.join(differing)}"
+    elif manifest:
+        problem = "records no config"
+    if problem and not getattr(args, "force", False):
         hint = "; --force rebuilds it under the given config" if "force" in args else ""
-        raise ValueError(
-            f"run directory {paths.root} records another config: {', '.join(differing)}{hint}"
-        )
+        raise ValueError(f"run directory {paths.root} {problem}{hint}")
     return config
 
 

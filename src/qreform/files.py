@@ -188,10 +188,6 @@ def sha256_file(path: os.PathLike | str) -> str:
     return digest.hexdigest()
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def iter_log_lines(path: os.PathLike | str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, stripped line), skipping blank lines and
     a ``#qreform-`` header on line 1; any other line is data, even one

@@ -117,12 +117,14 @@ MINING_FLOOR = 0.01
 def mine_pairs(
     groups: Sequence[QueryGroup],
     copurchase: Iterable[tuple[str, str]],
+    min_purchase: int,
     floor: float = MINING_FLOOR,
-    min_purchase: int = 2,
 ) -> list[QueryPair]:
     """Score co-purchase pairs of query groups and expand to member queries.
 
-    ``copurchase`` holds pairs of group keys (``normalized_text``).
+    ``copurchase`` holds pairs of group keys (``normalized_text``), and
+    ``min_purchase`` is the corpus's: a group's behavior counts only the
+    products bought at least that often.
     Each surviving group pair is scored once on the groups' filtered
     behavior and then expanded to every cross pair of member queries, so
     the encoders see surface variation while sharing one behavioral score.

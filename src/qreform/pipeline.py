@@ -49,7 +49,7 @@ from .encoders import (
     params_checksum,
     save_checkpoint,
 )
-from .files import atomic_write, read_tsv, sha256_bytes, sha256_file, write_tsv
+from .files import atomic_write, read_tsv, sha256_file, write_tsv
 
 MODEL_RETRIEVER_BASELINE = "retriever_top30_baseline"
 MODEL_RETRIEVER_WEIGHTED = "retriever_weighted"
@@ -302,12 +302,6 @@ class PipelineConfig:
         del data["out_dir"]
         return data
 
-    def config_hash(self) -> str:
-        """Hash of the settings and of the artifacts' format version, so a
-        run in an older format reruns every stage."""
-        data = {**self.settings(), "format_version": files_mod._HEADER_VERSION}
-        return sha256_bytes(json.dumps(data, sort_keys=True).encode("utf-8"))
-
 
 class PipelinePaths:
     """Where a run keeps its files: fixed files are attributes, and each
@@ -509,7 +503,7 @@ def _stage_train_retriever(
         model = BiEncoderModel.initialize(
             config.bi_feature_dim, EMBED_DIM, config.seed, featurizers
         )
-        result = train_mod.train(
+        losses[model_id] = train_mod.train(
             model,
             _retrieval_examples(_trained_pairs(train_path)),
             _retrieval_examples(_trained_pairs(val_path)),
@@ -517,7 +511,6 @@ def _stage_train_retriever(
             kin=kin,
         )
         save_checkpoint(model, paths.checkpoint(model_id))
-        losses[model_id] = result.trace
     return {"losses": losses}
 
 
@@ -560,7 +553,7 @@ def _stage_ance(
             epochs=ANCE_EPOCHS_PER_ROUND,
             seed=config.seed + round_index,
         )
-        result = train_mod.train(
+        losses[MODEL_RETRIEVER_ANCE.format(round=round_index)] = train_mod.train(
             model,
             train_examples,
             val_examples,
@@ -568,7 +561,6 @@ def _stage_ance(
             kin=kin,
             hard_negatives=ance_mod.negatives_by_anchor(records),
         )
-        losses[MODEL_RETRIEVER_ANCE.format(round=round_index)] = result.trace
     save_checkpoint(model, paths.retriever_ance(config.ance_rounds))
     # The cross-encoder sees each anchor once per epoch, so it can afford
     # a much deeper slice of the mined sets than the retriever; the extra
@@ -589,10 +581,10 @@ def _directed_examples(pairs) -> list[tuple[str, str, float]]:
     return examples
 
 
-def _rerank_positive_sets(pairs) -> dict[str, tuple[tuple[str, float], ...]]:
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    for source, target, value in _directed_examples(pairs):
-        grouped.setdefault(source, []).append((target, value))
+def _rerank_positive_sets(pairs) -> dict[str, tuple[str, ...]]:
+    grouped: dict[str, list[str]] = {}
+    for source, target, _ in _directed_examples(pairs):
+        grouped.setdefault(source, []).append(target)
     return {
         anchor: tuple(sorted(targets)) for anchor, targets in grouped.items()
     }
@@ -621,7 +613,7 @@ def _stage_train_reranker(
         learning_rate=RERANKER_LR,
         seed=config.seed,
     )
-    pointwise_result = train_mod.train(
+    pointwise_losses = train_mod.train(
         pointwise,
         _directed_examples(train_pairs),
         _directed_examples(val_pairs),
@@ -644,7 +636,7 @@ def _stage_train_reranker(
         learning_rate=RERANKER_LR,
         seed=config.seed,
     )
-    circle_result = train_mod.train(circle, batches, [], circle_config)
+    circle_losses = train_mod.train(circle, batches, [], circle_config)
     save_checkpoint(circle, paths.reranker_circle)
 
     # Decision threshold: best F1 separating co-purchased validation pairs
@@ -685,8 +677,8 @@ def _stage_train_reranker(
         model=MODEL_RERANKER_CIRCLE,
     )
     return {"losses": {
-        MODEL_RERANKER_POINTWISE: pointwise_result.trace,
-        MODEL_RERANKER_CIRCLE: circle_result.trace,
+        MODEL_RERANKER_POINTWISE: pointwise_losses,
+        MODEL_RERANKER_CIRCLE: circle_losses,
     }}
 
 
@@ -998,22 +990,22 @@ def run_pipeline(
     """Run (or resume) all stages under config.out_dir.
 
     A stage reruns when its outputs are missing, its recorded input or
-    output checksums no longer match, or ``force`` is set.  A config whose
-    hash differs from the recorded one starts a fresh manifest, so every
-    selected stage reruns.  The manifest records the config
-    (``config.settings()``) and its hash, per-stage checksums and timings,
-    the extra fields each runner returns (``_stage_specs``), and the BLAS
-    thread count each stage ran with: the run holds numpy's OpenBLAS
-    to one thread (``_one_blas_thread``), so its outputs do not depend on
-    the caller's thread count.  The stages share one map of featurizer
-    tables, which the run drops when it returns.
+    output checksums no longer match, or ``force`` is set.  A config or an
+    artifact format version that differs from the recorded one starts a
+    fresh manifest, so every selected stage reruns.  The manifest records
+    the config (``config.settings()``) and the format version once,
+    per-stage checksums and timings, the extra fields each runner returns
+    (``_stage_specs``), and the BLAS thread count each stage ran with: the
+    run holds numpy's OpenBLAS to one thread (``_one_blas_thread``), so its
+    outputs do not depend on the caller's thread count.  The stages share
+    one map of featurizer tables, which the run drops when it returns.
     """
     paths = PipelinePaths(Path(config.out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
     recorded = load_manifest(paths)
-    config_hash = config.config_hash()
-    entries = recorded["stages"] if recorded.get("config_hash") == config_hash else {}
-    manifest = {"config_hash": config_hash, "config": config.settings(), "stages": entries}
+    manifest = {"config": config.settings(), "format_version": files_mod._HEADER_VERSION}
+    same = all(recorded.get(key) == value for key, value in manifest.items())
+    manifest["stages"] = recorded["stages"] if same else {}
 
     executed: list[str] = []
     skipped: list[str] = []

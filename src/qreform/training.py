@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -86,10 +86,10 @@ class RetrievalBatch:
 
 @dataclass(frozen=True)
 class RerankBatch:
-    """One anchor with its positive set and hard-negative set."""
+    """One anchor with its positive targets and its hard negatives."""
 
     anchor: str
-    positives: tuple[tuple[str, float], ...]
+    positives: tuple[str, ...]
     hard_negatives: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -202,7 +202,7 @@ def loss_rerank_circle_many(
             spans.append(None)
             continue
         start = len(pair_list)
-        pair_list.extend((batch.anchor, text) for text, _ in batch.positives)
+        pair_list.extend((batch.anchor, text) for text in batch.positives)
         mid = len(pair_list)
         pair_list.extend((batch.anchor, text) for text in batch.hard_negatives)
         spans.append((start, mid, len(pair_list)))
@@ -336,15 +336,6 @@ class AdamOptimizer:
             value -= np.divide(a, b, out=a)
 
 
-@dataclass
-class TrainResult:
-    """One ``[epoch, train_loss, val_loss]`` row per epoch, a JSON list as
-    the run manifest records it (``val_loss`` None without validation
-    data); the model is updated in place."""
-
-    trace: list[list] = field(default_factory=list)
-
-
 def build_retrieval_batches(
     examples: Sequence[RetrievalExample],
     batch_size: int,
@@ -435,8 +426,11 @@ def train(
     config: TrainConfig,
     kin: Mapping[str, AbstractSet[str]] | None = None,
     hard_negatives: Mapping[str, Sequence[str]] | None = None,
-) -> TrainResult:
-    """Run the configured objective; deterministic for a fixed seed.
+) -> list[list]:
+    """Run the configured objective; deterministic for a fixed seed.  The
+    model is updated in place; returns one ``[epoch, train_loss,
+    val_loss]`` row per epoch, a JSON list as the run manifest records it
+    (``val_loss`` None without validation data).
 
     ``train_data`` is a list of RetrievalExample (retrieval), (source,
     target, value) triples (pointwise), or RerankBatch (circle);
@@ -447,7 +441,7 @@ def train(
         raise ValueError("training data must be non-empty")
     rng = random.Random(config.seed)
     optimizer = AdamOptimizer(model.parameters(), config.learning_rate)
-    result = TrainResult()
+    trace = []
     if config.objective == OBJECTIVE_RETRIEVAL:
         loss_fn = loss_retrieval
     elif config.objective == OBJECTIVE_POINTWISE:
@@ -487,5 +481,5 @@ def train(
         val_loss = None
         if val_batches:
             val_loss = _epoch_pass(model, optimizer, val_batches, loss_fn, False, context)
-        result.trace.append([epoch, train_loss, val_loss])
-    return result
+        trace.append([epoch, train_loss, val_loss])
+    return trace

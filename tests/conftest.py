@@ -9,7 +9,6 @@ import shutil
 import pytest
 
 from qreform.corpus import Corpus
-from qreform.files import _HEADER_VERSION, sha256_bytes
 from qreform.pipeline import PipelineConfig, PipelinePaths, run_pipeline
 from qreform.synthgen import SynthConfig
 
@@ -92,14 +91,11 @@ def copied_run(tiny_run, tmp_path) -> PipelineConfig:
 
 def run_recording_a_removed_field(tiny_run, tmp_path) -> PipelineConfig:
     """A copy of the tiny run whose manifest records ``temperature`` in its
-    config, and the hash over that config, as a run made while
-    ``temperature`` was a config field does."""
+    config, as a run made while ``temperature`` was a config field does."""
     config = copied_run(tiny_run, tmp_path)
     path = PipelinePaths(config.out_dir).manifest
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    settings = {**manifest["config"], "temperature": REMOVED_CONFIG_FIELDS["temperature"]}
-    hashed = json.dumps({**settings, "format_version": _HEADER_VERSION}, sort_keys=True)
-    manifest.update(config=settings, config_hash=sha256_bytes(hashed.encode("utf-8")))
+    manifest["config"]["temperature"] = REMOVED_CONFIG_FIELDS["temperature"]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return config
 

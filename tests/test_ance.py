@@ -124,9 +124,9 @@ def test_build_rerank_batches_pairs_every_negative_and_skips():
     # The negatives file already holds only what the re-ranker trains on,
     # so every loaded negative enters the batch.
     positives = {
-        "a": (("p1", 0.9), ("p2", 0.5)),
+        "a": ("p1", "p2"),
         "b": (),
-        "c": (("p3", 0.7),),
+        "c": ("p3",),
     }
     records = [
         HardNegativeRecord("a", tuple(f"n{i}" for i in range(12)), 1, "c0ffee"),

@@ -113,23 +113,24 @@ def test_a_config_that_differs_from_the_runs_is_refused_unless_forced(
     assert capsys.readouterr().err.count("done in") == 9
     manifest = json.loads(PipelinePaths(config.out_dir).manifest.read_text(encoding="utf-8"))
     assert manifest["config"] == given.settings()
-    assert manifest["config_hash"] == given.config_hash()
 
 
-def test_a_run_that_records_no_config_is_compared_by_hash(tiny_run, tmp_path, capsys):
-    # A run made before the manifest recorded its config.
+def test_a_run_that_records_no_config_is_refused_unless_forced(tiny_run, tmp_path, capsys):
+    # A hand-edited manifest: no released version wrote one without a config.
     config = copied_run(tiny_run, tmp_path)
     manifest_path = PipelinePaths(config.out_dir).manifest
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     del manifest["config"]
-    manifest_path.write_text(json.dumps({**manifest, "seed": 0}), encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     before = _tree(config.out_dir)
-    assert main(["evaluate", "--out-dir", config.out_dir]) == 1
+    argv = ["pipeline", "--out-dir", config.out_dir]
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"config hash (run {config.config_hash()}, given " in err
+    assert err.startswith(f"error: pipeline: run directory {config.out_dir} records no config")
+    assert "--force" in err
     assert _tree(config.out_dir) == before
-    assert main(["evaluate", *_config_args(config, tmp_path)]) == 0
-    assert capsys.readouterr().err == "[evaluate] up to date, skipped\n"
+    assert main([*argv, "--force"]) == 0
+    assert capsys.readouterr().err.count("done in") == 9
 
 
 @pytest.mark.parametrize(

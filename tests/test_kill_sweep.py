@@ -1,7 +1,7 @@
 """A build killed at an atomic rename resumes to the clean build's files,
-manifest and recorded config, rerunning exactly the interrupted stage and
-those after it.  ``scripts/kill_sweep.py`` takes every rename; this takes
-a fixed sample of four."""
+manifest, recorded config and format version, rerunning exactly the
+interrupted stage and those after it.  ``scripts/kill_sweep.py`` takes
+every rename; this takes a fixed sample of four."""
 
 import importlib.util
 from pathlib import Path

@@ -151,6 +151,11 @@ def group(name, members, counts):
     return QueryGroup(name, tuple(members), dict(counts))
 
 
+# The min_purchase of the corpus the hand-made groups stand for: every
+# count they hold survives it.
+MIN_PURCHASE = 2
+
+
 def simple_world():
     # Three groups: ga/gb share products heavily, gc overlaps ga a little.
     groups = [
@@ -164,7 +169,7 @@ def simple_world():
 
 def test_mine_proposed_emits_expanded_members():
     groups, copurchase = simple_world()
-    pairs = mine_pairs(groups, copurchase, floor=0.0)
+    pairs = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
     keys = {(p.source, p.target) for p in pairs}
     # ga-gb expands to q1/q2 x q3, plus the within-group pair q1-q2.
     assert ("q1", "q3") in keys and ("q2", "q3") in keys
@@ -174,7 +179,8 @@ def test_mine_proposed_emits_expanded_members():
 
 def test_mine_within_group_pairs_have_unit_importance():
     groups, copurchase = simple_world()
-    pairs = {(p.source, p.target): p for p in mine_pairs(groups, copurchase, floor=0.0)}
+    mined = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
+    pairs = {(p.source, p.target): p for p in mined}
     within = pairs[("q1", "q2")]
     assert within.importance == 1.0
     assert within.rerank_target_fwd == 1.0
@@ -183,7 +189,8 @@ def test_mine_within_group_pairs_have_unit_importance():
 
 def test_mine_importance_matches_group_distributions():
     groups, copurchase = simple_world()
-    pairs = {(p.source, p.target): p for p in mine_pairs(groups, copurchase, floor=0.0)}
+    mined = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
+    pairs = {(p.source, p.target): p for p in mined}
     da = BehaviorDistribution.from_counts({"pA": 10, "pB": 10})
     db = BehaviorDistribution.from_counts({"pA": 9, "pB": 11})
     assert pairs[("q1", "q3")].importance == pytest.approx(
@@ -193,8 +200,8 @@ def test_mine_importance_matches_group_distributions():
 
 def test_mine_floor_excludes_weak_pairs():
     groups, copurchase = simple_world()
-    strong = mine_pairs(groups, copurchase, floor=0.0)
-    floored = mine_pairs(groups, copurchase, floor=0.5)
+    strong = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
+    floored = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.5)
     assert {(p.source, p.target) for p in floored} < {
         (p.source, p.target) for p in strong
     }
@@ -204,9 +211,9 @@ def test_mine_floor_excludes_weak_pairs():
 def test_mine_floor_validation():
     groups, copurchase = simple_world()
     with pytest.raises(ValueError, match="floor"):
-        mine_pairs(groups, copurchase, floor=1.0)
+        mine_pairs(groups, copurchase, MIN_PURCHASE, floor=1.0)
     with pytest.raises(ValueError, match="floor"):
-        mine_pairs(groups, copurchase, floor=-0.1)
+        mine_pairs(groups, copurchase, MIN_PURCHASE, floor=-0.1)
 
 
 def test_mine_baseline_top30_keeps_top_ranked_and_forces_unit_weight():
@@ -219,7 +226,7 @@ def test_mine_baseline_top30_keeps_top_ranked_and_forces_unit_weight():
         counts = {"pA": 50 + i * 10, "pB": 50 - i * 5, f"x{i}": 5 + i * 12}
         groups.append(group(f"g{i + 1}", [f"q{i + 1}"], counts))
         copurchase.append(("g0", f"g{i + 1}"))
-    pairs = baseline_top30(mine_pairs(groups, copurchase, floor=0.0))
+    pairs = baseline_top30(mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0))
     hub_pairs = [p for p in pairs if "h" in (p.source, p.target)]
     assert len(hub_pairs) == 3
     assert all(p.importance == 1.0 for p in hub_pairs)
@@ -227,14 +234,16 @@ def test_mine_baseline_top30_keeps_top_ranked_and_forces_unit_weight():
 
 def test_mine_proposed_order_invariance():
     groups, copurchase = simple_world()
-    forward = mine_pairs(groups, copurchase, floor=0.0)
-    backward = mine_pairs(list(reversed(groups)), list(reversed(copurchase)), floor=0.0)
+    forward = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
+    backward = mine_pairs(
+        list(reversed(groups)), list(reversed(copurchase)), MIN_PURCHASE, floor=0.0
+    )
     assert forward == backward
 
 
 def test_mine_output_sorted():
     groups, copurchase = simple_world()
-    pairs = mine_pairs(groups, copurchase, floor=0.0)
+    pairs = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
     keys = [(p.source, p.target) for p in pairs]
     assert keys == sorted(keys)
     assert all(p.source < p.target for p in pairs)
@@ -242,7 +251,7 @@ def test_mine_output_sorted():
 
 def test_pairs_file_round_trip(tmp_path):
     groups, copurchase = simple_world()
-    pairs = mine_pairs(groups, copurchase, floor=0.0)
+    pairs = mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0)
     path = tmp_path / "pairs.tsv"
     save_pairs(path, pairs, mode="proposed")
     loaded = load_pairs(path)
@@ -316,6 +325,6 @@ def test_kin_file_round_trip_is_symmetric(tmp_path):
 def test_kin_reader_rejects_a_pairs_file(tmp_path):
     groups, copurchase = simple_world()
     path = tmp_path / "pairs_exclusion.tsv"
-    save_pairs(path, mine_pairs(groups, copurchase, floor=0.0))
+    save_pairs(path, mine_pairs(groups, copurchase, MIN_PURCHASE, floor=0.0))
     with pytest.raises(FileFormatError, match="pairs_exclusion.tsv"):
         load_kin(path)

@@ -23,6 +23,7 @@ from scipy import sparse
 
 import qreform
 from qreform import encoders, pipeline, training
+from qreform import files as files_mod
 from qreform.ance import load_hard_negatives
 from qreform.corpus import load_corpus, rich_queries
 from qreform.encoders import load_checkpoint, params_checksum
@@ -159,15 +160,15 @@ def test_config_json_round_trip(tmp_path):
     config.save_json(path)
     loaded = PipelineConfig.load_json(path)
     assert loaded == config
-    assert loaded.config_hash() == config.config_hash()
+    assert loaded.settings() == config.settings()
 
 
-def test_config_hash_tracks_changes(tmp_path):
+def test_settings_track_changes(tmp_path):
     config = tiny_config(tmp_path / "run")
     changed = dataclasses.replace(config, rich_threshold=config.rich_threshold + 1)
-    assert changed.config_hash() != config.config_hash()
+    assert changed.settings() != config.settings()
     synth = dataclasses.replace(config.synth, n_audit_pairs=config.synth.n_audit_pairs + 1)
-    assert dataclasses.replace(config, synth=synth).config_hash() != config.config_hash()
+    assert dataclasses.replace(config, synth=synth).settings() != config.settings()
 
 
 def test_config_seed_propagates_to_synth(tmp_path):
@@ -193,8 +194,8 @@ def _attributes_read(tree: ast.AST, skip_classes: set[str]) -> set[str]:
 
 
 def test_every_config_field_is_read_by_the_package():
-    # A field nothing reads still enters config_hash, so editing it would
-    # rerun every stage while changing no artifact.
+    # A field nothing reads is still recorded in the manifest's config, so
+    # editing it would rerun every stage while changing no artifact.
     classes = {"PipelineConfig": PipelineConfig, "SynthConfig": SynthConfig}
     package = Path(qreform.__file__).parent
     read = set()
@@ -318,11 +319,11 @@ def test_a_run_holds_only_its_declared_outputs_and_the_manifest(tiny_run):
 def test_the_manifest_records_the_config_once(tiny_run):
     config, run = tiny_run
     manifest = json.loads(PipelinePaths(run.out_dir).manifest.read_text(encoding="utf-8"))
-    assert set(manifest) == {"config", "config_hash", "stages"}
+    assert set(manifest) == {"config", "format_version", "stages"}
     assert manifest["config"] == config.settings()
+    assert manifest["format_version"] == files_mod._HEADER_VERSION
     assert "out_dir" not in manifest["config"]
     recorded = PipelineConfig.from_dict(manifest["config"])
-    assert recorded.config_hash() == manifest["config_hash"] == config.config_hash()
     assert dataclasses.replace(recorded, out_dir=config.out_dir) == config
 
 
@@ -817,9 +818,9 @@ def retrained(tiny_run, tmp_path_factory):
         return records
 
     def spy_train(model, *args, **kwargs):
-        result = real_train(model, *args, **kwargs)
-        trained[stage].append((params_checksum(model), result.trace))
-        return result
+        losses = real_train(model, *args, **kwargs)
+        trained[stage].append((params_checksum(model), losses))
+        return losses
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline.ance_mod, "mine_hard_negatives", spy_mine)
@@ -936,10 +937,19 @@ def test_mined_pair_files_expose_split(tiny_run):
 
 def test_copied_run_resumes_under_new_out_dir(tiny_run, tmp_path):
     copy = copied_run(tiny_run, tmp_path)
-    assert copy.config_hash() == tiny_run[0].config_hash()
+    assert copy.settings() == tiny_run[0].settings()
     resumed = run_pipeline(copy)
     assert resumed.executed == []
     assert len(resumed.skipped) == 9
+
+
+def test_a_format_version_bump_reruns_every_stage(tiny_run, tmp_path, monkeypatch):
+    copy = copied_run(tiny_run, tmp_path)
+    bumped = str(int(files_mod._HEADER_VERSION) + 1)
+    monkeypatch.setattr(files_mod, "_HEADER_VERSION", bumped)
+    rerun = run_pipeline(copy)
+    assert rerun.executed == list(STAGE_ORDER)
+    assert rerun.manifest["format_version"] == bumped
 
 
 @pytest.mark.parametrize(

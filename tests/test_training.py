@@ -274,7 +274,7 @@ def test_pointwise_rejects_bad_targets():
 
 def test_circle_no_negatives_is_zero():
     model = cross_model()
-    batch = RerankBatch("q", positives=(("p", 0.8),))
+    batch = RerankBatch("q", positives=("p",))
     loss, grads = loss_rerank_circle_many(model, [batch])
     assert loss == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -282,7 +282,7 @@ def test_circle_no_negatives_is_zero():
 
 def test_circle_single_pair_is_softplus_margin():
     model = cross_model()
-    batch = RerankBatch("q x", positives=(("p y", 0.8),), hard_negatives=("n z",))
+    batch = RerankBatch("q x", positives=("p y",), hard_negatives=("n z",))
     loss, _ = loss_rerank_circle_many(model, [batch])
     s_p = model.score_many([("q x", "p y")])[0]
     s_n = model.score_many([("q x", "n z")])[0]
@@ -291,15 +291,15 @@ def test_circle_single_pair_is_softplus_margin():
 
 def test_circle_equal_scores_is_ln_2():
     model = cross_model()
-    batch = RerankBatch("q x", positives=(("same", 1.0),), hard_negatives=("same",))
+    batch = RerankBatch("q x", positives=("same",), hard_negatives=("same",))
     loss, _ = loss_rerank_circle_many(model, [batch])
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_circle_many_averages_batches():
     model = cross_model()
-    b1 = RerankBatch("q x", positives=(("p y", 0.8),), hard_negatives=("n z",))
-    b2 = RerankBatch("q w", positives=(("p v", 0.5),))  # no negatives -> 0
+    b1 = RerankBatch("q x", positives=("p y",), hard_negatives=("n z",))
+    b2 = RerankBatch("q w", positives=("p v",))  # no negatives -> 0
     l1, _ = loss_rerank_circle_many(model, [b1])
     both, _ = loss_rerank_circle_many(model, [b1, b2])
     assert both == pytest.approx(l1 / 2.0, abs=1e-12)
@@ -310,8 +310,8 @@ def test_circle_monotone_in_positive_score():
     # keeping the negative fixed must not increase the loss.
     model = cross_model()
     anchor = "red mask sheet"
-    near = RerankBatch(anchor, positives=((anchor, 1.0),), hard_negatives=("qq ww",))
-    far = RerankBatch(anchor, positives=(("zz yy", 1.0),), hard_negatives=("qq ww",))
+    near = RerankBatch(anchor, positives=(anchor,), hard_negatives=("qq ww",))
+    far = RerankBatch(anchor, positives=("zz yy",), hard_negatives=("qq ww",))
     loss_near, _ = loss_rerank_circle_many(model, [near])
     loss_far, _ = loss_rerank_circle_many(model, [far])
     s_near = model.score_many([(anchor, anchor)])[0]
@@ -353,8 +353,8 @@ def test_pointwise_gradient_matches_finite_differences():
 def test_circle_gradient_matches_finite_differences():
     model = cross_model(seed=4, dtype=np.float64)
     batches = [
-        RerankBatch("q a", (("p b", 0.9), ("p c", 0.4)), ("n d", "n e")),
-        RerankBatch("q f", (("p g", 0.7),), ("n h",)),
+        RerankBatch("q a", ("p b", "p c"), ("n d", "n e")),
+        RerankBatch("q f", ("p g",), ("n h",)),
     ]
     _, grads = loss_rerank_circle_many(model, batches)
     numeric = finite_difference_grads(
@@ -372,8 +372,8 @@ def test_circle_gradient_check_passes_an_exactly_zero_bias_gradient():
     rounded = cross_model(seed=4).parameters()
     model.set_parameters({name: value.astype(np.float64) for name, value in rounded.items()})
     batches = [
-        RerankBatch("q a", (("p b", 0.9), ("p c", 0.4)), ("n d", "n e")),
-        RerankBatch("q f", (("p g", 0.7),), ("n h",)),
+        RerankBatch("q a", ("p b", "p c"), ("n d", "n e")),
+        RerankBatch("q f", ("p g",), ("n h",)),
     ]
     _, grads = loss_rerank_circle_many(model, batches)
     numeric = finite_difference_grads(
@@ -692,9 +692,8 @@ def test_train_retrieval_reduces_loss():
     config = TrainConfig(
         objective=OBJECTIVE_RETRIEVAL, epochs=8, batch_size=4, learning_rate=5e-3
     )
-    result = train(model, examples, [], config)
-    first = result.trace[0][1]
-    assert result.trace[-1][1] < first
+    losses = train(model, examples, [], config)
+    assert losses[-1][1] < losses[0][1]
 
 
 def test_train_deterministic_given_seed():
@@ -708,7 +707,7 @@ def test_train_deterministic_given_seed():
         config = TrainConfig(
             objective=OBJECTIVE_RETRIEVAL, epochs=3, batch_size=2, seed=11
         )
-        losses.append(train(model, examples, [], config).trace)
+        losses.append(train(model, examples, [], config))
     assert losses[0] == losses[1]
 
 
@@ -721,20 +720,19 @@ def test_train_pointwise_and_trace_round_trip():
     model = cross_model(seed=7)
     data = [("a b", "c d", 0.2), ("c d", "e f", 0.8)]
     config = TrainConfig(objective=OBJECTIVE_POINTWISE, epochs=2, batch_size=2)
-    result = train(model, data, data, config)
-    assert [epoch for epoch, _, _ in result.trace] == [1, 2]
-    for _, train_loss, val_loss in result.trace:
+    losses = train(model, data, data, config)
+    assert [epoch for epoch, _, _ in losses] == [1, 2]
+    for _, train_loss, val_loss in losses:
         assert math.isfinite(train_loss) and math.isfinite(val_loss)
     # The run manifest records the rows as they are, so they read back equal.
-    assert json.loads(json.dumps(result.trace)) == result.trace
+    assert json.loads(json.dumps(losses)) == losses
 
 
 def test_train_circle_objective_runs():
     model = cross_model(seed=8)
     batches = [
-        RerankBatch("q a", (("p b", 0.9),), ("n c",)),
-        RerankBatch("q d", (("p e", 0.6),), ("n f",)),
+        RerankBatch("q a", ("p b",), ("n c",)),
+        RerankBatch("q d", ("p e",), ("n f",)),
     ]
     config = TrainConfig(objective=OBJECTIVE_CIRCLE, epochs=2, batch_size=2)
-    result = train(model, batches, [], config)
-    assert len(result.trace) == 2
+    assert len(train(model, batches, [], config)) == 2
